@@ -7,23 +7,27 @@ form ``error: <kind>: <message>``.
 
 import argparse
 import sys
+from functools import cached_property
 
 import numpy as np
 
-from .dataio import ResultTable, load_dataset, load_population_summary, parse_role_map
-from .errors import NonConvergenceError, SelweightError, ValidationError
-from .fitters import fit_weighted_logistic
-from .simulation import METHODS, SimulationConfig, run_study
-from .variance import vcov_cl, vcov_known_weights, vcov_pl, wald_ci
-from .weights import (
-    augment_weights_with_outcome,
-    estimate_weights_cl,
-    estimate_weights_pl,
-    estimate_weights_ps,
-    estimate_weights_sr,
-    overlap_labels,
-    winsorize_weights,
+from .dataio import (
+    ResultTable,
+    load_dataset,
+    load_population_summary,
+    parse_role_map,
+    read_key_values,
 )
+from .errors import NonConvergenceError, SelweightError, ValidationError
+from .simulation import (
+    METHODS,
+    SimulationConfig,
+    estimate_pi,
+    fit_method,
+    run_study,
+)
+from .variance import wald_ci
+from .weights import augment_weights_with_outcome, overlap_labels, winsorize_weights
 
 FIT_COLUMNS = ["method", "parameter", "estimate", "std_error",
                "ci_lower", "ci_upper"]
@@ -96,75 +100,61 @@ def build_parser():
     return parser
 
 
+def _float_tuple(key, size):
+    def parse(text):
+        parts = tuple(float(p) for p in text.split(","))
+        if len(parts) != size:
+            raise ValidationError(f"{key} needs {size} comma-separated values")
+        return parts
+
+    return parse
+
+
 # SimulationConfig fields settable from a --config file, with their parsers.
-_CONFIG_SCALARS = {"dag": int, "setup": int, "n_population": int,
+_CONFIG_PARSERS = {"dag": int, "setup": int, "n_population": int,
                    "replications": int, "seed": int, "alpha0": float,
                    "alpha2": float, "alpha3": float, "external_scale": float,
-                   "setup2_scale": float, "z_correlation": float}
-_CONFIG_TUPLES = {"theta": 3, "nu": 4}
+                   "setup2_scale": float, "z_correlation": float,
+                   "theta": _float_tuple("theta", 3), "nu": _float_tuple("nu", 4)}
 
 
-def parse_simulation_config_file(path):
-    """Read key=value scenario settings; unknown keys are rejected."""
-    values = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValidationError(f"{path}:{lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key in values:
-                raise ValidationError(f"{path}:{lineno}: duplicate key {key!r}")
-            try:
-                if key in _CONFIG_SCALARS:
-                    values[key] = _CONFIG_SCALARS[key](value)
-                elif key in _CONFIG_TUPLES:
-                    parts = tuple(float(p) for p in value.split(","))
-                    if len(parts) != _CONFIG_TUPLES[key]:
-                        raise ValidationError(
-                            f"{path}:{lineno}: {key} needs "
-                            f"{_CONFIG_TUPLES[key]} comma-separated values")
-                    values[key] = parts
-                else:
-                    raise ValidationError(
-                        f"{path}:{lineno}: unknown key {key!r}")
-            except ValueError:
-                raise ValidationError(
-                    f"{path}:{lineno}: cannot parse value for {key!r}"
-                ) from None
-    return values
+class FileSource:
+    """Method inputs read from the command's files.
 
+    The external data and the population summary load only when a method
+    asks for them.  ``n_population`` is ``--population-size`` when given
+    and the internal row count otherwise.
+    """
 
-def _load_inputs(args):
-    roles = parse_role_map(args.roles)
-    extra = tuple(args.augment_outcome) if args.augment_outcome else ()
-    sample = load_dataset(args.data, roles, extra_columns=extra)
-    external = None
-    if args.method in ("pl", "sr"):
-        if not args.external_data:
-            raise ValidationError(f"--external-data is required for {args.method}")
-        external = load_dataset(args.external_data, roles)
-    return sample, external
+    def __init__(self, args):
+        self.args = args
+        extra = tuple(args.augment_outcome) if args.augment_outcome else ()
+        self.sample = load_dataset(args.data, parse_role_map(args.roles),
+                                   extra_columns=extra)
+        self.n_population = args.population_size or self.sample.n_rows
+        self.outcome = self.sample.outcome
+        self.disease_design = self.sample.disease_design()
 
+    @cached_property
+    def selection_design(self):
+        return self.sample.selection_design(
+            include_outcome=self.args.include_outcome_in_selection)
 
-def _estimate_pi(args, sample, external):
-    """Run the requested weight estimator and return (pi, weight_set|None)."""
-    method = args.method
-    include_outcome = args.include_outcome_in_selection
-    if method == "unweighted":
-        return np.ones(sample.n_rows), None
+    @cached_property
+    def external(self):
+        if not self.args.external_data:
+            raise ValidationError(
+                f"--external-data is required for {self.args.method}")
+        return load_dataset(self.args.external_data, self.sample.roles)
 
-    x_int = sample.selection_design(include_outcome=include_outcome)
-    if method in ("pl", "sr"):
-        x_ext = external.selection_design(include_outcome=include_outcome)
-        pi_ext = external.external_probabilities()
-        if method == "pl":
-            ws = estimate_weights_pl(x_int, x_ext, pi_ext)
-            return ws.pi_hat, ws
+    @cached_property
+    def external_sample(self):
+        x_ext = self.external.selection_design(
+            include_outcome=self.args.include_outcome_in_selection)
+        return x_ext, self.external.external_probabilities()
+
+    def overlap(self):
+        sample, external = self.sample, self.external
         if not sample.roles.external_indicator:
             raise ValidationError(
                 "sr needs an external_indicator column on the internal data "
@@ -175,94 +165,77 @@ def _estimate_pi(args, sample, external):
                 "sr needs a selection_indicator column on the external data "
                 "to label the overlap"
             )
-        labels = overlap_labels(
+        return overlap_labels(
             sample.column(sample.roles.external_indicator) == 1.0,
             external.column(external.roles.selection_indicator) == 1.0,
         )
-        ws = estimate_weights_sr(x_int, x_ext, pi_ext, labels)
-        return ws.pi_hat, ws
 
-    if not args.summary:
-        raise ValidationError(f"--summary is required for {method}")
-    if method == "ps":
-        summary = load_population_summary(args.summary, "joint_cells")
-        if args.population_size is None:
-            raise ValidationError("--population-size is required for ps")
-        if summary.names is None:
-            raise ValidationError("joint summary must name its level columns")
-        try:
-            cells = np.column_stack([
-                sample.column(name).astype(int) for name in summary.names
-            ])
-        except KeyError as exc:
-            raise ValidationError(
-                f"data lacks summary level column {exc.args[0]!r}"
-            ) from None
-        ws = estimate_weights_ps(cells, summary,
-                                 population_size=args.population_size)
-        return ws.pi_hat, ws
-    summary = load_population_summary(args.summary, "marginal_means")
-    ws = estimate_weights_cl(x_int, summary)
-    return ws.pi_hat, ws
-
-
-def _post_process_pi(args, sample, pi):
-    """Apply outcome augmentation and winsorization to the weights 1/pi."""
-    if not args.augment_outcome and not args.winsorize:
-        return pi
-    w = 1.0 / pi
-    if args.augment_outcome:
-        p_pop_col, p_int_col = args.augment_outcome
-        w = augment_weights_with_outcome(
-            w, sample.outcome, sample.column(p_pop_col), sample.column(p_int_col)
-        )
-    if args.winsorize:
-        lo, hi = args.winsorize
-        w = winsorize_weights(w, lo, hi)
-    return np.clip(1.0 / w, None, 1.0)
-
-
-def cli_fit(args):
-    sample, external = _load_inputs(args)
-    roles = sample.roles
-    pi, weight_set = _estimate_pi(args, sample, external)
-    pi = _post_process_pi(args, sample, pi)
-    design = sample.disease_design()
-    model = fit_weighted_logistic(design, sample.outcome, pi)
-    theta = model.coefficients
-    n_pop = args.population_size or sample.n_rows
-
-    if args.method == "pl" and weight_set is not None:
+    def internal_overlap(self):
+        roles = self.sample.roles
         if not (roles.external_indicator and roles.external_prob):
             raise ValidationError(
                 "pl variance needs external_indicator and external_prob "
                 "columns on the internal data to locate the overlap"
             )
-        overlap_mask = sample.column(roles.external_indicator) == 1.0
-        overlap_prob = sample.column(roles.external_prob)
+        overlap_mask = self.sample.column(roles.external_indicator) == 1.0
+        overlap_prob = self.sample.column(roles.external_prob)
         bad = overlap_mask & ((overlap_prob <= 0.0) | (overlap_prob > 1.0))
         if np.any(bad):
             raise ValidationError(
                 "external_prob must lie in (0, 1] on rows flagged by "
                 "external_indicator"
             )
-        x_ext = external.selection_design(
-            include_outcome=args.include_outcome_in_selection)
-        model.vcov = vcov_pl(
-            theta, weight_set.alpha_hat, design, sample.outcome,
-            sample.selection_design(args.include_outcome_in_selection),
-            x_ext, external.external_probabilities(), n_pop,
-            internal_in_external=overlap_mask,
-            internal_pi_ext=overlap_prob,
-        )
-    elif args.method == "cl" and weight_set is not None:
-        model.vcov = vcov_cl(
-            theta, weight_set.alpha_hat, design, sample.outcome,
-            sample.selection_design(args.include_outcome_in_selection), n_pop,
-        )
-    else:
-        model.vcov = vcov_known_weights(theta, design, sample.outcome, pi, n_pop)
+        return overlap_mask, overlap_prob
 
+    def _summary(self, kind):
+        if not self.args.summary:
+            raise ValidationError(f"--summary is required for {self.args.method}")
+        return load_population_summary(self.args.summary, kind)
+
+    def poststratification_inputs(self):
+        summary = self._summary("joint_cells")
+        if self.args.population_size is None:
+            raise ValidationError("--population-size is required for ps")
+        if summary.names is None:
+            raise ValidationError("joint summary must name its level columns")
+        try:
+            cells = np.column_stack([
+                self.sample.column(name).astype(int) for name in summary.names
+            ])
+        except KeyError as exc:
+            raise ValidationError(
+                f"data lacks summary level column {exc.args[0]!r}"
+            ) from None
+        return cells, summary, self.args.population_size
+
+    def calibration_summary(self):
+        return self._summary("marginal_means")
+
+
+def _weights(args):
+    """Return (source, pi, weight set) for the command's method.
+
+    Augmenting or winsorizing pi drops the weight set; see ``fit_method``.
+    """
+    src = FileSource(args)
+    pi, weight_set = estimate_pi(args.method, src)
+    if not (args.augment_outcome or args.winsorize):
+        return src, pi, weight_set
+    w = 1.0 / pi
+    if args.augment_outcome:
+        p_pop_col, p_int_col = args.augment_outcome
+        w = augment_weights_with_outcome(w, src.outcome,
+                                         src.sample.column(p_pop_col),
+                                         src.sample.column(p_int_col))
+    if args.winsorize:
+        w = winsorize_weights(w, *args.winsorize)
+    return src, np.clip(1.0 / w, None, 1.0), None
+
+
+def cli_fit(args):
+    src, pi, weight_set = _weights(args)
+    model = fit_method(args.method, src, pi, weight_set)
+    theta = model.coefficients
     ci = wald_ci(theta, model.vcov)
     se = np.sqrt(np.diag(model.vcov))
     table = ResultTable(FIT_COLUMNS)
@@ -277,9 +250,7 @@ def cli_fit(args):
 def cli_weights(args):
     if args.method == "unweighted":
         raise ValidationError("weights requires one of pl, sr, ps, cl")
-    sample, external = _load_inputs(args)
-    pi, _ = _estimate_pi(args, sample, external)
-    pi = _post_process_pi(args, sample, pi)
+    _, pi, _ = _weights(args)
     table = ResultTable(WEIGHT_COLUMNS)
     for i, value in enumerate(pi, start=1):
         table.append(row=i, pi_hat=float(value), weight=float(1.0 / value))
@@ -292,7 +263,7 @@ def cli_simulate(args):
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ValidationError(f"unknown methods {unknown}")
-    settings = parse_simulation_config_file(args.config) if args.config else {}
+    settings = read_key_values(args.config, _CONFIG_PARSERS) if args.config else {}
     overrides = {"dag": args.dag, "setup": args.setup,
                  "n_population": args.population_size,
                  "replications": args.replications, "seed": args.seed}

@@ -83,8 +83,12 @@ class ColumnRoleMap:
         return names
 
 
-def parse_role_map(path):
-    """Read a key=value roles file; unknown keys are rejected."""
+def read_key_values(path, parsers):
+    """Read a ``key=value`` file, parsing each value with ``parsers[key]``.
+
+    Blank lines and ``#`` comments are skipped; unknown and repeated keys
+    and values the parser rejects are errors naming the line.
+    """
     values = {}
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -95,11 +99,24 @@ def parse_role_map(path):
                 raise ValidationError(f"{path}:{lineno}: expected key=value")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in ROLE_KEYS:
+            if key not in parsers:
                 raise ValidationError(f"{path}:{lineno}: unknown key {key!r}")
             if key in values:
                 raise ValidationError(f"{path}:{lineno}: duplicate key {key!r}")
-            values[key] = value.strip()
+            try:
+                values[key] = parsers[key](value.strip())
+            except ValueError:
+                raise ValidationError(
+                    f"{path}:{lineno}: cannot parse value for {key!r}"
+                ) from None
+            except ValidationError as exc:
+                raise ValidationError(f"{path}:{lineno}: {exc}") from None
+    return values
+
+
+def parse_role_map(path):
+    """Read a key=value roles file; unknown keys are rejected."""
+    values = read_key_values(path, dict.fromkeys(ROLE_KEYS, str))
     lists = {
         k: [part.strip() for part in values[k].split(",") if part.strip()]
         for k in ("disease_covariates", "selection_covariates") if k in values
@@ -169,6 +186,19 @@ def _parse_cell(text, row_number, column):
         ) from None
 
 
+def _data_rows(reader, path, width):
+    """Yield (1-based row number, fields) for each non-blank data row."""
+    for row_number, row in enumerate(reader, start=1):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != width:
+            raise ValidationError(
+                f"{path}: row {row_number} has {len(row)} fields, "
+                f"expected {width}"
+            )
+        yield row_number, row
+
+
 def load_dataset(path, roles, extra_columns=()):
     """Load and validate a delimited dataset against a role map.
 
@@ -193,14 +223,7 @@ def load_dataset(path, roles, extra_columns=()):
         index = {c: header.index(c) for c in wanted}
         data = {c: [] for c in index}
         n_rows = 0
-        for row_number, row in enumerate(reader, start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(header):
-                raise ValidationError(
-                    f"{path}: row {row_number} has {len(row)} fields, "
-                    f"expected {len(header)}"
-                )
+        for row_number, row in _data_rows(reader, path, len(header)):
             n_rows += 1
             for column, pos in index.items():
                 data[column].append(_parse_cell(row[pos], row_number, column))
@@ -248,14 +271,7 @@ def _load_joint_cells(path):
             )
         level_names = header[:-1]
         cells = {}
-        for row_number, row in enumerate(reader, start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(header):
-                raise ValidationError(
-                    f"{path}: row {row_number} has {len(row)} fields, "
-                    f"expected {len(header)}"
-                )
+        for row_number, row in _data_rows(reader, path, len(header)):
             key = tuple(
                 int(_parse_cell(cell, row_number, name))
                 for cell, name in zip(row[:-1], level_names)
@@ -293,13 +309,7 @@ def _load_marginal_means(path):
             raise ValidationError(
                 f"{path}: marginal summary must have header 'name,value'"
             )
-        for row_number, row in enumerate(reader, start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 2:
-                raise ValidationError(
-                    f"{path}: row {row_number} has {len(row)} fields, expected 2"
-                )
+        for row_number, row in _data_rows(reader, path, 2):
             name = row[0].strip()
             value = _parse_cell(row[1], row_number, "value")
             if name == "N":

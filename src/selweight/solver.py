@@ -8,7 +8,7 @@ linear solves so that near-singular Jacobians are detected from the pivot
 magnitudes rather than silently amplified.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +50,6 @@ class SolveReport:
     converged: bool
     halvings: int = 0
     message: str = ""
-    history: list = field(default_factory=list, repr=False)
 
 
 def lu_factor(a):

@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import SingularBreadError, SingularHError, ValidationError
-from .fitters import expit
+from .fitters import _design_array, expit
 from .solver import SingularJacobianError, invert_matrix
 from .weights import PI_FLOOR
 
@@ -100,14 +100,6 @@ def normal_quantile(p):
     return float(out[0]) if scalar else out
 
 
-def _design_array(design):
-    from .fitters import DesignMatrix
-
-    if isinstance(design, DesignMatrix):
-        return design.matrix
-    return np.asarray(design, dtype=float)
-
-
 def _invert(matrix, error_cls, what):
     try:
         return invert_matrix(matrix)
@@ -121,13 +113,36 @@ def _assemble(g_positive, e_hat, n_population):
     return 0.5 * (v + v.T)
 
 
+def _fixed_weight_blocks(z, d, mu, pi, n):
+    """Positive bread and meat of the weighted score at fixed ``pi``."""
+    g_pos = (z.T * (mu * (1.0 - mu) / pi)) @ z / n
+    e1 = (z.T * ((d - mu) ** 2 / pi**2)) @ z / n
+    return g_pos, e1
+
+
+def _two_step_components(g_pos, e1, g_alpha_pos, h_pos, cross, bracket, what):
+    """Stack the theta score on the selection score (Stefanski & Boos 2002).
+
+    ``cross`` is the covariance of the selection score with the theta score
+    and ``bracket`` the variance of the selection score; ``k`` carries both
+    into the theta meat: ``e_hat = e1 - k cross - (k cross)' + k bracket k'``.
+    """
+    k = g_alpha_pos @ _invert(h_pos, SingularHError, what)
+    e2 = k @ cross
+    e3 = e2.T
+    e4 = k @ bracket @ k.T
+    e_hat = e1 - e2 - e3 + e4
+    return SandwichComponents(g_theta=-g_pos, e_hat=e_hat,
+                              g_alpha=-g_alpha_pos, h_hat=-h_pos,
+                              e1=e1, e2=e2, e3=e3, e4=e4)
+
+
 def known_weights_components(theta_hat, design, outcome, pi, n_population):
     z = _design_array(design)
     d = np.asarray(outcome, dtype=float).ravel()
     pi = np.asarray(pi, dtype=float).ravel()
     mu = expit(z @ np.asarray(theta_hat, dtype=float))
-    g_pos = (z.T * (mu * (1.0 - mu) / pi)) @ z / n_population
-    e1 = (z.T * ((d - mu) ** 2 / pi**2)) @ z / n_population
+    g_pos, e1 = _fixed_weight_blocks(z, d, mu, pi, n_population)
     return SandwichComponents(g_theta=-g_pos, e_hat=e1, e1=e1)
 
 
@@ -139,8 +154,7 @@ def vcov_known_weights(theta_hat, design, outcome, pi, n_population):
 
 def pl_components(theta_hat, alpha_hat, design, outcome, selection_design,
                   external_design, pi_ext, n_population,
-                  internal_in_external, internal_pi_ext=None,
-                  zero_alpha_terms=False):
+                  internal_in_external, internal_pi_ext=None):
     z = _design_array(design)
     d = np.asarray(outcome, dtype=float).ravel()
     xi = _design_array(selection_design)
@@ -159,99 +173,67 @@ def pl_components(theta_hat, alpha_hat, design, outcome, selection_design,
         if internal_pi_ext.size != z.shape[0]:
             raise ValidationError("internal_pi_ext length mismatch")
 
-    theta_hat = np.asarray(theta_hat, dtype=float)
     alpha_hat = np.asarray(alpha_hat, dtype=float)
-    mu = expit(z @ theta_hat)
+    mu = expit(z @ np.asarray(theta_hat, dtype=float))
     pi_int = np.clip(expit(xi @ alpha_hat), PI_FLOOR, 1.0)
     pi_at_ext = np.clip(expit(xe @ alpha_hat), PI_FLOOR, 1.0)
     n = float(n_population)
-
-    g_pos = (z.T * (mu * (1.0 - mu) / pi_int)) @ z / n
+    g_pos, e1 = _fixed_weight_blocks(z, d, mu, pi_int, n)
     resid = d - mu
-    e1 = (z.T * (resid**2 / pi_int**2)) @ z / n
-    if zero_alpha_terms:
-        return SandwichComponents(g_theta=-g_pos, e_hat=e1,
-                                  g_alpha=np.zeros((z.shape[1], xi.shape[1])),
-                                  h_hat=None, e1=e1)
 
     h_pos = (xe.T * (pi_at_ext * (1.0 - pi_at_ext) / pi_ext)) @ xe / n
     g_alpha_pos = (z.T * ((1.0 - pi_int) / pi_int * resid)) @ xi / n
-    k = g_alpha_pos @ _invert(h_pos, SingularHError, "selection-score Hessian")
-
     cross = (xi.T * (resid / pi_int)) @ z / n
-    if mask.any():
-        cross -= (xi[mask].T * (resid[mask] / internal_pi_ext[mask])) @ z[mask] / n
-    e2 = k @ cross
-    e3 = e2.T
     bracket = (xi.T @ xi) / n
     if mask.any():
+        cross -= (xi[mask].T * (resid[mask] / internal_pi_ext[mask])) @ z[mask] / n
         bracket -= 2.0 * (
             (xi[mask].T * (pi_int[mask] / internal_pi_ext[mask])) @ xi[mask] / n
         )
     bracket += (xe.T * ((pi_at_ext / pi_ext) ** 2)) @ xe / n
-    e4 = k @ bracket @ k.T
-    e_hat = e1 - e2 - e3 + e4
-    return SandwichComponents(g_theta=-g_pos, e_hat=e_hat,
-                              g_alpha=-g_alpha_pos, h_hat=-h_pos,
-                              e1=e1, e2=e2, e3=e3, e4=e4)
+    return _two_step_components(g_pos, e1, g_alpha_pos, h_pos, cross, bracket,
+                                "selection-score Hessian")
 
 
 def vcov_pl(theta_hat, alpha_hat, design, outcome, selection_design,
             external_design, pi_ext, n_population,
-            internal_in_external, internal_pi_ext=None,
-            zero_alpha_terms=False):
+            internal_in_external, internal_pi_ext=None):
     """Two-step sandwich variance for the pseudolikelihood estimator.
 
     ``internal_in_external`` flags internal units also present in the
     external sample; their known external probabilities go in
-    ``internal_pi_ext`` (entries outside the mask are ignored).  With
-    ``zero_alpha_terms`` the selection-uncertainty blocks are dropped,
-    reducing the estimator to the known-weights form.
+    ``internal_pi_ext`` (entries outside the mask are ignored).
     """
     comp = pl_components(theta_hat, alpha_hat, design, outcome,
                          selection_design, external_design, pi_ext,
-                         n_population, internal_in_external, internal_pi_ext,
-                         zero_alpha_terms)
+                         n_population, internal_in_external, internal_pi_ext)
     return _assemble(-comp.g_theta, comp.e_hat, n_population)
 
 
 def cl_components(theta_hat, alpha_hat, design, outcome, selection_design,
-                  n_population, zero_alpha_terms=False):
+                  n_population):
     z = _design_array(design)
     d = np.asarray(outcome, dtype=float).ravel()
     xi = _design_array(selection_design)
-    theta_hat = np.asarray(theta_hat, dtype=float)
-    alpha_hat = np.asarray(alpha_hat, dtype=float)
-    mu = expit(z @ theta_hat)
-    pi = np.clip(expit(xi @ alpha_hat), PI_FLOOR, 1.0)
+    mu = expit(z @ np.asarray(theta_hat, dtype=float))
+    pi = np.clip(expit(xi @ np.asarray(alpha_hat, dtype=float)), PI_FLOOR, 1.0)
     n = float(n_population)
-
-    g_pos = (z.T * (mu * (1.0 - mu) / pi)) @ z / n
+    g_pos, e1 = _fixed_weight_blocks(z, d, mu, pi, n)
     resid = d - mu
-    e1 = (z.T * (resid**2 / pi**2)) @ z / n
-    if zero_alpha_terms:
-        return SandwichComponents(g_theta=-g_pos, e_hat=e1,
-                                  g_alpha=np.zeros((z.shape[1], xi.shape[1])),
-                                  h_hat=None, e1=e1)
 
     h_pos = (xi.T * ((1.0 - pi) / pi)) @ xi / n
     g_alpha_pos = (z.T * ((1.0 - pi) / pi * resid)) @ xi / n
-    k = g_alpha_pos @ _invert(h_pos, SingularHError, "calibration-score Hessian")
-
-    e2 = k @ ((xi.T * ((1.0 - pi) / pi**2 * resid)) @ z / n)
-    e3 = e2.T
-    e4 = k @ ((xi.T * ((1.0 - pi) / pi**2)) @ xi / n) @ k.T
-    e_hat = e1 - e2 - e3 + e4
-    return SandwichComponents(g_theta=-g_pos, e_hat=e_hat,
-                              g_alpha=-g_alpha_pos, h_hat=-h_pos,
-                              e1=e1, e2=e2, e3=e3, e4=e4)
+    cross = (xi.T * ((1.0 - pi) / pi**2 * resid)) @ z / n
+    bracket = (xi.T * ((1.0 - pi) / pi**2)) @ xi / n
+    return _two_step_components(g_pos, e1, g_alpha_pos, h_pos, cross, bracket,
+                                "calibration-score Hessian")
 
 
 def vcov_cl(theta_hat, alpha_hat, design, outcome, selection_design,
-            n_population, zero_alpha_terms=False):
+            n_population):
     """Two-step sandwich variance for the calibration estimator."""
     comp = cl_components(theta_hat, alpha_hat, design, outcome,
-                         selection_design, n_population, zero_alpha_terms)
+                         selection_design, n_population)
     return _assemble(-comp.g_theta, comp.e_hat, n_population)
 
 

@@ -209,15 +209,19 @@ def augment_weights_with_outcome(w0, outcome, p_pop, p_int):
     return w0 * ratio
 
 
+def _as_design(x, names=None):
+    """Wrap a bare array as a DesignMatrix without an asserted intercept."""
+    if isinstance(x, DesignMatrix):
+        return x
+    x = np.asarray(x, dtype=float)
+    if names is None:
+        names = [f"x{i}" for i in range(x.shape[1])]
+    return DesignMatrix(x, list(names), has_intercept=False)
+
+
 def _design_pair(internal_X, external_X):
-    if not isinstance(internal_X, DesignMatrix):
-        internal_X = DesignMatrix(np.asarray(internal_X, dtype=float),
-                                  [f"x{i}" for i in range(np.asarray(internal_X).shape[1])],
-                                  has_intercept=False)
-    if not isinstance(external_X, DesignMatrix):
-        external_X = DesignMatrix(np.asarray(external_X, dtype=float),
-                                  list(internal_X.column_names),
-                                  has_intercept=False)
+    internal_X = _as_design(internal_X)
+    external_X = _as_design(external_X, internal_X.column_names)
     if internal_X.p != external_X.p:
         raise ValidationError("internal and external designs have different widths")
     if internal_X.column_names != external_X.column_names:
@@ -239,6 +243,30 @@ def _check_pi_ext(pi_ext, n):
     if np.any(pi_ext <= 0.0) or np.any(pi_ext > 1.0):
         raise ValidationError("external design probabilities must lie in (0, 1]")
     return pi_ext
+
+
+def _solve_selection_model(residual, jacobian, p, cfg):
+    """Newton-solve a logistic selection model's equation from alpha = 0."""
+    try:
+        return solve_estimating_equation(residual, jacobian, np.zeros(p), cfg)
+    except SingularJacobianError as exc:
+        raise RankDeficientDesignError(
+            f"selection design is rank deficient: {exc}"
+        ) from exc
+
+
+def _logistic_weight_set(method, x, report):
+    """Clamped probabilities of a solved logistic selection model at rows ``x``."""
+    pi_hat, n_low, n_high = _clamp_pi(expit(x @ report.solution))
+    return WeightSet(
+        pi_hat, method, alpha_hat=report.solution,
+        diagnostics={
+            "iterations": report.iterations,
+            "residual_norm": report.final_residual_norm,
+            "clamped_low": n_low,
+            "clamped_high": n_high,
+        },
+    )
 
 
 def estimate_weights_pl(internal_X, external_X, pi_ext, cfg=None):
@@ -266,27 +294,12 @@ def estimate_weights_pl(internal_X, external_X, pi_ext, cfg=None):
         p = expit(xe @ alpha)
         return -(xe.T * (ext_w * p * (1.0 - p))) @ xe / n_hat
 
-    try:
-        report = solve_estimating_equation(residual, jacobian,
-                                           np.zeros(xi.shape[1]), cfg)
-    except SingularJacobianError as exc:
-        raise RankDeficientDesignError(
-            f"selection design is rank deficient: {exc}"
-        ) from exc
+    report = _solve_selection_model(residual, jacobian, xi.shape[1], cfg)
     if not report.converged:
         raise NonConvergenceError(
             f"pseudolikelihood selection fit did not converge: {report.message}"
         )
-    pi_hat, n_low, n_high = _clamp_pi(expit(xi @ report.solution))
-    return WeightSet(
-        pi_hat, "PL", alpha_hat=report.solution,
-        diagnostics={
-            "iterations": report.iterations,
-            "residual_norm": report.final_residual_norm,
-            "clamped_low": n_low,
-            "clamped_high": n_high,
-        },
-    )
+    return _logistic_weight_set("PL", xi, report)
 
 
 def overlap_labels(internal_in_external, external_in_internal):
@@ -429,12 +442,7 @@ def estimate_weights_cl(internal_X, summary, cfg=None):
     """
     if summary.kind != "marginal_means":
         raise ValidationError("calibration requires a marginal_means summary")
-    if not isinstance(internal_X, DesignMatrix):
-        internal_X = DesignMatrix(
-            np.asarray(internal_X, dtype=float),
-            [f"x{i}" for i in range(np.asarray(internal_X).shape[1])],
-            has_intercept=False,
-        )
+    internal_X = _as_design(internal_X)
     x = internal_X.matrix
     n, p = x.shape
     n_pop = float(summary.population_size)
@@ -466,12 +474,7 @@ def estimate_weights_cl(internal_X, summary, cfg=None):
         pi = np.clip(expit(x @ alpha), PI_FLOOR, 1.0)
         return -(x.T * ((1.0 - pi) / pi)) @ x / n_pop
 
-    try:
-        report = solve_estimating_equation(residual, jacobian, np.zeros(p), cfg)
-    except SingularJacobianError as exc:
-        raise RankDeficientDesignError(
-            f"selection design is rank deficient: {exc}"
-        ) from exc
+    report = _solve_selection_model(residual, jacobian, p, cfg)
     if not report.converged:
         if report.final_residual_norm > INFEASIBLE_RESIDUAL_FRACTION:
             raise InfeasibleTotalsError(
@@ -481,13 +484,4 @@ def estimate_weights_cl(internal_X, summary, cfg=None):
         raise NonConvergenceError(
             f"calibration fit did not converge: {report.message}"
         )
-    pi_hat, n_low, n_high = _clamp_pi(expit(x @ report.solution))
-    return WeightSet(
-        pi_hat, "CL", alpha_hat=report.solution,
-        diagnostics={
-            "iterations": report.iterations,
-            "residual_norm": report.final_residual_norm,
-            "clamped_low": n_low,
-            "clamped_high": n_high,
-        },
-    )
+    return _logistic_weight_set("CL", x, report)

@@ -346,6 +346,109 @@ def test_cli_weights_winsorize_and_augment(tmp_path, roles_file):
     assert np.all((pi > 0) & (pi <= 1))
 
 
+def write_replication_files(pop, directory):
+    """Write one population as the CLI's internal/external/cells/means files."""
+    d = pop.d.astype(int)
+    z2_bin, w_bin = sw.coarsen(pop.z2), sw.coarsen(pop.w)
+    fields = {"d": d, "z1": pop.z1, "z2": pop.z2, "w": pop.w, "s": pop.s,
+              "s_ext": pop.s_ext, "pi_ext": pop.pi_ext, "z2_bin": z2_bin,
+              "w_bin": w_bin}
+    for name, mask in (("internal", pop.s == 1.0), ("external", pop.s_ext == 1.0)):
+        rows = [",".join(fields)]
+        for i in np.flatnonzero(mask):
+            rows.append(",".join(format_number(v[i]) for v in fields.values()))
+        write_lines(directory / f"{name}.csv", rows)
+    cells, counts = np.unique(np.column_stack([d, z2_bin, w_bin]), axis=0,
+                              return_counts=True)
+    write_lines(directory / "cells.csv", ["d,z2_bin,w_bin,probability"] + [
+        ",".join(format_number(v) for v in (*cell, count / pop.n))
+        for cell, count in zip(cells.tolist(), counts)])
+    write_lines(directory / "means.csv", ["name,value", f"N,{pop.n}"] + [
+        f"{name},{format_number(values.mean())}"
+        for name, values in (("z2", pop.z2), ("w", pop.w), ("d", pop.d))])
+    write_lines(directory / "roles.cfg", ROLES_LINES)
+    write_lines(directory / "roles_ps.cfg", [
+        "outcome=d", "disease_covariates=z1,z2",
+        "selection_covariates=z2_bin,w_bin"])
+
+
+def method_args(method, directory):
+    roles = "roles_ps.cfg" if method == "ps" else "roles.cfg"
+    args = ["--data", str(directory / "internal.csv"),
+            "--roles", str(directory / roles)]
+    if method in ("pl", "sr"):
+        args += ["--external-data", str(directory / "external.csv")]
+    if method in ("ps", "cl"):
+        summary = "cells.csv" if method == "ps" else "means.csv"
+        args += ["--summary", str(directory / summary)]
+    if method != "ps":
+        args.append("--include-outcome-in-selection")
+    return args
+
+
+def read_fit(path):
+    rows = [line.split(",") for line in path.read_text().strip().splitlines()[1:]]
+    return (np.array([float(r[2]) for r in rows]),
+            np.array([float(r[3]) for r in rows]))
+
+
+REPLICATION_CFG = sw.SimulationConfig(dag=3, setup=1, seed=11,
+                                      n_population=6000)
+
+
+@pytest.fixture(scope="module")
+def replication_files(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("replication")
+    write_replication_files(sw.generate_population(REPLICATION_CFG, 0),
+                            directory)
+    return directory
+
+
+@pytest.mark.parametrize("method", ["pl", "sr", "ps", "cl"])
+def test_cli_fit_matches_run_replication_exactly(replication_files, method):
+    result = sw.run_replication(REPLICATION_CFG, 0, methods=(method,))[method]
+    assert not result.failed, result.error
+    out = replication_files / f"fit_{method}.csv"
+    proc = run_cli("fit", "--method", method,
+                   *method_args(method, replication_files),
+                   "--population-size", str(REPLICATION_CFG.population_size),
+                   "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    estimate, std_error = read_fit(out)
+    assert np.array_equal(estimate, result.model.coefficients)
+    assert np.array_equal(std_error, np.sqrt(np.diag(result.model.vcov)))
+
+
+@pytest.mark.parametrize("method", ["pl", "cl"])
+def test_cli_fit_winsorized_weights_take_fixed_weight_sandwich(
+        replication_files, method):
+    n_pop = REPLICATION_CFG.population_size
+    src = sw.simulation.PopulationSource(
+        sw.generate_population(REPLICATION_CFG, 0))
+    pi, weight_set = sw.simulation.estimate_pi(method, src)
+    pi_used = np.clip(1.0 / sw.winsorize_weights(1.0 / pi, 0.05, 0.95),
+                      None, 1.0)
+    fixed = sw.simulation.fit_method(method, src, pi_used, None)
+    two_step = sw.simulation.fit_method(method, src, pi_used, weight_set)
+    expected_se = np.sqrt(np.diag(fixed.vcov))
+    assert np.array_equal(fixed.vcov, sw.vcov_known_weights(
+        fixed.coefficients, src.disease_design, src.outcome, pi_used, n_pop))
+
+    out = replication_files / f"fit_{method}_winsorized.csv"
+    proc = run_cli("fit", "--method", method,
+                   *method_args(method, replication_files),
+                   "--population-size", str(n_pop),
+                   "--winsorize", "0.05", "0.95", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    estimate, std_error = read_fit(out)
+    assert np.allclose(estimate, fixed.coefficients, rtol=1e-12, atol=0.0)
+    assert np.allclose(std_error, expected_se, rtol=1e-12, atol=0.0)
+    # The two-step sandwich recomputes pi from alpha-hat and so describes
+    # the unwinsorized weights, not the ones this fit used.
+    assert not np.allclose(std_error, np.sqrt(np.diag(two_step.vcov)),
+                           rtol=1e-3, atol=0.0)
+
+
 def test_cli_simulate_config_file(tmp_path):
     cfg_file = tmp_path / "scenario.cfg"
     write_lines(cfg_file, ["dag=1", "setup=1", "replications=4", "seed=5",

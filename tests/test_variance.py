@@ -186,13 +186,14 @@ def test_pl_components_match_loop_coded_sums():
     assert np.max(np.abs(vcov - expected)) <= 1e-12
 
 
-def test_pl_zero_alpha_terms_reduces_to_known_weights():
+def test_pl_fixed_weight_blocks_match_known_weights():
     theta, alpha, z, d, xi, xe, pi_ext, n_pop, mask, pi_ext_int = _pl_toy()
     pii = expit(xi @ alpha)
-    reduced = sw.vcov_pl(theta, alpha, z, d, xi, xe, pi_ext, n_pop,
-                         mask, pi_ext_int, zero_alpha_terms=True)
-    known = sw.vcov_known_weights(theta, z, d, pii, n_pop)
-    assert np.max(np.abs(reduced - known)) <= 1e-14
+    comp = pl_components(theta, alpha, z, d, xi, xe, pi_ext, n_pop,
+                         mask, pi_ext_int)
+    known = known_weights_components(theta, z, d, pii, n_pop)
+    assert np.max(np.abs(comp.g_theta - known.g_theta)) <= 1e-14
+    assert np.max(np.abs(comp.e1 - known.e1)) <= 1e-14
 
 
 def test_pl_requires_overlap_probabilities():
@@ -253,13 +254,13 @@ def test_cl_components_match_loop_coded_sums():
     assert np.max(np.abs(vcov - expected)) <= 1e-12
 
 
-def test_cl_zero_alpha_terms_reduces_to_known_weights():
+def test_cl_fixed_weight_blocks_match_known_weights():
     theta, alpha, z, d, xi, n_pop = _cl_toy()
     pii = expit(xi @ alpha)
-    reduced = sw.vcov_cl(theta, alpha, z, d, xi, n_pop,
-                         zero_alpha_terms=True)
-    known = sw.vcov_known_weights(theta, z, d, pii, n_pop)
-    assert np.max(np.abs(reduced - known)) <= 1e-14
+    comp = cl_components(theta, alpha, z, d, xi, n_pop)
+    known = known_weights_components(theta, z, d, pii, n_pop)
+    assert np.max(np.abs(comp.g_theta - known.g_theta)) <= 1e-14
+    assert np.max(np.abs(comp.e1 - known.e1)) <= 1e-14
 
 
 def test_two_step_sandwiches_symmetric():
