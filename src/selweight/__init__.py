@@ -49,7 +49,6 @@ from .fitters import (
 from .solver import (
     SolveConfig,
     SolveReport,
-    finite_difference_jacobian,
     solve_estimating_equation,
 )
 from .variance import (
@@ -67,17 +66,16 @@ from .weights import (
     BOTH_SAMPLES,
     EXTERNAL_ONLY,
     INTERNAL_ONLY,
-    CoarseningRule,
     PopulationSummary,
     WeightSet,
     augment_weights_with_outcome,
+    cell_codes,
     coarsen,
     estimate_weights_cl,
     estimate_weights_pl,
     estimate_weights_ps,
     estimate_weights_sr,
     overlap_labels,
-    quantile_cutoffs,
     winsorize_weights,
 )
 from .simulation import (

@@ -199,6 +199,14 @@ def _data_rows(reader, path, width):
         yield row_number, row
 
 
+def _read_header(reader, path):
+    """The stripped header fields of a CSV reader's first row."""
+    try:
+        return [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise ValidationError(f"{path}: empty file") from None
+
+
 def load_dataset(path, roles, extra_columns=()):
     """Load and validate a delimited dataset against a role map.
 
@@ -210,11 +218,7 @@ def load_dataset(path, roles, extra_columns=()):
     """
     with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
+        header = _read_header(reader, path)
         wanted = list(roles.mapped_columns())
         wanted += [c for c in extra_columns if c not in wanted]
         missing = [c for c in wanted if c not in header]
@@ -263,38 +267,37 @@ def load_population_summary(path, kind):
 def _load_joint_cells(path):
     with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
-        header = [h.strip() for h in next(reader)]
+        header = _read_header(reader, path)
         if len(header) < 2 or header[-1] != "probability":
             raise ValidationError(
                 f"{path}: joint summary needs level columns plus a final "
                 "'probability' column"
             )
         level_names = header[:-1]
-        cells = {}
+        levels, probabilities = [], []
         for row_number, row in _data_rows(reader, path, len(header)):
-            key = tuple(
-                int(_parse_cell(cell, row_number, name))
-                for cell, name in zip(row[:-1], level_names)
-            )
-            if key in cells:
-                raise DuplicateCellError(
-                    f"{path}: duplicate cell {key} at row {row_number}"
-                )
-            cells[key] = _parse_cell(row[-1], row_number, "probability")
-    if not cells:
+            levels.append([int(_parse_cell(cell, row_number, name))
+                           for cell, name in zip(row[:-1], level_names)])
+            probabilities.append(_parse_cell(row[-1], row_number, "probability"))
+    if not levels:
         raise ValidationError(f"{path}: no cells found")
-    total = sum(cells.values())
+    total = sum(probabilities)
     warnings = []
     if abs(total - 1.0) > 1e-9:
         if not (0.999 <= total <= 1.001):
             raise ProbabilitySumOutOfRangeError(
                 f"{path}: cell probabilities sum to {total:.6f}, outside [0.999, 1.001]"
             )
-        cells = {k: v / total for k, v in cells.items()}
+        probabilities = [p / total for p in probabilities]
         warnings.append(
             f"cell probabilities summed to {total:.6f}; renormalized to 1"
         )
-    summary = PopulationSummary("joint_cells", cells=cells, names=level_names)
+    try:
+        summary = PopulationSummary("joint_cells", levels=np.array(levels),
+                                    probabilities=np.array(probabilities),
+                                    names=level_names)
+    except DuplicateCellError as exc:
+        raise DuplicateCellError(f"{path}: {exc}") from None
     summary.warnings.extend(warnings)
     return summary
 
@@ -304,7 +307,7 @@ def _load_marginal_means(path):
     population_size = None
     with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
-        header = [h.strip() for h in next(reader)]
+        header = _read_header(reader, path)
         if [h.lower() for h in header] != ["name", "value"]:
             raise ValidationError(
                 f"{path}: marginal summary must have header 'name,value'"

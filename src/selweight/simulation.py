@@ -29,6 +29,7 @@ from .variance import normal_quantile, vcov_cl, vcov_known_weights, vcov_pl
 from .weights import (
     PopulationSummary,
     WeightSet,
+    cell_codes,
     coarsen,
     estimate_weights_cl,
     estimate_weights_pl,
@@ -327,10 +328,10 @@ class PopulationSource:
         pop = self.population
         cells_all = np.column_stack([pop.d.astype(int), coarsen(pop.z2),
                                      coarsen(pop.w)])
-        keys, counts = np.unique(cells_all, axis=0, return_counts=True)
-        table = {tuple(int(v) for v in key): cnt / pop.n
-                 for key, cnt in zip(keys, counts)}
-        summary = PopulationSummary("joint_cells", cells=table,
+        codes = cell_codes(cells_all)
+        first = np.unique(codes, return_index=True)[1]
+        summary = PopulationSummary("joint_cells", levels=cells_all[first],
+                                    probabilities=np.bincount(codes) / pop.n,
                                     population_size=pop.n)
         return cells_all[self.internal], summary, pop.n
 

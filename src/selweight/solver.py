@@ -171,21 +171,3 @@ def solve_estimating_equation(residual, jacobian, init, cfg=None):
                        norm if converged else best_norm, converged,
                        total_halvings,
                        "" if converged else "max iterations exceeded")
-
-
-def finite_difference_jacobian(residual, x, rel_step=1e-6):
-    """Central-difference Jacobian, intended for test oracles and diagnostics.
-
-    The production fitters all pass analytic Jacobians; nothing in the
-    package calls this at runtime.
-    """
-    x = np.asarray(x, dtype=float)
-    f0 = np.asarray(residual(x), dtype=float)
-    jac = np.empty((f0.size, x.size))
-    for j in range(x.size):
-        h = rel_step * max(1.0, abs(x[j]))
-        xp, xm = x.copy(), x.copy()
-        xp[j] += h
-        xm[j] -= h
-        jac[:, j] = (np.asarray(residual(xp)) - np.asarray(residual(xm))) / (2 * h)
-    return jac

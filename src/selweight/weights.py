@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     DegenerateCutoffsError,
     DegenerateDenominatorError,
+    DuplicateCellError,
     InfeasibleTotalsError,
     NonConvergenceError,
     RankDeficientDesignError,
@@ -76,14 +77,15 @@ class WeightSet:
 class PopulationSummary:
     """Target-population summary: joint cells or marginal means plus size.
 
-    ``cells`` maps tuples of discretized selection-variable levels to joint
-    probabilities summing to one.  ``means`` holds marginal means aligned
+    Joint cells are the rows of ``levels`` (distinct integer rows) with
+    ``probabilities`` summing to one.  ``means`` holds marginal means aligned
     with ``names``; ``population_size`` is required for marginal summaries
     and optional (but needed by post-stratification scaling) for joint ones.
     """
 
     kind: str
-    cells: Optional[dict] = None
+    levels: Optional[np.ndarray] = None
+    probabilities: Optional[np.ndarray] = None
     means: Optional[np.ndarray] = None
     names: Optional[list] = None
     population_size: Optional[int] = None
@@ -91,15 +93,28 @@ class PopulationSummary:
 
     def __post_init__(self):
         if self.kind == "joint_cells":
-            if not self.cells:
-                raise ValidationError("joint_cells summary requires a cell table")
-            total = float(sum(self.cells.values()))
-            if abs(total - 1.0) > 1e-9:
+            self.levels = np.asarray(self.levels)
+            self.probabilities = np.asarray(self.probabilities, dtype=float)
+            k = self.probabilities.size
+            if (self.levels.ndim != 2 or self.levels.shape[1] == 0 or k == 0
+                    or self.probabilities.shape != (k,) or len(self.levels) != k):
+                raise ValidationError("joint_cells summary needs a k x m levels "
+                                      "matrix and k probabilities, k, m >= 1")
+            if not np.issubdtype(self.levels.dtype, np.integer):
+                raise ValidationError("cell levels must be integers")
+            if np.any(self.probabilities < 0.0):
+                raise ValidationError("cell probabilities must be nonnegative")
+            total = float(self.probabilities.sum())
+            if not abs(total - 1.0) <= 1e-9:
                 raise ValidationError(
                     f"joint cell probabilities sum to {total!r}, expected 1"
                 )
-            if any(p < 0.0 for p in self.cells.values()):
-                raise ValidationError("cell probabilities must be nonnegative")
+            first = np.unique(cell_codes(self.levels), return_index=True)[1]
+            if first.size < k:
+                j = int(np.setdiff1d(np.arange(k), first)[0])
+                raise DuplicateCellError(
+                    f"duplicate cell {tuple(self.levels[j].tolist())} in row {j + 1}"
+                )
         elif self.kind == "marginal_means":
             if self.means is None or self.population_size is None:
                 raise ValidationError(
@@ -114,54 +129,40 @@ class PopulationSummary:
             raise ValidationError(f"unknown summary kind {self.kind!r}")
 
 
-@dataclass
-class CoarseningRule:
-    """Strictly increasing cutoffs splitting one variable into len+1 bins."""
+def cell_codes(rows):
+    """Dense codes 0..k-1 of the k distinct rows of an integer matrix.
 
-    variable: str
-    cutoffs: np.ndarray
-
-    def __post_init__(self):
-        self.cutoffs = np.asarray(self.cutoffs, dtype=float).ravel()
-        if self.cutoffs.size == 0:
-            raise ValidationError("at least one cutoff is required")
-        if np.any(np.diff(self.cutoffs) <= 0.0):
-            raise DegenerateCutoffsError("cutoffs must be strictly increasing")
-
-
-DEFAULT_COARSEN_QUANTILES = (0.15, 0.85)
+    Codes follow the lexicographic row order of ``np.unique(rows, axis=0)``.
+    Each column's ranks are folded in and the codes re-ranked, so no level
+    value can overflow.
+    """
+    rows = np.asarray(rows)
+    codes = np.zeros(rows.shape[0], dtype=np.intp)
+    for column in rows.T:
+        values, rank = np.unique(column, return_inverse=True)
+        codes = np.unique(codes * values.size + rank, return_inverse=True)[1]
+    return codes
 
 
-def quantile_cutoffs(values, levels=DEFAULT_COARSEN_QUANTILES):
-    """Type-7 quantile cutoffs (linear interpolation of order statistics)."""
-    values = np.asarray(values, dtype=float)
-    cuts = np.quantile(values, np.asarray(levels, dtype=float))
-    if np.any(np.diff(cuts) <= 0.0):
-        raise DegenerateCutoffsError(
-            "quantile cutoffs are not strictly increasing; "
-            "input has too little spread"
-        )
-    return cuts
+# coarsen's default cutoffs: three bins split at the 15th and 85th percentiles.
+COARSEN_QUANTILES = (0.15, 0.85)
 
 
-def coarsen(values, rule=None, quantiles=DEFAULT_COARSEN_QUANTILES):
+def coarsen(values, cutoffs=None):
     """Bin a continuous variable into ordered integer labels.
 
-    ``rule`` may be a :class:`CoarseningRule`, an explicit cutoff array, or
-    None, in which case cutoffs are placed at the requested quantiles of
-    ``values`` (default 15th/85th percentiles, giving three bins).  Label k
-    covers the half-open interval [cutoff_k, cutoff_{k+1}).
+    ``cutoffs`` must be strictly increasing; None places them at the type-7
+    ``COARSEN_QUANTILES`` of ``values``.  Label k covers the half-open
+    interval [cutoff_k, cutoff_{k+1}).
     """
     values = np.asarray(values, dtype=float)
-    if isinstance(rule, CoarseningRule):
-        cuts = rule.cutoffs
-    elif rule is not None:
-        cuts = np.asarray(rule, dtype=float).ravel()
-        if cuts.size == 0 or np.any(np.diff(cuts) <= 0.0):
-            raise DegenerateCutoffsError("cutoffs must be strictly increasing")
-    else:
-        cuts = quantile_cutoffs(values, quantiles)
-    return np.searchsorted(cuts, values, side="right").astype(int)
+    if cutoffs is None:
+        cutoffs = np.quantile(values, COARSEN_QUANTILES)
+    cutoffs = np.asarray(cutoffs, dtype=float).ravel()
+    if cutoffs.size == 0 or np.any(np.diff(cutoffs) <= 0.0):
+        raise DegenerateCutoffsError(
+            f"cutoffs {cutoffs.tolist()} are not strictly increasing")
+    return np.searchsorted(cutoffs, values, side="right").astype(int)
 
 
 def winsorize_weights(w, lower_q=0.025, upper_q=0.975):
@@ -398,34 +399,36 @@ def estimate_weights_ps(internal_cells, summary, population_size=None):
         raise ValidationError(
             "population size is required to scale post-stratification weights"
         )
-    cells = np.asarray(internal_cells)
+    cells = np.asarray(internal_cells, dtype=np.int64)
     if cells.ndim == 1:
         cells = cells[:, None]
     n = cells.shape[0]
     if n_pop < n:
         raise ValidationError("population size is smaller than the internal sample")
+    k = summary.probabilities.size
+    if cells.shape[1] != summary.levels.shape[1]:
+        raise ValidationError("internal cells and summary cells differ in width")
 
-    keys = [tuple(int(v) for v in row) for row in cells]
-    counts = {}
-    for key in keys:
-        counts[key] = counts.get(key, 0) + 1
+    codes = cell_codes(np.vstack([summary.levels, cells]))
+    unit_codes = codes[k:]
+    # Table rows have distinct codes, so each bin holds one probability as is.
+    pop_prob = np.bincount(codes[:k], summary.probabilities, codes.max() + 1)[unit_codes]
+    unmatched = np.flatnonzero(pop_prob <= 0.0)
+    if unmatched.size:
+        i = int(unmatched[0])
+        raise UnmatchedCellError(
+            f"internal unit {i} falls in cell {tuple(cells[i].tolist())} with "
+            "no positive population probability"
+        )
+    counts = np.bincount(unit_codes)
 
-    ratio = np.empty(n)
-    for i, key in enumerate(keys):
-        pop_prob = summary.cells.get(key, 0.0)
-        if pop_prob <= 0.0:
-            raise UnmatchedCellError(
-                f"internal unit {i} falls in cell {key} with no positive "
-                "population probability"
-            )
-        ratio[i] = pop_prob / (counts[key] / n)
-
+    ratio = pop_prob / (counts[unit_codes] / n)
     w = ratio * (n_pop / ratio.sum())
     pi_hat, n_low, n_high = _clamp_pi(1.0 / w)
     return WeightSet(
         pi_hat, "PS",
         diagnostics={
-            "n_cells": len(counts),
+            "n_cells": int(np.count_nonzero(counts)),
             "clamped_low": n_low,
             "clamped_high": n_high,
         },
@@ -438,7 +441,8 @@ def estimate_weights_cl(internal_X, summary, cfg=None):
     Solves ``sum_internal x_i / pi(x_i, alpha) = population totals`` for a
     logistic selection model.  The summary must supply the population size
     (the intercept total) and marginal means for every non-intercept column
-    of the selection design.
+    of the selection design, matched by name when the summary names its
+    means and by position otherwise.
     """
     if summary.kind != "marginal_means":
         raise ValidationError("calibration requires a marginal_means summary")
@@ -449,22 +453,20 @@ def estimate_weights_cl(internal_X, summary, cfg=None):
     if n_pop < n:
         raise ValidationError("population size is smaller than the internal sample")
 
-    covariate_names = list(internal_X.column_names)
     offset = 1 if internal_X.has_intercept else 0
+    covariates = list(internal_X.column_names)[offset:]
     means = summary.means
     if summary.names is not None:
         name_to_mean = dict(zip(summary.names, summary.means))
-        if all(c in name_to_mean for c in covariate_names[offset:]):
-            means = np.array([name_to_mean[c] for c in covariate_names[offset:]])
-        elif len(summary.means) != p - offset:
-            missing = [c for c in covariate_names[offset:] if c not in name_to_mean]
+        missing = [c for c in covariates if c not in name_to_mean]
+        if missing:
             raise ValidationError(f"summary lacks means for columns {missing}")
-    if means is None or len(means) != p - offset:
+        means = np.array([name_to_mean[c] for c in covariates])
+    elif len(means) != len(covariates):
         raise ValidationError(
-            f"summary supplies {0 if means is None else len(means)} means "
-            f"for {p - offset} covariates"
+            f"summary supplies {len(means)} means for {len(covariates)} covariates"
         )
-    totals = np.concatenate([[n_pop] if offset else [], n_pop * np.asarray(means)])
+    totals = np.concatenate([[n_pop] if offset else [], n_pop * means])
 
     def residual(alpha):
         pi = np.clip(expit(x @ alpha), PI_FLOOR, 1.0)

@@ -130,3 +130,17 @@ def grid_search_logistic(x, d, w, bounds=(-5.0, 5.0), step=1e-3,
             best_val = float(ll[i, j])
             best = (float(grid[j]), float(t1[i]))
     return np.array(best)
+
+
+def finite_difference_jacobian(residual, x, rel_step=1e-6):
+    """Central-difference Jacobian, an oracle for the analytic Jacobians."""
+    x = np.asarray(x, dtype=float)
+    f0 = np.asarray(residual(x), dtype=float)
+    jac = np.empty((f0.size, x.size))
+    for j in range(x.size):
+        h = rel_step * max(1.0, abs(x[j]))
+        xp, xm = x.copy(), x.copy()
+        xp[j] += h
+        xm[j] -= h
+        jac[:, j] = (np.asarray(residual(xp)) - np.asarray(residual(xm))) / (2 * h)
+    return jac

@@ -143,7 +143,8 @@ def test_load_joint_cells(tmp_path):
                        "1,0,0.3", "1,1,0.2"])
     summary = sw.load_population_summary(path, "joint_cells")
     assert summary.kind == "joint_cells"
-    assert summary.cells[(1, 0)] == pytest.approx(0.3)
+    cell = summary.levels.tolist().index([1, 0])
+    assert summary.probabilities[cell] == pytest.approx(0.3)
     assert summary.names == ["d", "w_bin"]
     assert not summary.warnings
 
@@ -152,7 +153,7 @@ def test_joint_cells_renormalized_with_warning(tmp_path):
     path = tmp_path / "cells.csv"
     write_lines(path, ["d,probability", "0,0.5002", "1,0.5002"])
     summary = sw.load_population_summary(path, "joint_cells")
-    assert sum(summary.cells.values()) == pytest.approx(1.0, abs=1e-12)
+    assert sum(summary.probabilities) == pytest.approx(1.0, abs=1e-12)
     assert summary.warnings
 
 
@@ -402,6 +403,20 @@ def replication_files(tmp_path_factory):
     write_replication_files(sw.generate_population(REPLICATION_CFG, 0),
                             directory)
     return directory
+
+
+@pytest.mark.parametrize("method", ["ps", "cl"])
+def test_cli_empty_summary_is_a_validation_error(replication_files, tmp_path,
+                                                 method):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("", encoding="utf-8")
+    args = method_args(method, replication_files)
+    args[args.index("--summary") + 1] = str(empty)
+    result = run_cli("fit", "--method", method, *args,
+                     "--population-size", str(REPLICATION_CFG.population_size),
+                     "--out", str(tmp_path / "out.csv"))
+    assert result.returncode == 2
+    assert result.stderr.splitlines() == [f"error: validation: {empty}: empty file"]
 
 
 @pytest.mark.parametrize("method", ["pl", "sr", "ps", "cl"])

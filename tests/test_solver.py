@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import selweight as sw
 from selweight.solver import lu_factor, lu_solve, solve_linear
 
-from conftest import grid_search_logistic
+from conftest import finite_difference_jacobian, grid_search_logistic
 
 
 def bisect_root(f, lo, hi, tol=1e-12):
@@ -153,7 +153,7 @@ def test_finite_difference_jacobian_matches_analytic():
 
     x0 = np.array([0.7, -0.3])
     analytic = np.array([[2 * x0[0], 1.0], [np.cos(x0[0]), -3 * x0[1] ** 2]])
-    fd = sw.finite_difference_jacobian(residual, x0)
+    fd = finite_difference_jacobian(residual, x0)
     assert np.allclose(fd, analytic, atol=1e-6)
 
 

@@ -1,6 +1,8 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import selweight as sw
@@ -187,8 +189,8 @@ def test_sr_degenerate_denominator_reported(monkeypatch):
 
 def test_ps_uniform_cells_give_sampling_fraction():
     cells = np.array([[0], [0], [1], [1]])
-    summary = sw.PopulationSummary("joint_cells",
-                                   cells={(0,): 0.5, (1,): 0.5},
+    summary = sw.PopulationSummary("joint_cells", levels=np.array([[0], [1]]),
+                                   probabilities=np.array([0.5, 0.5]),
                                    population_size=40)
     ws = sw.estimate_weights_ps(cells, summary)
     assert np.allclose(ws.pi_hat, 4 / 40)
@@ -197,8 +199,8 @@ def test_ps_uniform_cells_give_sampling_fraction():
 
 def test_ps_two_cell_worked_example():
     cells = np.array([[0]] * 80 + [[1]] * 20)
-    summary = sw.PopulationSummary("joint_cells",
-                                   cells={(0,): 0.5, (1,): 0.5},
+    summary = sw.PopulationSummary("joint_cells", levels=np.array([[0], [1]]),
+                                   probabilities=np.array([0.5, 0.5]),
                                    population_size=1000)
     ws = sw.estimate_weights_ps(cells, summary)
     weights = ws.weights
@@ -213,8 +215,8 @@ def test_ps_weights_sum_to_population_size():
     rng = np.random.default_rng(31)
     cells_all = rng.integers(0, 3, size=(5000, 2))
     keys, counts = np.unique(cells_all, axis=0, return_counts=True)
-    table = {tuple(map(int, k)): c / 5000 for k, c in zip(keys, counts)}
-    summary = sw.PopulationSummary("joint_cells", cells=table,
+    summary = sw.PopulationSummary("joint_cells", levels=keys,
+                                   probabilities=counts / 5000,
                                    population_size=5000)
     pick = rng.random(5000) < 0.25
     ws = sw.estimate_weights_ps(cells_all[pick], summary)
@@ -222,17 +224,145 @@ def test_ps_weights_sum_to_population_size():
 
 
 def test_ps_unmatched_cell_raises():
-    summary = sw.PopulationSummary("joint_cells",
-                                   cells={(0,): 1.0},
+    summary = sw.PopulationSummary("joint_cells", levels=np.array([[0]]),
+                                   probabilities=np.array([1.0]),
                                    population_size=100)
     with pytest.raises(sw.UnmatchedCellError):
         sw.estimate_weights_ps(np.array([[0], [1]]), summary)
 
 
 def test_ps_requires_population_size():
-    summary = sw.PopulationSummary("joint_cells", cells={(0,): 1.0})
+    summary = sw.PopulationSummary("joint_cells", levels=np.array([[0]]),
+                                   probabilities=np.array([1.0]))
     with pytest.raises(sw.ValidationError):
         sw.estimate_weights_ps(np.array([[0]]), summary)
+
+
+def reference_ps(internal_cells, levels, probabilities, n_pop):
+    """Post-stratification over a dict of level tuples, one unit at a time.
+
+    The estimator's earlier implementation, kept as the oracle for the
+    array path: (pi_hat, n_cells), or UnmatchedCellError naming the first
+    unit that falls outside the positive-probability cells.
+    """
+    table = {tuple(int(v) for v in row): p
+             for row, p in zip(levels, probabilities)}
+    keys = [tuple(int(v) for v in row) for row in internal_cells]
+    n = len(keys)
+    counts = {}
+    for key in keys:
+        counts[key] = counts.get(key, 0) + 1
+    ratio = np.empty(n)
+    for i, key in enumerate(keys):
+        pop_prob = table.get(key, 0.0)
+        if pop_prob <= 0.0:
+            raise sw.UnmatchedCellError(
+                f"internal unit {i} falls in cell {key} with no positive "
+                "population probability"
+            )
+        ratio[i] = pop_prob / (counts[key] / n)
+    w = ratio * (n_pop / ratio.sum())
+    return np.clip(1.0 / w, w_mod.PI_FLOOR, 1.0), len(counts)
+
+
+# Level values: small, negative, sparse and near +-2**40.
+LEVELS = st.one_of(st.integers(-3, 3), st.sampled_from([-1000, 10**6, 10**9]),
+                   st.sampled_from([-2**40, -2**40 + 1, 2**40 - 1, 2**40]))
+
+
+@st.composite
+def ps_cases(draw, unmatched=False):
+    """(internal cells, levels, probabilities, N) for a random cell table.
+
+    Some table cells may hold no internal unit.  With ``unmatched`` one
+    internal unit falls in a cell the table lacks or gives probability 0.
+    """
+    m = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.tuples(*[LEVELS] * m), min_size=1, max_size=10,
+                         unique=True))
+    levels = np.array(rows, dtype=np.int64)
+    mass = np.array(draw(st.lists(st.integers(1, 9), min_size=len(rows),
+                                  max_size=len(rows))), dtype=float)
+    picks = draw(st.lists(st.integers(0, len(rows) - 1), min_size=1,
+                          max_size=40))
+    cells = levels[picks]
+    if unmatched:
+        outside = draw(st.tuples(*[LEVELS] * m))
+        if outside in rows:
+            mass[rows.index(outside)] = 0.0
+            assume(mass.any())
+        at = draw(st.integers(0, len(cells)))
+        cells = np.insert(cells, at, outside, axis=0)
+    n_pop = len(cells) * draw(st.integers(1, 50))
+    return cells, levels, mass / mass.sum(), n_pop
+
+
+def ps_summary(levels, probabilities, n_pop):
+    return sw.PopulationSummary("joint_cells", levels=levels,
+                                probabilities=probabilities,
+                                population_size=n_pop)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ps_cases())
+def test_ps_matches_dict_reference_bit_for_bit(case):
+    cells, levels, probabilities, n_pop = case
+    pi_ref, n_cells_ref = reference_ps(cells, levels, probabilities, n_pop)
+    ws = sw.estimate_weights_ps(cells, ps_summary(levels, probabilities, n_pop))
+    assert ws.pi_hat.tobytes() == pi_ref.tobytes()
+    assert ws.diagnostics["n_cells"] == n_cells_ref
+
+
+@settings(max_examples=100, deadline=None)
+@given(ps_cases(unmatched=True))
+def test_ps_unmatched_error_names_reference_unit(case):
+    cells, levels, probabilities, n_pop = case
+    with pytest.raises(sw.UnmatchedCellError) as expected:
+        reference_ps(cells, levels, probabilities, n_pop)
+    with pytest.raises(sw.UnmatchedCellError) as got:
+        sw.estimate_weights_ps(cells, ps_summary(levels, probabilities, n_pop))
+    assert str(got.value) == str(expected.value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ps_cases(), st.randoms(use_true_random=False))
+def test_ps_permuting_units_permutes_pi_and_weights_sum_to_n(case, rnd):
+    cells, levels, probabilities, n_pop = case
+    # Every cell holds at least 1/90 of the mass, so N >= 100 n leaves every
+    # weight above 1 and no probability is clamped.
+    n_pop *= 100
+    summary = ps_summary(levels, probabilities, n_pop)
+    ws = sw.estimate_weights_ps(cells, summary)
+    assert ws.weights.sum() == pytest.approx(n_pop, rel=1e-9)
+    perm = np.array(rnd.sample(range(len(cells)), len(cells)))
+    permuted = sw.estimate_weights_ps(cells[perm], summary)
+    assert np.allclose(permuted.pi_hat, ws.pi_hat[perm], rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda m: st.lists(st.tuples(*[LEVELS] * m), min_size=1, max_size=30)))
+def test_cell_codes_order_rows_like_unique(rows):
+    rows = np.array(rows, dtype=np.int64)
+    _, inverse = np.unique(rows, axis=0, return_inverse=True)
+    assert np.array_equal(sw.cell_codes(rows), inverse.ravel())
+
+
+def test_ps_summary_validation():
+    with pytest.raises(sw.DuplicateCellError, match=r"\(1, 2\)"):
+        ps_summary(np.array([[0, 1], [1, 2], [1, 2]]),
+                   np.array([0.5, 0.25, 0.25]), 10)
+    with pytest.raises(sw.ValidationError, match="integers"):
+        ps_summary(np.array([[0.5], [1.0]]), np.array([0.5, 0.5]), 10)
+    with pytest.raises(sw.ValidationError, match="sum to"):
+        ps_summary(np.array([[0], [1]]), np.array([0.5, 0.6]), 10)
+    with pytest.raises(sw.ValidationError, match="nonnegative"):
+        ps_summary(np.array([[0], [1]]), np.array([1.5, -0.5]), 10)
+    with pytest.raises(sw.ValidationError, match="levels matrix"):
+        ps_summary(np.array([0, 1]), np.array([0.5, 0.5]), 10)
+    summary = ps_summary(np.array([[0], [1]]), np.array([0.5, 0.5]), 10)
+    with pytest.raises(sw.ValidationError, match="width"):
+        sw.estimate_weights_ps(np.array([[0, 1]]), summary)
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +435,17 @@ def test_cl_aligns_summary_means_by_name():
                                    names=["c"], population_size=100)
     with pytest.raises(sw.ValidationError):
         sw.estimate_weights_cl(internal, missing)
+    # Named means never fall back to position, even when the counts agree.
+    for names, absent in ((["c", "d"], "['a', 'b']"), (["b", "x"], "['a']")):
+        misnamed = sw.PopulationSummary("marginal_means",
+                                        means=np.array([0.5, 0.5]),
+                                        names=names, population_size=100)
+        with pytest.raises(sw.ValidationError, match=re.escape(absent)):
+            sw.estimate_weights_cl(internal, misnamed)
+    unnamed = sw.PopulationSummary("marginal_means", means=np.array([0.5, 0.5]),
+                                   population_size=100)
+    assert np.array_equal(sw.estimate_weights_cl(internal, unnamed).pi_hat,
+                          ws2.pi_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +535,8 @@ def test_coarsen_default_quantile_bins():
 
 
 def test_coarsen_explicit_rule_half_open_intervals():
-    rule = sw.CoarseningRule("w", np.array([0.0, 1.0]))
-    labels = sw.coarsen(np.array([-0.5, 0.0, 0.5, 1.0, 1.5]), rule)
+    cutoffs = np.array([0.0, 1.0])
+    labels = sw.coarsen(np.array([-0.5, 0.0, 0.5, 1.0, 1.5]), cutoffs)
     assert labels.tolist() == [0, 1, 1, 2, 2]
 
 
@@ -418,7 +559,7 @@ def test_coarsen_is_order_preserving(values):
 
 def test_coarsening_rule_validation():
     with pytest.raises(sw.DegenerateCutoffsError):
-        sw.CoarseningRule("x", np.array([1.0, 1.0]))
+        sw.coarsen(np.array([0.5]), np.array([1.0, 1.0]))
 
 
 # ---------------------------------------------------------------------------
