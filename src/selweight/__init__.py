@@ -19,6 +19,7 @@ from .errors import (
     MissingNError,
     NonBinaryIndicatorError,
     NonConvergenceError,
+    NonIntegerCellError,
     NonNumericCellError,
     ProbabilitySumOutOfRangeError,
     RankDeficientDesignError,

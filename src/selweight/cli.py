@@ -13,6 +13,7 @@ import numpy as np
 
 from .dataio import (
     ResultTable,
+    integer_cells,
     load_dataset,
     load_population_summary,
     parse_role_map,
@@ -127,6 +128,9 @@ class FileSource:
     """
 
     def __init__(self, args):
+        if args.population_size is not None and args.population_size < 1:
+            raise ValidationError(
+                f"--population-size must be at least 1, got {args.population_size}")
         self.args = args
         extra = tuple(args.augment_outcome) if args.augment_outcome else ()
         self.sample = load_dataset(args.data, parse_role_map(args.roles),
@@ -199,13 +203,13 @@ class FileSource:
         if summary.names is None:
             raise ValidationError("joint summary must name its level columns")
         try:
-            cells = np.column_stack([
-                self.sample.column(name).astype(int) for name in summary.names
-            ])
+            levels = np.column_stack([self.sample.column(name)
+                                      for name in summary.names])
         except KeyError as exc:
             raise ValidationError(
                 f"data lacks summary level column {exc.args[0]!r}"
             ) from None
+        cells = integer_cells(levels, summary.names, self.args.data)
         return cells, summary, self.args.population_size
 
     def calibration_summary(self):

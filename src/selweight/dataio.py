@@ -19,6 +19,7 @@ from .errors import (
     MissingColumnError,
     MissingNError,
     NonBinaryIndicatorError,
+    NonIntegerCellError,
     NonNumericCellError,
     ProbabilitySumOutOfRangeError,
     ValidationError,
@@ -186,6 +187,29 @@ def _parse_cell(text, row_number, column):
         ) from None
 
 
+# Integer cells are stored as int64, which holds magnitudes below 2**63.
+INT64_LIMIT = 2.0**63
+
+
+def integer_cells(values, columns, path, rows=None):
+    """The int64 form of a matrix of parsed numbers, one column per name.
+
+    A NaN, an infinity, a fractional value or one outside the int64 range
+    raises :class:`NonIntegerCellError` naming ``path``, the row (``rows[i]``
+    for matrix row i, or its 1-based position) and the column.
+    """
+    values = np.asarray(values, dtype=float).reshape(-1, len(columns))
+    bad = ~(np.abs(values) < INT64_LIMIT) | (values != np.floor(values))
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        row = i + 1 if rows is None else rows[i]
+        raise NonIntegerCellError(
+            f"{path}: value {float(values[i, j])!r} at row {row}, column "
+            f"{columns[j]!r} is not an integer"
+        )
+    return values.astype(np.int64)
+
+
 def _data_rows(reader, path, width):
     """Yield (1-based row number, fields) for each non-blank data row."""
     for row_number, row in enumerate(reader, start=1):
@@ -274,13 +298,15 @@ def _load_joint_cells(path):
                 "'probability' column"
             )
         level_names = header[:-1]
-        levels, probabilities = [], []
+        levels, probabilities, row_numbers = [], [], []
         for row_number, row in _data_rows(reader, path, len(header)):
-            levels.append([int(_parse_cell(cell, row_number, name))
+            levels.append([_parse_cell(cell, row_number, name)
                            for cell, name in zip(row[:-1], level_names)])
             probabilities.append(_parse_cell(row[-1], row_number, "probability"))
+            row_numbers.append(row_number)
     if not levels:
         raise ValidationError(f"{path}: no cells found")
+    levels = integer_cells(levels, level_names, path, row_numbers)
     total = sum(probabilities)
     warnings = []
     if abs(total - 1.0) > 1e-9:
@@ -293,7 +319,7 @@ def _load_joint_cells(path):
             f"cell probabilities summed to {total:.6f}; renormalized to 1"
         )
     try:
-        summary = PopulationSummary("joint_cells", levels=np.array(levels),
+        summary = PopulationSummary("joint_cells", levels=levels,
                                     probabilities=np.array(probabilities),
                                     names=level_names)
     except DuplicateCellError as exc:
@@ -316,7 +342,8 @@ def _load_marginal_means(path):
             name = row[0].strip()
             value = _parse_cell(row[1], row_number, "value")
             if name == "N":
-                population_size = int(value)
+                population_size = int(integer_cells(
+                    [value], ["value"], path, [row_number])[0, 0])
             else:
                 names.append(name)
                 means.append(value)

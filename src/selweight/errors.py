@@ -77,6 +77,10 @@ class NonNumericCellError(ValidationError):
     """A mapped cell is missing or not parseable as a number."""
 
 
+class NonIntegerCellError(ValidationError):
+    """A value that must be an integer is non-finite, fractional or too large."""
+
+
 class NonBinaryIndicatorError(ValidationError):
     """An indicator or outcome column contains values other than 0/1."""
 

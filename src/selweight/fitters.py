@@ -26,13 +26,20 @@ SEPARATION_BOUND = 30.0
 
 
 def expit(x):
-    """Numerically stable inverse logit."""
+    """Numerically stable inverse logit, branch-free.
+
+    With ``e = exp(-|x|)`` the result is ``where(x >= 0, 1, e) / (1 + e)``:
+    for x >= 0 that is ``1/(1+exp(-x))`` and for x < 0 ``exp(x)/(1+exp(x))``,
+    the same operations as the two-branch form, so every value matches it
+    bit for bit.  ``-|x|`` is taken as ``minimum(x, -x)``, which keeps a
+    NaN's sign as the two-branch form does.  The shorter ``(1 + tanh(x/2))/2``
+    is not used: it loses relative accuracy for small probabilities, the
+    range ``weights.PI_FLOOR`` guards.
+    """
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(np.minimum(x, -x))
+    out = np.where(x >= 0, 1.0, e)
+    out /= 1.0 + e
     return out if out.ndim else float(out)
 
 
@@ -146,6 +153,28 @@ def _check_converged(report, what):
         )
 
 
+def memoize_last(fn):
+    """Memoize ``fn(theta)`` on its most recent argument.
+
+    A Newton solve evaluates the residual at each trial point and the
+    Jacobian at the accepted one, which is the last trial point.  Building
+    both from one memoized mean therefore evaluates the probabilities once
+    per trial point.  The argument is compared with ``np.array_equal`` and
+    stored as a copy, so a caller mutating its array cannot make the memo
+    stale; callers must not mutate the returned value.
+    """
+    last_theta, last_value = None, None
+
+    def memo(theta):
+        nonlocal last_theta, last_value
+        if last_theta is None or not np.array_equal(theta, last_theta):
+            last_value = fn(theta)
+            last_theta = np.array(theta, dtype=float, copy=True)
+        return last_value
+
+    return memo
+
+
 def _guarded(residual):
     """Wrap a logistic-family residual with a coefficient-magnitude guard."""
 
@@ -189,12 +218,14 @@ def fit_weighted_logistic(design, outcome, pi=None, cfg=None):
             raise ValidationError("selection probabilities must lie in (0, 1]")
         w = 1.0 / pi
 
+    mean = memoize_last(lambda theta: expit(x @ theta))
+
     def residual(theta):
-        r = w * (d - expit(x @ theta))
+        r = w * (d - mean(theta))
         return (x.T @ r) / n
 
     def jacobian(theta):
-        mu = expit(x @ theta)
+        mu = mean(theta)
         return -(x.T * (w * mu * (1.0 - mu))) @ x / n
 
     report = solve_estimating_equation(_guarded(residual), jacobian, np.zeros(p), cfg)
@@ -207,15 +238,27 @@ def multinomial_probabilities(coef, design):
 
     ``coef`` has one row per non-reference category; the reference category
     (index 0) has implicit zero coefficients.  Rows of the result sum to 1.
+    Each row is shifted by its largest linear predictor (at least the
+    reference's 0) before exponentiating; row sums add the columns left to
+    right.
     """
     x = _design_array(design)
     b = np.asarray(coef, dtype=float)
     if b.ndim != 2:
         raise ValidationError("multinomial coefficients must be a 2-d array")
-    eta = np.column_stack([np.zeros(x.shape[0]), x @ b.T])
-    eta -= eta.max(axis=1, keepdims=True)
-    num = np.exp(eta)
-    return num / num.sum(axis=1, keepdims=True)
+    lin = x @ b.T
+    top = np.zeros(lin.shape[0])
+    for column in lin.T:
+        np.maximum(top, column, out=top)
+    probs = np.empty((lin.shape[0], lin.shape[1] + 1))
+    np.negative(top, out=probs[:, 0])
+    np.subtract(lin, top[:, None], out=probs[:, 1:])
+    np.exp(probs, out=probs)
+    total = probs[:, 0].copy()
+    for column in probs[:, 1:].T:
+        total += column
+    probs /= total[:, None]
+    return probs
 
 
 def fit_multinomial(design, category, cfg=None, n_categories=3):
@@ -238,19 +281,26 @@ def fit_multinomial(design, category, cfg=None, n_categories=3):
     k = n_categories - 1
     indicators = np.column_stack([(c == j + 1).astype(float) for j in range(k)])
 
+    probabilities = memoize_last(
+        lambda beta: multinomial_probabilities(beta.reshape(k, p), x))
+
     def residual(beta):
-        probs = multinomial_probabilities(beta.reshape(k, p), x)
+        probs = probabilities(beta)
         return ((indicators - probs[:, 1:]).T @ x).ravel() / n
 
     def jacobian(beta):
-        probs = multinomial_probabilities(beta.reshape(k, p), x)
+        probs = probabilities(beta)
         jac = np.empty((k * p, k * p))
         for a in range(k):
             pa = probs[:, a + 1]
-            for b in range(k):
+            for b in range(a, k):
                 pb = probs[:, b + 1]
+                # pa * (0 - pb) and pb * (0 - pa) are equal bit for bit, so
+                # one block serves both (a, b) and (b, a).
                 wgt = pa * ((1.0 if a == b else 0.0) - pb)
-                jac[a * p : (a + 1) * p, b * p : (b + 1) * p] = -(x.T * wgt) @ x / n
+                block = -(x.T * wgt) @ x / n
+                jac[a * p : (a + 1) * p, b * p : (b + 1) * p] = block
+                jac[b * p : (b + 1) * p, a * p : (a + 1) * p] = block
         return jac
 
     report = solve_estimating_equation(_guarded(residual), jacobian,
@@ -317,12 +367,15 @@ def fit_simplex_regression(design, response, cfg=None):
     if n < p:
         raise ValidationError(f"need at least {p} rows, got {n}")
     ylogit = y * (1.0 - y)
+    # Both stages share the mean, so the second starts from the first's
+    # last evaluation and the profiled dispersion reuses the second's.
+    mean = memoize_last(lambda delta: expit(x @ delta))
 
     def ql_residual(delta):
-        return (x.T @ (y - expit(x @ delta))) / n
+        return (x.T @ (y - mean(delta))) / n
 
     def ql_jacobian(delta):
-        mu = expit(x @ delta)
+        mu = mean(delta)
         return -(x.T * (mu * (1.0 - mu))) @ x / n
 
     init_report = solve_estimating_equation(_guarded(ql_residual), ql_jacobian,
@@ -330,18 +383,18 @@ def fit_simplex_regression(design, response, cfg=None):
     _check_converged(init_report, "quasi-likelihood initialization")
 
     def residual(delta):
-        mu = expit(x @ delta)
+        mu = mean(delta)
         return (x.T @ (_simplex_score_weights(y, mu) / ylogit)) / n
 
     def jacobian(delta):
-        mu = expit(x @ delta)
+        mu = mean(delta)
         wgt = _simplex_score_slopes(y, mu) * mu * (1.0 - mu) / ylogit
         return (x.T * wgt) @ x / n
 
     report = solve_estimating_equation(_guarded(residual), jacobian,
                                        init_report.solution, cfg)
     _check_converged(report, "simplex regression")
-    mu_hat = expit(x @ report.solution)
+    mu_hat = mean(report.solution)
     sigma2 = float(np.mean(simplex_unit_deviance(y, mu_hat)))
     return FittedModel(report.solution, report, "simplex",
                        _column_names(design, p), dispersion=sigma2)

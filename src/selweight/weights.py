@@ -30,6 +30,7 @@ from .fitters import (
     expit,
     fit_multinomial,
     fit_simplex_regression,
+    memoize_last,
     multinomial_probabilities,
 )
 from .solver import solve_estimating_equation
@@ -287,12 +288,13 @@ def estimate_weights_pl(internal_X, external_X, pi_ext, cfg=None):
     ext_w = 1.0 / pi_ext
     n_hat = float(np.sum(ext_w))
     internal_total = xi.sum(axis=0)
+    pi_at_ext = memoize_last(lambda alpha: expit(xe @ alpha))
 
     def residual(alpha):
-        return (internal_total - xe.T @ (ext_w * expit(xe @ alpha))) / n_hat
+        return (internal_total - xe.T @ (ext_w * pi_at_ext(alpha))) / n_hat
 
     def jacobian(alpha):
-        p = expit(xe @ alpha)
+        p = pi_at_ext(alpha)
         return -(xe.T * (ext_w * p * (1.0 - p))) @ xe / n_hat
 
     report = _solve_selection_model(residual, jacobian, xi.shape[1], cfg)
@@ -468,12 +470,13 @@ def estimate_weights_cl(internal_X, summary, cfg=None):
         )
     totals = np.concatenate([[n_pop] if offset else [], n_pop * means])
 
+    pi_at = memoize_last(lambda alpha: np.clip(expit(x @ alpha), PI_FLOOR, 1.0))
+
     def residual(alpha):
-        pi = np.clip(expit(x @ alpha), PI_FLOOR, 1.0)
-        return (x.T @ (1.0 / pi) - totals) / n_pop
+        return (x.T @ (1.0 / pi_at(alpha)) - totals) / n_pop
 
     def jacobian(alpha):
-        pi = np.clip(expit(x @ alpha), PI_FLOOR, 1.0)
+        pi = pi_at(alpha)
         return -(x.T * ((1.0 - pi) / pi)) @ x / n_pop
 
     report = _solve_selection_model(residual, jacobian, p, cfg)

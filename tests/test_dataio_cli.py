@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -180,6 +181,37 @@ def test_marginal_means_requires_population_size(tmp_path):
     summary = sw.load_population_summary(path, "marginal_means")
     assert summary.population_size == 1000
     assert summary.names == ["z2", "w"]
+
+
+@pytest.mark.parametrize("level", ["1e400", "-inf", "0.5", "-2.5", "1e19"])
+def test_joint_cell_levels_must_be_integers(tmp_path, level):
+    path = tmp_path / "cells.csv"
+    write_lines(path, ["d,w_bin,probability", "0,0,0.5", f"1,{level},0.5"])
+    message = rf"^{re.escape(str(path))}: value .* at row 2, column 'w_bin' is not an integer$"
+    with pytest.raises(sw.NonIntegerCellError, match=message):
+        sw.load_population_summary(path, "joint_cells")
+
+
+def test_joint_cell_levels_accept_integral_numbers(tmp_path):
+    path = tmp_path / "cells.csv"
+    write_lines(path, ["d,w_bin,probability", "0,-0,0.5", "1,2.0,0.25",
+                       "1,-3e2,0.25"])
+    summary = sw.load_population_summary(path, "joint_cells")
+    assert summary.levels.dtype == np.int64
+    assert summary.levels.tolist() == [[0, 0], [1, 2], [1, -300]]
+
+
+@pytest.mark.parametrize("size", ["inf", "1e400", "2.5", "-0.5"])
+def test_marginal_population_size_must_be_an_integer(tmp_path, size):
+    path = tmp_path / "marg.csv"
+    write_lines(path, ["name,value", "z2,0.1", f"N,{size}", "w,0.0"])
+    message = rf"^{re.escape(str(path))}: value .* at row 2, column 'value' is not an integer$"
+    with pytest.raises(sw.NonIntegerCellError, match=message):
+        sw.load_population_summary(path, "marginal_means")
+    write_lines(path, ["name,value", "z2,0.1", "N,1000.0", "w,0.0"])
+    summary = sw.load_population_summary(path, "marginal_means")
+    assert summary.population_size == 1000
+    assert type(summary.population_size) is int
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +449,54 @@ def test_cli_empty_summary_is_a_validation_error(replication_files, tmp_path,
                      "--out", str(tmp_path / "out.csv"))
     assert result.returncode == 2
     assert result.stderr.splitlines() == [f"error: validation: {empty}: empty file"]
+
+
+def replace_field(path, column, row, value):
+    """Rewrite one data row's field of a CSV written by write_lines."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    fields = lines[row].split(",")
+    fields[lines[0].split(",").index(column)] = value
+    lines[row] = ",".join(fields)
+    write_lines(path, lines)
+
+
+@pytest.mark.parametrize("case", ["data level", "summary level", "summary N"])
+def test_cli_non_integer_cells_are_validation_errors(replication_files, tmp_path,
+                                                     case):
+    method = "cl" if case == "summary N" else "ps"
+    args = method_args(method, replication_files)
+    if case == "data level":
+        target, column, row = "internal.csv", "w_bin", 3
+    elif case == "summary level":
+        target, column, row = "cells.csv", "z2_bin", 2
+    else:
+        target, column, row = "means.csv", "value", 1
+    bad = tmp_path / target
+    bad.write_text((replication_files / target).read_text(encoding="utf-8"),
+                   encoding="utf-8")
+    replace_field(bad, column, row, "0.5")
+    args[args.index(str(replication_files / target))] = str(bad)
+    result = run_cli("fit", "--method", method, *args,
+                     "--population-size", str(REPLICATION_CFG.population_size),
+                     "--out", str(tmp_path / "out.csv"))
+    assert result.returncode == 2
+    assert result.stderr.splitlines() == [
+        f"error: validation: {bad}: value 0.5 at row {row}, column "
+        f"{column!r} is not an integer"]
+
+
+@pytest.mark.parametrize("command", ["fit", "weights"])
+@pytest.mark.parametrize("size", ["0", "-5"])
+def test_cli_population_size_below_one_is_rejected(replication_files, tmp_path,
+                                                   command, size):
+    out = tmp_path / "out.csv"
+    result = run_cli(command, "--method", "pl",
+                     *method_args("pl", replication_files),
+                     "--population-size", size, "--out", str(out))
+    assert result.returncode == 2
+    assert result.stderr.splitlines() == [
+        f"error: validation: --population-size must be at least 1, got {size}"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("method", ["pl", "sr", "ps", "cl"])

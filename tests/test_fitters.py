@@ -2,9 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import selweight as sw
+from selweight import fitters
+from selweight import weights as w_mod
 from selweight.fitters import simplex_log_density, simplex_unit_deviance
+from selweight.solver import solve_estimating_equation
 
 from conftest import grid_search_logistic
 
@@ -249,3 +253,196 @@ def test_design_matrix_validation():
     design = sw.build_design([np.array([1.0, 2.0])], ["x"])
     assert design.column_names == ["intercept", "x"]
     assert design.matrix.shape == (2, 2)
+
+
+# ---------------------------------------------------------------------------
+# probability kernels, bit for bit against the forms they replaced
+
+
+def reference_expit(x):
+    """The two-branch inverse logit, kept as the bit-for-bit reference."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out if out.ndim else float(out)
+
+
+def reference_multinomial_probabilities(coef, x):
+    """The zero-column-stack softmax, kept as the bit-for-bit reference."""
+    eta = np.column_stack([np.zeros(x.shape[0]), x @ coef.T])
+    eta -= eta.max(axis=1, keepdims=True)
+    num = np.exp(eta)
+    return num / num.sum(axis=1, keepdims=True)
+
+
+def same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+# Signed zeros, infinities, NaNs of both signs, the ends of exp's range, and
+# inputs whose probabilities are subnormal (-709 .. -745) or underflow to 0.
+EXPIT_SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 745.0, -745.0,
+                  746.0, -746.0, 709.78, -709.78, -710.0, -720.5, -740.0,
+                  -744.4, 36.7, 37.0, -36.7, 5e-324, -5e-324, 1e308, -1e308]
+
+
+def test_expit_special_values_match_two_branch_form():
+    x = np.array(EXPIT_SPECIALS)
+    expected = reference_expit(x)
+    assert np.any((expected > 0.0) & (expected < np.finfo(float).tiny))
+    assert same_bits(sw.expit(x), expected)
+    assert same_bits(sw.expit(x.reshape(-1, 1)), expected.reshape(-1, 1))
+    for value in EXPIT_SPECIALS:
+        got = sw.expit(value)
+        assert type(got) is float
+        assert same_bits(got, reference_expit(value))
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(float, st.integers(0, 60),
+              elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_expit_matches_two_branch_form_bit_for_bit(x):
+    assert same_bits(sw.expit(x), reference_expit(x))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats())
+def test_expit_scalar_matches_two_branch_form(value):
+    got = sw.expit(value)
+    assert type(got) is float
+    assert same_bits(got, reference_expit(value))
+
+
+@st.composite
+def multinomial_cases(draw):
+    k = draw(st.integers(1, 3))
+    p = draw(st.integers(1, 3))
+    coef = draw(arrays(float, (k, p), elements=st.floats(-30.0, 30.0)))
+    x = draw(arrays(float, (draw(st.integers(1, 25)), p),
+                    elements=st.floats(-5.0, 5.0)))
+    if draw(st.booleans()):
+        # One row per category that drives its linear predictor to the top.
+        x = np.vstack([x, 5.0 * np.sign(coef)])
+    return coef, x
+
+
+@settings(max_examples=200, deadline=None)
+@given(multinomial_cases())
+def test_multinomial_probabilities_match_column_stack_form(case):
+    coef, x = case
+    assert same_bits(sw.multinomial_probabilities(coef, x),
+                     reference_multinomial_probabilities(coef, x))
+
+
+# ---------------------------------------------------------------------------
+# one probability evaluation per Newton trial point
+
+
+@pytest.fixture(scope="module")
+def newton_source():
+    cfg = sw.SimulationConfig(dag=3, setup=2, seed=0, n_population=4000)
+    return sw.simulation.PopulationSource(sw.generate_population(cfg, 0))
+
+
+def _multinomial(src):
+    x_ext = src.external_sample[0].matrix
+    return sw.fit_multinomial(np.vstack([src.selection_design.matrix, x_ext]),
+                              src.overlap())
+
+
+# user -> (module and name of its probability kernel, the fit, evaluations
+# outside the solves).  PL and CL evaluate pi_hat once more at the internal
+# rows after their solve.
+NEWTON_USERS = {
+    "logistic": (fitters, "expit", lambda src: sw.fit_weighted_logistic(
+        src.disease_design, src.outcome, src.population.pi_true[src.internal]), 0),
+    "multinomial": (fitters, "multinomial_probabilities", _multinomial, 0),
+    "simplex": (fitters, "expit",
+                lambda src: sw.fit_simplex_regression(*src.external_sample), 0),
+    "pl": (w_mod, "expit", lambda src: sw.estimate_weights_pl(
+        src.selection_design, *src.external_sample), 1),
+    "cl": (w_mod, "expit", lambda src: sw.estimate_weights_cl(
+        src.selection_design, src.calibration_summary()), 1),
+}
+
+
+def record_solves(monkeypatch):
+    """Record (residual, jacobian, report) of every solve the fitters run."""
+    solves = []
+
+    def solve(residual, jacobian, init, cfg=None):
+        report = solve_estimating_equation(residual, jacobian, init, cfg)
+        solves.append((residual, jacobian, report))
+        return report
+
+    monkeypatch.setattr(fitters, "solve_estimating_equation", solve)
+    monkeypatch.setattr(w_mod, "solve_estimating_equation", solve)
+    return solves
+
+
+@pytest.mark.parametrize("user", NEWTON_USERS)
+def test_one_probability_evaluation_per_trial_point(monkeypatch, newton_source,
+                                                    user):
+    module, name, fit, outside = NEWTON_USERS[user]
+    kernel = getattr(module, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    solves = record_solves(monkeypatch)
+    fit(newton_source)
+    reports = [report for _, _, report in solves]
+    assert all(report.converged for report in reports)
+    # Each solve evaluates its start and every trial step, accepted or
+    # halved; Jacobians reuse the last accepted evaluation.  The simplex
+    # fit's second stage starts where its first stopped, and its dispersion
+    # reuses the second stage's last mean, so those add nothing either.
+    trial_points = 1 + sum(r.iterations + r.halvings for r in reports)
+    assert len(calls) == trial_points + outside
+    if user == "cl":
+        assert sum(r.halvings for r in reports) > 0
+
+
+@pytest.mark.parametrize("user", NEWTON_USERS)
+def test_shared_mean_is_never_stale(monkeypatch, newton_source, user):
+    _, _, fit, _ = NEWTON_USERS[user]
+    memoized = record_solves(monkeypatch)
+    fit(newton_source)
+    monkeypatch.setattr(fitters, "memoize_last", lambda fn: fn)
+    monkeypatch.setattr(w_mod, "memoize_last", lambda fn: fn)
+    fresh = record_solves(monkeypatch)
+    fit(newton_source)
+    assert len(memoized) == len(fresh) > 0
+    for (residual, jacobian, report), (fresh_residual, fresh_jacobian, _) in zip(
+            memoized, fresh):
+        theta = report.solution.copy()
+        jacobian(theta)
+        moved = theta + 0.01
+        assert same_bits(residual(moved), fresh_residual(moved))
+        assert same_bits(jacobian(moved), fresh_jacobian(moved))
+        moved[:] = theta  # the caller reuses its array in place
+        assert same_bits(residual(moved), fresh_residual(theta))
+        assert same_bits(jacobian(moved), fresh_jacobian(theta))
+
+
+def test_memoize_last_keys_on_a_copy_of_its_argument():
+    calls = []
+
+    def double(theta):
+        calls.append(1)
+        return 2.0 * theta
+
+    memo = fitters.memoize_last(double)
+    theta = np.array([1.0, 2.0])
+    first = memo(theta)
+    assert memo(theta.copy()) is first and len(calls) == 1
+    theta[0] = 5.0
+    assert np.array_equal(memo(theta), [10.0, 4.0]) and len(calls) == 2
+    assert np.array_equal(memo(np.array([1.0, 2.0])), [2.0, 4.0])
+    assert len(calls) == 3
