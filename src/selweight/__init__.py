@@ -80,6 +80,7 @@ from .weights import (
     winsorize_weights,
 )
 from .simulation import (
+    DATA_METHODS,
     METHODS,
     LogRatioBins,
     MethodResult,

@@ -21,6 +21,7 @@ from .dataio import (
 )
 from .errors import NonConvergenceError, SelweightError, ValidationError
 from .simulation import (
+    DATA_METHODS,
     METHODS,
     SimulationConfig,
     estimate_pi,
@@ -56,7 +57,7 @@ def build_parser():
     data_common.add_argument("--roles", required=True,
                              help="key=value file mapping roles to columns")
     data_common.add_argument("--method", required=True,
-                             choices=("unweighted", "pl", "sr", "ps", "cl"))
+                             choices=DATA_METHODS)
     data_common.add_argument("--external-data",
                              help="external probability-sample CSV (pl, sr)")
     data_common.add_argument("--summary",
@@ -94,7 +95,7 @@ def build_parser():
     simulate.add_argument("--config",
                           help="key=value file of scenario fields; explicit "
                                "flags override it")
-    simulate.add_argument("--method", default="unweighted,pl,sr,ps,cl",
+    simulate.add_argument("--method", default=",".join(DATA_METHODS),
                           help="comma-separated subset of "
                                f"{{{','.join(METHODS)}}}")
     simulate.set_defaults(handler=cli_simulate)
@@ -200,6 +201,7 @@ class FileSource:
         summary = self._summary("joint_cells")
         if self.args.population_size is None:
             raise ValidationError("--population-size is required for ps")
+        summary.population_size = self.args.population_size
         if summary.names is None:
             raise ValidationError("joint summary must name its level columns")
         try:
@@ -209,8 +211,7 @@ class FileSource:
             raise ValidationError(
                 f"data lacks summary level column {exc.args[0]!r}"
             ) from None
-        cells = integer_cells(levels, summary.names, self.args.data)
-        return cells, summary, self.args.population_size
+        return integer_cells(levels, summary.names, self.args.data), summary
 
     def calibration_summary(self):
         return self._summary("marginal_means")

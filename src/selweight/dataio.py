@@ -173,17 +173,18 @@ class AnalysisSample:
         return self.columns[self.roles.external_prob]
 
 
-def _parse_cell(text, row_number, column):
+def _parse_cell(text, path, row_number, column):
     token = text.strip()
     if token.lower() in MISSING_TOKENS:
         raise NonNumericCellError(
-            f"missing value at row {row_number}, column {column!r}"
+            f"{path}: missing value at row {row_number}, column {column!r}"
         )
     try:
         return float(token)
     except ValueError:
         raise NonNumericCellError(
-            f"non-numeric value {token!r} at row {row_number}, column {column!r}"
+            f"{path}: non-numeric value {token!r} at row {row_number}, "
+            f"column {column!r}"
         ) from None
 
 
@@ -211,10 +212,13 @@ def integer_cells(values, columns, path, rows=None):
 
 
 def _data_rows(reader, path, width):
-    """Yield (1-based row number, fields) for each non-blank data row."""
-    for row_number, row in enumerate(reader, start=1):
+    """Yield (1-based row number, fields) for each non-blank data row;
+    blank lines are not counted, so row i is entry i of the loaded arrays."""
+    row_number = 0
+    for row in reader:
         if not row or all(not cell.strip() for cell in row):
             continue
+        row_number += 1
         if len(row) != width:
             raise ValidationError(
                 f"{path}: row {row_number} has {len(row)} fields, "
@@ -254,7 +258,8 @@ def load_dataset(path, roles, extra_columns=()):
         for row_number, row in _data_rows(reader, path, len(header)):
             n_rows += 1
             for column, pos in index.items():
-                data[column].append(_parse_cell(row[pos], row_number, column))
+                data[column].append(_parse_cell(row[pos], path, row_number,
+                                                column))
     if n_rows == 0:
         raise ValidationError(f"{path}: no data rows")
 
@@ -298,15 +303,15 @@ def _load_joint_cells(path):
                 "'probability' column"
             )
         level_names = header[:-1]
-        levels, probabilities, row_numbers = [], [], []
+        levels, probabilities = [], []
         for row_number, row in _data_rows(reader, path, len(header)):
-            levels.append([_parse_cell(cell, row_number, name)
+            levels.append([_parse_cell(cell, path, row_number, name)
                            for cell, name in zip(row[:-1], level_names)])
-            probabilities.append(_parse_cell(row[-1], row_number, "probability"))
-            row_numbers.append(row_number)
+            probabilities.append(_parse_cell(row[-1], path, row_number,
+                                             "probability"))
     if not levels:
         raise ValidationError(f"{path}: no cells found")
-    levels = integer_cells(levels, level_names, path, row_numbers)
+    levels = integer_cells(levels, level_names, path)
     total = sum(probabilities)
     warnings = []
     if abs(total - 1.0) > 1e-9:
@@ -340,7 +345,7 @@ def _load_marginal_means(path):
             )
         for row_number, row in _data_rows(reader, path, 2):
             name = row[0].strip()
-            value = _parse_cell(row[1], row_number, "value")
+            value = _parse_cell(row[1], path, row_number, "value")
             if name == "N":
                 population_size = int(integer_cells(
                     [value], ["value"], path, [row_number])[0, 0])

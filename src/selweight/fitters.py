@@ -24,6 +24,10 @@ from .solver import SolveReport, solve_estimating_equation
 # it indicate separated data rather than a meaningful optimum.
 SEPARATION_BOUND = 30.0
 
+# The one multinomial model fitted is SR's three-way sample membership
+# (weights.BOTH_SAMPLES, INTERNAL_ONLY, EXTERNAL_ONLY).
+MULTINOMIAL_CATEGORIES = 3
+
 
 def expit(x):
     """Numerically stable inverse logit, branch-free.
@@ -189,7 +193,7 @@ def _guarded(residual):
     return guarded
 
 
-def fit_weighted_logistic(design, outcome, pi=None, cfg=None):
+def fit_weighted_logistic(design, outcome, pi=None):
     """Inverse-probability-weighted logistic regression.
 
     Solves ``(1/n) sum (1/pi_i) (d_i - expit(theta'z_i)) z_i = 0``.  Passing
@@ -228,7 +232,7 @@ def fit_weighted_logistic(design, outcome, pi=None, cfg=None):
         mu = mean(theta)
         return -(x.T * (w * mu * (1.0 - mu))) @ x / n
 
-    report = solve_estimating_equation(_guarded(residual), jacobian, np.zeros(p), cfg)
+    report = solve_estimating_equation(_guarded(residual), jacobian, np.zeros(p))
     _check_converged(report, "weighted logistic fit")
     return FittedModel(report.solution, report, "logistic", _column_names(design, p))
 
@@ -261,24 +265,24 @@ def multinomial_probabilities(coef, design):
     return probs
 
 
-def fit_multinomial(design, category, cfg=None, n_categories=3):
+def fit_multinomial(design, category):
     """Baseline-category multinomial logistic regression.
 
     Category 0 is the reference level.  Every level in
-    ``range(n_categories)`` must be observed at least once.
+    ``range(MULTINOMIAL_CATEGORIES)`` must be observed at least once.
     """
     x = _design_array(design)
     n, p = x.shape
     c = np.asarray(category)
     if c.size != n:
         raise ValidationError("category length does not match design rows")
-    if not np.all(np.isin(c, np.arange(n_categories))):
-        raise ValidationError(f"categories must lie in 0..{n_categories - 1}")
-    counts = np.bincount(c.astype(int), minlength=n_categories)
+    k = MULTINOMIAL_CATEGORIES - 1
+    if not np.all(np.isin(c, np.arange(MULTINOMIAL_CATEGORIES))):
+        raise ValidationError(f"categories must lie in 0..{k}")
+    counts = np.bincount(c.astype(int), minlength=MULTINOMIAL_CATEGORIES)
     if np.any(counts == 0):
         missing = np.flatnonzero(counts == 0).tolist()
         raise EmptyCategoryError(f"no observations in categories {missing}")
-    k = n_categories - 1
     indicators = np.column_stack([(c == j + 1).astype(float) for j in range(k)])
 
     probabilities = memoize_last(
@@ -304,7 +308,7 @@ def fit_multinomial(design, category, cfg=None, n_categories=3):
         return jac
 
     report = solve_estimating_equation(_guarded(residual), jacobian,
-                                       np.zeros(k * p), cfg)
+                                       np.zeros(k * p))
     _check_converged(report, "multinomial fit")
     model = FittedModel(report.solution.reshape(k, p), report, "multinomial",
                         _column_names(design, p))
@@ -347,7 +351,7 @@ def _simplex_score_slopes(y, mu):
     )
 
 
-def fit_simplex_regression(design, response, cfg=None):
+def fit_simplex_regression(design, response):
     """Simplex-distribution regression for responses strictly inside (0, 1).
 
     The mean model is ``logit(E[y|x]) = delta'x``.  The coefficient solve is
@@ -379,7 +383,7 @@ def fit_simplex_regression(design, response, cfg=None):
         return -(x.T * (mu * (1.0 - mu))) @ x / n
 
     init_report = solve_estimating_equation(_guarded(ql_residual), ql_jacobian,
-                                            np.zeros(p), cfg)
+                                            np.zeros(p))
     _check_converged(init_report, "quasi-likelihood initialization")
 
     def residual(delta):
@@ -392,7 +396,7 @@ def fit_simplex_regression(design, response, cfg=None):
         return (x.T * wgt) @ x / n
 
     report = solve_estimating_equation(_guarded(residual), jacobian,
-                                       init_report.solution, cfg)
+                                       init_report.solution)
     _check_converged(report, "simplex regression")
     mu_hat = mean(report.solution)
     sigma2 = float(np.mean(simplex_unit_deviance(y, mu_hat)))

@@ -24,7 +24,6 @@ from .errors import (
     ValidationError,
 )
 from .fitters import DesignMatrix, FittedModel, expit, fit_weighted_logistic
-from .solver import SolveConfig
 from .variance import normal_quantile, vcov_cl, vcov_known_weights, vcov_pl
 from .weights import (
     PopulationSummary,
@@ -324,7 +323,7 @@ class PopulationSource:
         return pop.s_ext[self.internal] == 1.0, pop.pi_ext[self.internal]
 
     def poststratification_inputs(self):
-        """(internal cells, joint-cell summary, N) on (d, z2 bin, w bin) cells."""
+        """(internal cells, summary with N) on (d, z2 bin, w bin) cells."""
         pop = self.population
         cells_all = np.column_stack([pop.d.astype(int), coarsen(pop.z2),
                                      coarsen(pop.w)])
@@ -333,7 +332,7 @@ class PopulationSource:
         summary = PopulationSummary("joint_cells", levels=cells_all[first],
                                     probabilities=np.bincount(codes) / pop.n,
                                     population_size=pop.n)
-        return cells_all[self.internal], summary, pop.n
+        return cells_all[self.internal], summary
 
     def calibration_summary(self):
         pop = self.population
@@ -342,26 +341,24 @@ class PopulationSource:
                                  names=["z2", "w", "d"], population_size=pop.n)
 
 
-def _weights_pl(src, solve_cfg):
-    return estimate_weights_pl(src.selection_design, *src.external_sample,
-                               solve_cfg)
+def _weights_pl(src):
+    return estimate_weights_pl(src.selection_design, *src.external_sample)
 
 
-def _weights_sr(src, solve_cfg):
+def _weights_sr(src):
     return estimate_weights_sr(src.selection_design, *src.external_sample,
-                               src.overlap(), solve_cfg)
+                               src.overlap())
 
 
-def _weights_ps(src, solve_cfg):
+def _weights_ps(src):
     return estimate_weights_ps(*src.poststratification_inputs())
 
 
-def _weights_cl(src, solve_cfg):
-    return estimate_weights_cl(src.selection_design, src.calibration_summary(),
-                               solve_cfg)
+def _weights_cl(src):
+    return estimate_weights_cl(src.selection_design, src.calibration_summary())
 
 
-def _weights_oracle(src, solve_cfg):
+def _weights_oracle(src):
     pi = src.population.pi_true[src.internal]
     return WeightSet(pi, "known", diagnostics={"source": "true"})
 
@@ -385,10 +382,10 @@ def _cl_sandwich(src, theta, pi, weight_set):
 
 
 # The one place a method is paired with its weight estimator (None: unit
-# weights) and its sandwich.  Estimators map (source, solve config) to a
-# WeightSet; sandwiches map (source, theta, pi, weight set) to the variance
-# of theta.  Both look up this module's globals when they run, so rebinding
-# a name here reaches every caller, the CLI included.
+# weights) and its sandwich.  Estimators map a source to a WeightSet;
+# sandwiches map (source, theta, pi, weight set) to the variance of theta.
+# Both look up this module's globals when they run, so rebinding a name here
+# reaches every caller, the CLI included.
 METHOD_TABLE = {
     "unweighted": (None, _fixed_weight_sandwich),
     "pl": (_weights_pl, _pl_sandwich),
@@ -398,18 +395,20 @@ METHOD_TABLE = {
     "oracle_weights": (_weights_oracle, _fixed_weight_sandwich),
 }
 METHODS = tuple(METHOD_TABLE)
+# The methods that run on data; oracle weights need the simulated truth.
+DATA_METHODS = tuple(m for m in METHODS if m != "oracle_weights")
 
 
-def estimate_pi(method, src, solve_cfg=None):
+def estimate_pi(method, src):
     """Run ``method``'s weight estimator on ``src``; return (pi, weight set or None)."""
     estimator, _ = METHOD_TABLE[method]
     if estimator is None:
         return np.ones(src.outcome.size), None
-    weight_set = estimator(src, solve_cfg)
+    weight_set = estimator(src)
     return weight_set.pi_hat, weight_set
 
 
-def fit_method(method, src, pi, weight_set, solve_cfg=None):
+def fit_method(method, src, pi, weight_set):
     """Fit the weighted disease model at ``pi`` with ``method``'s sandwich.
 
     ``weight_set`` is what :func:`estimate_pi` returned with ``pi``.  Pass
@@ -417,8 +416,7 @@ def fit_method(method, src, pi, weight_set, solve_cfg=None):
     a two-step sandwich describes only the estimator's own probabilities,
     so the fit then takes the fixed-weight sandwich at ``pi``.
     """
-    model = fit_weighted_logistic(src.disease_design, src.outcome, pi,
-                                  solve_cfg)
+    model = fit_weighted_logistic(src.disease_design, src.outcome, pi)
     _, sandwich = METHOD_TABLE[method]
     if weight_set is None:
         sandwich = _fixed_weight_sandwich
@@ -426,7 +424,7 @@ def fit_method(method, src, pi, weight_set, solve_cfg=None):
     return model
 
 
-def run_replication(cfg, replication_index, methods=METHODS, solve_cfg=None):
+def run_replication(cfg, replication_index, methods=METHODS):
     """Generate one population and fit every requested method on it.
 
     Per-method failures are captured in the returned results rather than
@@ -439,19 +437,22 @@ def run_replication(cfg, replication_index, methods=METHODS, solve_cfg=None):
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ValidationError(f"unknown methods {unknown}")
-    solve_cfg = solve_cfg or SolveConfig()
 
     src = PopulationSource(generate_population(cfg, replication_index))
     results = {}
     for method in methods:
         try:
-            pi, weight_set = estimate_pi(method, src, solve_cfg)
-            model = fit_method(method, src, pi, weight_set, solve_cfg)
+            pi, weight_set = estimate_pi(method, src)
+            model = fit_method(method, src, pi, weight_set)
             results[method] = MethodResult(method, model=model,
                                            weight_set=weight_set)
         except SelweightError as exc:
             results[method] = MethodResult(method, error=f"{type(exc).__name__}: {exc}")
     return results
+
+
+# Coverage is that of the two-sided Wald interval at this level.
+CI_LEVEL = 0.95
 
 
 @dataclass
@@ -516,8 +517,7 @@ def _run_replication_task(args):
     return index, compact
 
 
-def run_study(cfg, methods=("unweighted", "pl", "sr", "ps", "cl"),
-              parallelism=1, ci_level=0.95):
+def run_study(cfg, methods=DATA_METHODS, parallelism=1):
     """Run the configured number of replications and aggregate the metrics.
 
     Parallel execution farms replications out to worker processes; the
@@ -567,7 +567,7 @@ def run_study(cfg, methods=("unweighted", "pl", "sr", "ps", "cl"),
 
     true_theta = np.asarray(cfg.theta)
     parameters = {"theta1": 1, "theta2": 2}
-    z = normal_quantile(0.5 * (1.0 + ci_level))
+    z = normal_quantile(0.5 * (1.0 + CI_LEVEL))
 
     mse = {}
     rows = []

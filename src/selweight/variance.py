@@ -15,7 +15,7 @@ import numpy as np
 from .errors import SingularBreadError, SingularHError, ValidationError
 from .fitters import _design_array, expit
 from .solver import SingularJacobianError, invert_matrix
-from .weights import PI_FLOOR
+from .weights import logistic_selection_pi
 
 
 @dataclass
@@ -173,10 +173,9 @@ def pl_components(theta_hat, alpha_hat, design, outcome, selection_design,
         if internal_pi_ext.size != z.shape[0]:
             raise ValidationError("internal_pi_ext length mismatch")
 
-    alpha_hat = np.asarray(alpha_hat, dtype=float)
     mu = expit(z @ np.asarray(theta_hat, dtype=float))
-    pi_int = np.clip(expit(xi @ alpha_hat), PI_FLOOR, 1.0)
-    pi_at_ext = np.clip(expit(xe @ alpha_hat), PI_FLOOR, 1.0)
+    pi_int = logistic_selection_pi(xi, alpha_hat)
+    pi_at_ext = logistic_selection_pi(xe, alpha_hat)
     n = float(n_population)
     g_pos, e1 = _fixed_weight_blocks(z, d, mu, pi_int, n)
     resid = d - mu
@@ -216,7 +215,7 @@ def cl_components(theta_hat, alpha_hat, design, outcome, selection_design,
     d = np.asarray(outcome, dtype=float).ravel()
     xi = _design_array(selection_design)
     mu = expit(z @ np.asarray(theta_hat, dtype=float))
-    pi = np.clip(expit(xi @ np.asarray(alpha_hat, dtype=float)), PI_FLOOR, 1.0)
+    pi = logistic_selection_pi(xi, alpha_hat)
     n = float(n_population)
     g_pos, e1 = _fixed_weight_blocks(z, d, mu, pi, n)
     resid = d - mu

@@ -231,6 +231,12 @@ def _design_pair(internal_X, external_X):
     return internal_X, external_X
 
 
+def logistic_selection_pi(x, alpha):
+    """Logistic selection probabilities ``expit(x @ alpha)`` clamped into
+    [PI_FLOOR, 1]: the CL solve's and the PL/CL sandwiches' pi."""
+    return np.clip(expit(x @ np.asarray(alpha, dtype=float)), PI_FLOOR, 1.0)
+
+
 def _clamp_pi(pi):
     clamped = np.clip(pi, PI_FLOOR, 1.0)
     n_low = int(np.sum(pi < PI_FLOOR))
@@ -247,10 +253,10 @@ def _check_pi_ext(pi_ext, n):
     return pi_ext
 
 
-def _solve_selection_model(residual, jacobian, p, cfg):
+def _solve_selection_model(residual, jacobian, p):
     """Newton-solve a logistic selection model's equation from alpha = 0."""
     try:
-        return solve_estimating_equation(residual, jacobian, np.zeros(p), cfg)
+        return solve_estimating_equation(residual, jacobian, np.zeros(p))
     except SingularJacobianError as exc:
         raise RankDeficientDesignError(
             f"selection design is rank deficient: {exc}"
@@ -271,7 +277,7 @@ def _logistic_weight_set(method, x, report):
     )
 
 
-def estimate_weights_pl(internal_X, external_X, pi_ext, cfg=None):
+def estimate_weights_pl(internal_X, external_X, pi_ext):
     """Pseudolikelihood selection-model fit from an external probability sample.
 
     Solves, for a logistic selection model pi(x, alpha),
@@ -297,7 +303,7 @@ def estimate_weights_pl(internal_X, external_X, pi_ext, cfg=None):
         p = pi_at_ext(alpha)
         return -(xe.T * (ext_w * p * (1.0 - p))) @ xe / n_hat
 
-    report = _solve_selection_model(residual, jacobian, xi.shape[1], cfg)
+    report = _solve_selection_model(residual, jacobian, xi.shape[1])
     if not report.converged:
         raise NonConvergenceError(
             f"pseudolikelihood selection fit did not converge: {report.message}"
@@ -321,7 +327,7 @@ def overlap_labels(internal_in_external, external_in_internal):
     ])
 
 
-def estimate_weights_sr(internal_X, external_X, pi_ext, overlap, cfg=None):
+def estimate_weights_sr(internal_X, external_X, pi_ext, overlap):
     """Simplex-regression composite estimator of internal selection probabilities.
 
     The external design probabilities are modeled with a simplex-distribution
@@ -350,7 +356,7 @@ def estimate_weights_sr(internal_X, external_X, pi_ext, overlap, cfg=None):
     if np.sum(lab_int == BOTH_SAMPLES) != np.sum(lab_ext == BOTH_SAMPLES):
         raise ValidationError("mismatched BOTH_SAMPLES counts between blocks")
 
-    simplex = fit_simplex_regression(external_X, pi_ext, cfg)
+    simplex = fit_simplex_regression(external_X, pi_ext)
 
     ext_only = lab_ext == EXTERNAL_ONLY
     combined = np.vstack([xi, xe[ext_only]])
@@ -358,7 +364,7 @@ def estimate_weights_sr(internal_X, external_X, pi_ext, overlap, cfg=None):
     multinomial = fit_multinomial(
         DesignMatrix(combined, list(internal_X.column_names),
                      internal_X.has_intercept),
-        labels, cfg)
+        labels)
 
     probs = multinomial_probabilities(multinomial.coefficients, xi)
     p_both = probs[:, BOTH_SAMPLES]
@@ -386,17 +392,17 @@ def estimate_weights_sr(internal_X, external_X, pi_ext, overlap, cfg=None):
     )
 
 
-def estimate_weights_ps(internal_cells, summary, population_size=None):
+def estimate_weights_ps(internal_cells, summary):
     """Post-stratification weights from joint cell probabilities.
 
     ``internal_cells`` holds one discretized selection-variable tuple per
     internal unit (2-d integer array or sequence of tuples).  Raw weight
     ratios P(cell) / P_hat(cell | selected) are rescaled so the weights sum
-    to the population size, and probabilities are their inverses.
+    to the summary's population size, and probabilities are their inverses.
     """
     if summary.kind != "joint_cells":
         raise ValidationError("post-stratification requires a joint_cells summary")
-    n_pop = summary.population_size if summary.population_size is not None else population_size
+    n_pop = summary.population_size
     if n_pop is None:
         raise ValidationError(
             "population size is required to scale post-stratification weights"
@@ -437,7 +443,7 @@ def estimate_weights_ps(internal_cells, summary, population_size=None):
     )
 
 
-def estimate_weights_cl(internal_X, summary, cfg=None):
+def estimate_weights_cl(internal_X, summary):
     """Calibration weights matching weighted internal totals to the population.
 
     Solves ``sum_internal x_i / pi(x_i, alpha) = population totals`` for a
@@ -470,7 +476,7 @@ def estimate_weights_cl(internal_X, summary, cfg=None):
         )
     totals = np.concatenate([[n_pop] if offset else [], n_pop * means])
 
-    pi_at = memoize_last(lambda alpha: np.clip(expit(x @ alpha), PI_FLOOR, 1.0))
+    pi_at = memoize_last(lambda alpha: logistic_selection_pi(x, alpha))
 
     def residual(alpha):
         return (x.T @ (1.0 / pi_at(alpha)) - totals) / n_pop
@@ -479,7 +485,7 @@ def estimate_weights_cl(internal_X, summary, cfg=None):
         pi = pi_at(alpha)
         return -(x.T * ((1.0 - pi) / pi)) @ x / n_pop
 
-    report = _solve_selection_model(residual, jacobian, p, cfg)
+    report = _solve_selection_model(residual, jacobian, p)
     if not report.converged:
         if report.final_residual_norm > INFEASIBLE_RESIDUAL_FRACTION:
             raise InfeasibleTotalsError(

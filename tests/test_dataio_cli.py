@@ -1,3 +1,5 @@
+import argparse
+import inspect
 import json
 import re
 import subprocess
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 
 import selweight as sw
+from selweight.cli import build_parser
 from selweight.dataio import ResultTable, format_number
 
 
@@ -483,6 +486,81 @@ def test_cli_non_integer_cells_are_validation_errors(replication_files, tmp_path
     assert result.stderr.splitlines() == [
         f"error: validation: {bad}: value 0.5 at row {row}, column "
         f"{column!r} is not an integer"]
+
+
+# (column, value, message after "<path>: ") of one defect on data row 2
+BLANK_LINE_DEFECTS = {
+    "cell": ("z2", "x", "non-numeric value 'x' at row 2, column 'z2'"),
+    "outcome": ("d", "2",
+                "column 'd' must be coded 0/1 (first offending data row 2)"),
+    "ps level": ("w_bin", "0.5",
+                 "value 0.5 at row 2, column 'w_bin' is not an integer"),
+}
+
+
+@pytest.mark.parametrize("defect", list(BLANK_LINE_DEFECTS))
+def test_cli_row_numbers_skip_blank_lines(replication_files, tmp_path, defect):
+    column, value, message = BLANK_LINE_DEFECTS[defect]
+    source = replication_files / "internal.csv"
+    lines = source.read_text(encoding="utf-8").splitlines()
+    bad = tmp_path / "internal.csv"
+    write_lines(bad, lines[:2] + [""] + lines[2:])
+    replace_field(bad, column, 3, value)
+    args = method_args("ps", replication_files)
+    args[args.index(str(source))] = str(bad)
+    result = run_cli("fit", "--method", "ps", *args,
+                     "--population-size", str(REPLICATION_CFG.population_size),
+                     "--out", str(tmp_path / "out.csv"))
+    assert result.returncode == 2
+    assert result.stderr.splitlines() == [f"error: validation: {bad}: {message}"]
+
+
+@pytest.mark.parametrize("column, value, message", [
+    ("w_bin", "0.5", "value 0.5 at row 2, column 'w_bin' is not an integer"),
+    ("probability", "x", "non-numeric value 'x' at row 2, column 'probability'"),
+])
+def test_joint_cell_rows_skip_blank_lines(tmp_path, column, value, message):
+    path = tmp_path / "cells.csv"
+    write_lines(path, ["d,w_bin,probability", "0,0,0.5", "", "1,1,0.5"])
+    replace_field(path, column, 3, value)
+    with pytest.raises(sw.ValidationError,
+                       match=f"^{re.escape(f'{path}: {message}')}$"):
+        sw.load_population_summary(path, "joint_cells")
+
+
+@pytest.mark.parametrize("value, message", [
+    ("x", "non-numeric value 'x' at row 1, column 'z2'"),
+    ("NA", "missing value at row 1, column 'z2'"),
+])
+def test_cli_non_numeric_cell_names_its_file(replication_files, tmp_path,
+                                             value, message):
+    source = replication_files / "external.csv"
+    bad = tmp_path / "external.csv"
+    bad.write_text(source.read_text(encoding="utf-8"), encoding="utf-8")
+    replace_field(bad, "z2", 1, value)
+    args = method_args("pl", replication_files)
+    args[args.index(str(source))] = str(bad)
+    result = run_cli("fit", "--method", "pl", *args,
+                     "--out", str(tmp_path / "out.csv"))
+    assert result.returncode == 2
+    assert result.stderr.splitlines() == [f"error: validation: {bad}: {message}"]
+
+
+def test_cli_method_lists_are_the_data_methods():
+    assert sw.DATA_METHODS == ("unweighted", "pl", "sr", "ps", "cl")
+    assert sw.DATA_METHODS == tuple(
+        m for m in sw.simulation.METHOD_TABLE if m != "oracle_weights")
+    parser = build_parser()
+    commands = next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+    for command in ("fit", "weights"):
+        method = next(action for action in commands[command]._actions
+                      if action.dest == "method")
+        assert tuple(method.choices) == sw.DATA_METHODS
+    simulate = parser.parse_args(["simulate", "--out", "study.csv"])
+    assert simulate.method == ",".join(sw.DATA_METHODS)
+    default = inspect.signature(sw.run_study).parameters["methods"].default
+    assert default == sw.DATA_METHODS
 
 
 @pytest.mark.parametrize("command", ["fit", "weights"])

@@ -58,7 +58,7 @@ def test_score_residual_below_tolerance_at_solution():
     pi = rng.uniform(0.2, 1.0, size=60)
     design = sw.DesignMatrix(x, ["intercept", "x"])
     cfg = sw.SolveConfig()
-    model = sw.fit_weighted_logistic(design, d, pi, cfg)
+    model = sw.fit_weighted_logistic(design, d, pi)
     score = x.T @ ((d - sw.expit(x @ model.coefficients)) / pi) / 60
     assert np.max(np.abs(score)) <= cfg.tol_score
 

@@ -68,7 +68,7 @@ def test_pl_estimating_equation_residual_small():
                            names=["z2", "w", "d"])
     external = design_from(pop.z2[em], pop.w[em], pop.d[em],
                            names=["z2", "w", "d"])
-    ws = sw.estimate_weights_pl(internal, external, pop.pi_ext[em], cfg)
+    ws = sw.estimate_weights_pl(internal, external, pop.pi_ext[em])
     ext_w = 1.0 / pop.pi_ext[em]
     resid = (internal.matrix.sum(axis=0)
              - external.matrix.T @ (ext_w * sw.expit(external.matrix @ ws.alpha_hat)))
