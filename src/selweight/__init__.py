@@ -76,6 +76,7 @@ from .weights import (
     estimate_weights_pl,
     estimate_weights_ps,
     estimate_weights_sr,
+    first_occurrence,
     overlap_labels,
     winsorize_weights,
 )

@@ -17,6 +17,7 @@ from .dataio import (
     load_dataset,
     load_population_summary,
     parse_role_map,
+    read_header,
     read_key_values,
 )
 from .errors import NonConvergenceError, SelweightError, ValidationError
@@ -123,9 +124,10 @@ _CONFIG_PARSERS = {"dag": int, "setup": int, "n_population": int,
 class FileSource:
     """Method inputs read from the command's files.
 
-    The external data and the population summary load only when a method
-    asks for them.  ``n_population`` is ``--population-size`` when given
-    and the internal row count otherwise.
+    The external data and the marginal-means summary load only when a
+    method asks for them.  For ps the joint-cell summary loads first, so its
+    level columns load with the data.  ``n_population`` is
+    ``--population-size`` when given and the internal row count otherwise.
     """
 
     def __init__(self, args):
@@ -134,6 +136,12 @@ class FileSource:
                 f"--population-size must be at least 1, got {args.population_size}")
         self.args = args
         extra = tuple(args.augment_outcome) if args.augment_outcome else ()
+        if args.method == "ps":
+            # The summary's level columns load whether or not a role maps
+            # them; poststratification_inputs reports one the data lacks.
+            header = read_header(args.data)
+            extra += tuple(name for name in self.joint_summary.names
+                           if name in header)
         self.sample = load_dataset(args.data, parse_role_map(args.roles),
                                    extra_columns=extra)
         self.n_population = args.population_size or self.sample.n_rows
@@ -197,13 +205,15 @@ class FileSource:
             raise ValidationError(f"--summary is required for {self.args.method}")
         return load_population_summary(self.args.summary, kind)
 
+    @cached_property
+    def joint_summary(self):
+        return self._summary("joint_cells")
+
     def poststratification_inputs(self):
-        summary = self._summary("joint_cells")
+        summary = self.joint_summary
         if self.args.population_size is None:
             raise ValidationError("--population-size is required for ps")
         summary.population_size = self.args.population_size
-        if summary.names is None:
-            raise ValidationError("joint summary must name its level columns")
         try:
             levels = np.column_stack([self.sample.column(name)
                                       for name in summary.names])

@@ -235,6 +235,12 @@ def _read_header(reader, path):
         raise ValidationError(f"{path}: empty file") from None
 
 
+def read_header(path):
+    """The stripped header fields of a delimited file."""
+    with open(path, encoding="utf-8", newline="") as handle:
+        return _read_header(csv.reader(handle), path)
+
+
 def load_dataset(path, roles, extra_columns=()):
     """Load and validate a delimited dataset against a role map.
 

@@ -34,6 +34,7 @@ from .weights import (
     estimate_weights_pl,
     estimate_weights_ps,
     estimate_weights_sr,
+    first_occurrence,
     overlap_labels,
 )
 
@@ -328,8 +329,8 @@ class PopulationSource:
         cells_all = np.column_stack([pop.d.astype(int), coarsen(pop.z2),
                                      coarsen(pop.w)])
         codes = cell_codes(cells_all)
-        first = np.unique(codes, return_index=True)[1]
-        summary = PopulationSummary("joint_cells", levels=cells_all[first],
+        summary = PopulationSummary("joint_cells",
+                                    levels=cells_all[first_occurrence(codes)],
                                     probabilities=np.bincount(codes) / pop.n,
                                     population_size=pop.n)
         return cells_all[self.internal], summary
@@ -525,6 +526,9 @@ def run_study(cfg, methods=DATA_METHODS, parallelism=1):
     result is identical for every ``parallelism`` value.
     """
     methods = tuple(methods)
+    repeated = [m for i, m in enumerate(methods) if m in methods[:i]]
+    if repeated:
+        raise ValidationError(f"method {repeated[0]!r} is repeated")
     r_total = cfg.replications
     if r_total < 2:
         raise ValidationError("at least two replications are required")

@@ -78,25 +78,33 @@ def normal_quantile(p):
          2.04426310338993978564e-15]
 
     def poly(coef, x):
+        # Horner's rule in place: the same multiplies and adds, in the same
+        # order, as acc = acc * x + ck.
         acc = np.full_like(x, coef[-1])
         for ck in coef[-2::-1]:
-            acc = acc * x + ck
+            acc *= x
+            acc += ck
         return acc
 
     q = p - 0.5
     central = np.abs(q) <= 0.425
-    if np.any(central):
-        r = 0.180625 - q[central] ** 2
-        out[central] = q[central] * poly(a, r) / poly(b, r)
-    tail = ~central
-    if np.any(tail):
-        r = np.where(q[tail] < 0.0, p[tail], 1.0 - p[tail])
+    at = np.flatnonzero(central)
+    if at.size:
+        qc = q[at]
+        r = 0.180625 - qc ** 2
+        out[at] = qc * poly(a, r) / poly(b, r)
+    at = np.flatnonzero(~central)
+    if at.size:
+        qt, pt = q[at], p[at]
+        r = np.where(qt < 0.0, pt, 1.0 - pt)
         r = np.sqrt(-np.log(r))
         near = r <= 5.0
         val = np.empty_like(r)
-        val[near] = poly(c, r[near] - 1.6) / poly(d, r[near] - 1.6)
-        val[~near] = poly(e, r[~near] - 5.0) / poly(f, r[~near] - 5.0)
-        out[tail] = np.sign(q[tail]) * val
+        x = r[near] - 1.6
+        val[near] = poly(c, x) / poly(d, x)
+        x = r[~near] - 5.0
+        val[~near] = poly(e, x) / poly(f, x)
+        out[at] = np.sign(qt) * val
     return float(out[0]) if scalar else out
 
 

@@ -9,6 +9,7 @@ diagnostics.  Winsorization, outcome augmentation, and quantile coarsening
 support the weight-stabilization workflow.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -110,7 +111,7 @@ class PopulationSummary:
                 raise ValidationError(
                     f"joint cell probabilities sum to {total!r}, expected 1"
                 )
-            first = np.unique(cell_codes(self.levels), return_index=True)[1]
+            first = first_occurrence(cell_codes(self.levels))
             if first.size < k:
                 j = int(np.setdiff1d(np.arange(k), first)[0])
                 raise DuplicateCellError(
@@ -134,15 +135,48 @@ def cell_codes(rows):
     """Dense codes 0..k-1 of the k distinct rows of an integer matrix.
 
     Codes follow the lexicographic row order of ``np.unique(rows, axis=0)``.
-    Each column's ranks are folded in and the codes re-ranked, so no level
-    value can overflow.
+    When the product of the column ranges is at most ``4 n + 2**16`` (an
+    occupancy array no larger than a few times the input), each row's
+    mixed-radix offset (first column most significant) indexes one
+    occupancy array whose cumulative sum ranks the codes, in O(n) without a
+    sort.  Otherwise each column's ranks are folded in and the codes
+    re-ranked, so no level value can overflow.
     """
     rows = np.asarray(rows)
-    codes = np.zeros(rows.shape[0], dtype=np.intp)
+    n = rows.shape[0]
+    if n and np.issubdtype(rows.dtype, np.integer):
+        lows, highs = rows.min(axis=0), rows.max(axis=0)
+        spans = [int(hi) - int(lo) + 1 for lo, hi in zip(lows, highs)]
+        total = math.prod(spans)
+        if total <= 4 * n + 2**16:
+            codes = np.zeros(n, dtype=np.intp)
+            for column, low, span in zip(rows.T, lows, spans):
+                codes *= span
+                # Subtracting in intp keeps a narrow dtype from wrapping;
+                # the offset is below span, so a uint64 level that wraps
+                # in the cast still gives the exact offset.
+                codes += np.subtract(column, low, dtype=np.intp)
+            seen = np.zeros(total, dtype=np.intp)
+            seen[codes] = 1
+            rank = np.cumsum(seen)
+            rank -= 1
+            return rank[codes]
+    codes = np.zeros(n, dtype=np.intp)
     for column in rows.T:
         values, rank = np.unique(column, return_inverse=True)
         codes = np.unique(codes * values.size + rank, return_inverse=True)[1]
     return codes
+
+
+def first_occurrence(codes):
+    """Index of the first entry holding each of the dense codes 0..k-1.
+
+    Equals ``np.unique(codes, return_index=True)[1]``, found without a sort.
+    """
+    codes = np.asarray(codes)
+    first = np.full(codes.max(initial=-1) + 1, codes.size, dtype=np.intp)
+    np.minimum.at(first, codes, np.arange(codes.size))
+    return first
 
 
 # coarsen's default cutoffs: three bins split at the 15th and 85th percentiles.

@@ -454,6 +454,54 @@ def test_cli_empty_summary_is_a_validation_error(replication_files, tmp_path,
     assert result.stderr.splitlines() == [f"error: validation: {empty}: empty file"]
 
 
+def test_cli_simulate_rejects_a_repeated_method(tmp_path):
+    out = tmp_path / "study.csv"
+    result = run_cli("simulate", "--dag", "1", "--setup", "1",
+                     "--replications", "2", "--population-size", "4000",
+                     "--method", "unweighted,unweighted", "--out", str(out))
+    assert result.returncode == 2
+    assert result.stderr.splitlines() == [
+        "error: validation: method 'unweighted' is repeated"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "weights"])
+def test_cli_ps_loads_unmapped_level_columns(replication_files, tmp_path,
+                                             command):
+    outputs = []
+    for roles in ("roles.cfg", "roles_ps.cfg"):
+        args = method_args("ps", replication_files)
+        args[args.index("--roles") + 1] = str(replication_files / roles)
+        out = tmp_path / f"{roles}.csv"
+        result = run_cli(command, "--method", "ps", *args,
+                         "--population-size",
+                         str(REPLICATION_CFG.population_size), "--out", str(out))
+        assert result.returncode == 0, result.stderr
+        outputs.append((result.stdout, result.stderr, out.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("roles", ["roles.cfg", "roles_ps.cfg"])
+def test_cli_ps_level_column_missing_from_data(replication_files, tmp_path,
+                                               roles):
+    lines = (replication_files / "internal.csv").read_text(
+        encoding="utf-8").splitlines()
+    drop = lines[0].split(",").index("w_bin")
+    data = tmp_path / "internal.csv"
+    write_lines(data, [",".join(f for i, f in enumerate(line.split(","))
+                                if i != drop) for line in lines])
+    args = method_args("ps", replication_files)
+    args[args.index("--roles") + 1] = str(replication_files / roles)
+    args[args.index("--data") + 1] = str(data)
+    result = run_cli("fit", "--method", "ps", *args,
+                     "--population-size", str(REPLICATION_CFG.population_size),
+                     "--out", str(tmp_path / "out.csv"))
+    assert result.returncode == 2
+    message = ("data lacks summary level column 'w_bin'" if roles == "roles.cfg"
+               else f"{data}: missing columns ['w_bin']")
+    assert result.stderr.splitlines() == [f"error: validation: {message}"]
+
+
 def replace_field(path, column, row, value):
     """Rewrite one data row's field of a CSV written by write_lines."""
     lines = path.read_text(encoding="utf-8").splitlines()

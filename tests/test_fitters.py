@@ -75,6 +75,22 @@ def test_constant_probabilities_cancel(c):
     assert np.allclose(base.coefficients, scaled.coefficients, atol=1e-7)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.floats(min_value=1e-3, max_value=1e3), st.integers(0, 2**32 - 1))
+def test_weight_scale_invariance(c, seed):
+    # The solver stops on the unnormalised score, so rescaling the weights
+    # may move the stop by one iteration: only the estimates are compared.
+    rng = np.random.default_rng(seed)
+    x = np.column_stack([np.ones(50), rng.normal(size=50)])
+    d = (rng.random(50) < sw.expit(-0.3 + 0.9 * x[:, 1])).astype(float)
+    d[:2] = (0.0, 1.0)
+    pi = rng.uniform(0.05, 0.95, size=50) * min(1.0, 1.0 / c)
+    design = sw.DesignMatrix(x, ["intercept", "x"])
+    base = sw.fit_weighted_logistic(design, d, pi)
+    scaled = sw.fit_weighted_logistic(design, d, c * pi)
+    assert np.max(np.abs(scaled.coefficients - base.coefficients)) <= 1e-7
+
+
 def test_degenerate_outcome_rejected():
     design = sw.DesignMatrix(np.ones((5, 1)), ["intercept"])
     with pytest.raises(sw.DegenerateOutcomeError):

@@ -182,6 +182,13 @@ def test_run_study_aborts_when_all_replications_fail(monkeypatch):
         sw.run_study(cfg, methods=("unweighted", "pl"), parallelism=1)
 
 
+def test_run_study_rejects_a_repeated_method():
+    cfg = sw.SimulationConfig(dag=1, setup=1, seed=2, n_population=4000,
+                              replications=2)
+    with pytest.raises(sw.ValidationError, match="^method 'pl' is repeated$"):
+        sw.run_study(cfg, methods=("unweighted", "pl", "cl", "pl"))
+
+
 def test_run_study_deterministic_across_parallelism():
     cfg = sw.SimulationConfig(dag=2, setup=1, seed=9, n_population=4000,
                               replications=6)

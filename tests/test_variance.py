@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import selweight as sw
 from selweight.variance import cl_components, known_weights_components, pl_components
@@ -27,6 +30,116 @@ def test_normal_quantile_round_trips_through_distribution():
                         np.linspace(0.01, 0.99, 21),
                         np.array([1 - 1e-9])])
     assert np.max(np.abs(sw.normal_quantile(p) - norm.ppf(p))) <= 1e-9
+
+
+def reference_normal_quantile(p):
+    """The out-of-place Horner form with boolean-mask gathers, kept as the
+    bit-for-bit reference."""
+    p = np.asarray(p, dtype=float)
+    scalar = p.ndim == 0
+    p = np.atleast_1d(p)
+    if np.any((p <= 0.0) | (p >= 1.0)):
+        raise sw.ValidationError("normal_quantile requires probabilities in (0, 1)")
+    out = np.empty_like(p)
+
+    a = [3.3871328727963666080e0, 1.3314166789178437745e2,
+         1.9715909503065514427e3, 1.3731693765509461125e4,
+         4.5921953931549871457e4, 6.7265770927008700853e4,
+         3.3430575583588128105e4, 2.5090809287301226727e3]
+    b = [1.0, 4.2313330701600911252e1, 6.8718700749205790830e2,
+         5.3941960214247511077e3, 2.1213794301586595867e4,
+         3.9307895800092710610e4, 2.8729085735721942674e4,
+         5.2264952788528545610e3]
+    c = [1.42343711074968357734, 4.63033784615654529590,
+         5.76949722146069140550, 3.64784832476320460504,
+         1.27045825245236838258, 2.41780725177450611770e-1,
+         2.27238449892691845833e-2, 7.74545014278341407640e-4]
+    d = [1.0, 2.05319162663775882187, 1.67638483018380384940,
+         6.89767334985100004550e-1, 1.48103976427480074590e-1,
+         1.51986665636164571966e-2, 5.47593808499534494600e-4,
+         1.05075007164441684324e-9]
+    e = [6.65790464350110377720, 5.46378491116411436990,
+         1.78482653991729133580, 2.96560571828504891230e-1,
+         2.65321895265761230930e-2, 1.24266094738807843860e-3,
+         2.71155556874348757815e-5, 2.01033439929228813265e-7]
+    f = [1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1,
+         1.48753612908506148525e-2, 7.86869131145613259100e-4,
+         1.84631831751005468180e-5, 1.42151175831644588870e-7,
+         2.04426310338993978564e-15]
+
+    def poly(coef, x):
+        acc = np.full_like(x, coef[-1])
+        for ck in coef[-2::-1]:
+            acc = acc * x + ck
+        return acc
+
+    q = p - 0.5
+    central = np.abs(q) <= 0.425
+    if np.any(central):
+        r = 0.180625 - q[central] ** 2
+        out[central] = q[central] * poly(a, r) / poly(b, r)
+    tail = ~central
+    if np.any(tail):
+        r = np.where(q[tail] < 0.0, p[tail], 1.0 - p[tail])
+        r = np.sqrt(-np.log(r))
+        near = r <= 5.0
+        val = np.empty_like(r)
+        val[near] = poly(c, r[near] - 1.6) / poly(d, r[near] - 1.6)
+        val[~near] = poly(e, r[~near] - 5.0) / poly(f, r[~near] - 5.0)
+        out[tail] = np.sign(q[tail]) * val
+    return float(out[0]) if scalar else out
+
+
+def same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+def steps_around(x, k=40):
+    """x and its k nearest floats on each side."""
+    below, above = [x], [x]
+    for _ in range(k):
+        below.append(np.nextafter(below[-1], 0.0))
+        above.append(np.nextafter(above[-1], 1.0))
+    return below[:0:-1] + above
+
+
+# The sampler's clip ends, the centre, both sides of the central-region edge
+# |p - 0.5| = 0.425 and both sides of the tail split sqrt(-log p) = 5.
+QUANTILE_SPECIALS = np.array(
+    [1e-300, 1.0 - 1e-16, 0.5, 5e-324, np.nextafter(1.0, 0.0)]
+    + steps_around(0.075) + steps_around(0.925)
+    + list(np.exp(-25.0) * (1.0 + 1e-14 * np.arange(-20, 21)))
+    + list(1.0 - np.exp(-25.0) * (1.0 + 1e-5 * np.arange(-20, 21))))
+
+
+def test_normal_quantile_specials_match_reference_bit_for_bit():
+    p = QUANTILE_SPECIALS
+    central = np.abs(p - 0.5) <= 0.425
+    r = np.sqrt(-np.log(np.minimum(p, 1.0 - p)))
+    assert central.any() and (~central).any()
+    assert np.any(~central & (r <= 5.0)) and np.any(~central & (r > 5.0))
+    assert same_bits(sw.normal_quantile(p), reference_normal_quantile(p))
+    for value in p:
+        got = sw.normal_quantile(value)
+        assert type(got) is float
+        assert same_bits(got, reference_normal_quantile(value))
+    for bad in (0.0, 1.0, -0.5, 1.5, [0.5, 0.0]):
+        with pytest.raises(sw.ValidationError, match=r"\(0, 1\)"):
+            sw.normal_quantile(bad)
+
+
+@pytest.mark.parametrize("low, high", [(0.1, 0.9), (1e-300, 0.07),
+                                       (0.93, 1.0 - 1e-16), (1e-300, 1.0 - 1e-16)])
+def test_normal_quantile_regions_match_reference_bit_for_bit(low, high):
+    p = np.random.default_rng(3).uniform(low, high, size=5000)
+    assert same_bits(sw.normal_quantile(p), reference_normal_quantile(p))
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(float, st.integers(0, 60),
+              elements=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)))
+def test_normal_quantile_matches_reference_bit_for_bit(p):
+    assert same_bits(sw.normal_quantile(p), reference_normal_quantile(p))
 
 
 def test_wald_interval_examples():

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -339,13 +340,86 @@ def test_ps_permuting_units_permutes_pi_and_weights_sum_to_n(case, rnd):
     assert np.allclose(permuted.pi_hat, ws.pi_hat[perm], rtol=1e-12, atol=0.0)
 
 
+def fast_path_bound(rows):
+    """(product of the column ranges, cell_codes' fast-path bound)."""
+    spans = [int(hi) - int(lo) + 1 for lo, hi in zip(rows.min(0), rows.max(0))]
+    return math.prod(spans), 4 * len(rows) + 2**16
+
+
+def check_codes_like_unique(rows):
+    codes = sw.cell_codes(rows)
+    _, first, inverse = np.unique(rows, axis=0, return_index=True,
+                                  return_inverse=True)
+    assert np.array_equal(codes, inverse.ravel())
+    assert np.array_equal(w_mod.first_occurrence(codes),
+                          np.unique(codes, return_index=True)[1])
+    assert np.array_equal(w_mod.first_occurrence(codes), first)
+
+
+@st.composite
+def narrow_rows(draw):
+    """Rows of levels in [-3, 3] around a per-column offset of up to 2**62."""
+    m = draw(st.integers(1, 3))
+    offsets = draw(st.tuples(*[st.sampled_from([0, -1000, 10**9, -2**62,
+                                                2**62])] * m))
+    rows = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * m), min_size=1,
+                         max_size=30))
+    return np.array(rows, dtype=np.int64) + np.array(offsets, dtype=np.int64)
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.integers(1, 3).flatmap(
-    lambda m: st.lists(st.tuples(*[LEVELS] * m), min_size=1, max_size=30)))
-def test_cell_codes_order_rows_like_unique(rows):
-    rows = np.array(rows, dtype=np.int64)
-    _, inverse = np.unique(rows, axis=0, return_inverse=True)
-    assert np.array_equal(sw.cell_codes(rows), inverse.ravel())
+@given(narrow_rows())
+def test_cell_codes_fast_path_orders_rows_like_unique(rows):
+    total, bound = fast_path_bound(rows)
+    assert total <= bound
+    check_codes_like_unique(rows)
+
+
+@st.composite
+def wide_rows(draw):
+    """LEVELS rows plus two that make every column span 2**41 + 1, so the
+    range product of three columns would overflow int64."""
+    m = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.tuples(*[LEVELS] * m), max_size=30))
+    return np.array(rows + [(-2**40,) * m, (2**40,) * m], dtype=np.int64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_rows())
+def test_cell_codes_fallback_orders_rows_like_unique(rows):
+    total, bound = fast_path_bound(rows)
+    assert total > bound
+    check_codes_like_unique(rows)
+
+
+@pytest.mark.parametrize("extra, sorts", [(0, False), (1, True)])
+def test_cell_codes_path_switches_at_bound(monkeypatch, extra, sorts):
+    n = 5
+    top = 4 * n + 2**16 + extra - 1
+    rows = np.array([[top, 0], [3, 0], [0, 0], [3, 0], [top, 0]])
+    expected = np.unique(rows, axis=0, return_inverse=True)[1].ravel()
+    assert fast_path_bound(rows)[0] == 4 * n + 2**16 + extra
+    calls = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique",
+                        lambda *a, **k: calls.append(1) or unique(*a, **k))
+    assert np.array_equal(sw.cell_codes(rows), expected)
+    assert bool(calls) == sorts
+
+
+@pytest.mark.parametrize("rows", [
+    np.array([[0, 127], [1, -128], [0, -128], [1, 127], [0, 5]], dtype=np.int8),
+    np.array([[2**64 - 1], [2**63], [2**64 - 3], [2**63]], dtype=np.uint64),
+], ids=["int8", "uint64"])
+def test_cell_codes_fast_path_offsets_exact_in_every_integer_dtype(rows):
+    check_codes_like_unique(rows)
+
+
+def test_cell_codes_of_no_rows():
+    for rows in (np.zeros((0, 3), dtype=np.int64), np.zeros((0, 1), dtype=int)):
+        codes = sw.cell_codes(rows)
+        assert codes.shape == (0,) and codes.dtype == np.intp
+        assert w_mod.first_occurrence(codes).shape == (0,)
 
 
 def test_ps_summary_validation():
