@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 2 on validation errors, 3 on convergence
 failures.  Every failure prints one machine-parsable line to stderr of the
-form ``error: <kind>: <message>``.
+form ``error: <kind>: <message>``; each warning a loaded summary carries is
+printed as ``warning: <text>``.
 """
 
 import argparse
@@ -32,9 +33,6 @@ from .simulation import (
 from .variance import wald_ci
 from .weights import augment_weights_with_outcome, overlap_labels, winsorize_weights
 
-FIT_COLUMNS = ["method", "parameter", "estimate", "std_error",
-               "ci_lower", "ci_upper"]
-WEIGHT_COLUMNS = ["row", "pi_hat", "weight"]
 STUDY_COLUMNS = ["method", "parameter", "bias", "relative_bias_pct",
                  "rmse_relative", "coverage", "mean_est_var", "mc_var",
                  "failures", "n_used"]
@@ -203,7 +201,10 @@ class FileSource:
     def _summary(self, kind):
         if not self.args.summary:
             raise ValidationError(f"--summary is required for {self.args.method}")
-        return load_population_summary(self.args.summary, kind)
+        summary = load_population_summary(self.args.summary, kind)
+        for text in summary.warnings:
+            print(f"warning: {text}", file=sys.stderr)
+        return summary
 
     @cached_property
     def joint_summary(self):
@@ -253,11 +254,9 @@ def cli_fit(args):
     theta = model.coefficients
     ci = wald_ci(theta, model.vcov)
     se = np.sqrt(np.diag(model.vcov))
-    table = ResultTable(FIT_COLUMNS)
-    for j, name in enumerate(model.column_names):
-        table.append(method=args.method, parameter=name,
-                     estimate=float(theta[j]), std_error=float(se[j]),
-                     ci_lower=float(ci[j, 0]), ci_upper=float(ci[j, 1]))
+    table = ResultTable.from_columns(
+        method=[args.method] * len(theta), parameter=list(model.column_names),
+        estimate=theta, std_error=se, ci_lower=ci[:, 0], ci_upper=ci[:, 1])
     table.write(args.out, args.format)
     return 0
 
@@ -266,9 +265,8 @@ def cli_weights(args):
     if args.method == "unweighted":
         raise ValidationError("weights requires one of pl, sr, ps, cl")
     _, pi, _ = _weights(args)
-    table = ResultTable(WEIGHT_COLUMNS)
-    for i, value in enumerate(pi, start=1):
-        table.append(row=i, pi_hat=float(value), weight=float(1.0 / value))
+    table = ResultTable.from_columns(row=np.arange(1, len(pi) + 1), pi_hat=pi,
+                                     weight=1.0 / pi)
     table.write(args.out, args.format)
     return 0
 

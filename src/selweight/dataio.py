@@ -9,7 +9,8 @@ significant digits so round-trips preserve every double exactly.
 
 import csv
 import json
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -249,27 +250,27 @@ def load_dataset(path, roles, extra_columns=()):
     row and the column.  ``extra_columns`` pulls in additional numeric
     columns beyond the role map (for example outcome-probability columns
     used by weight augmentation).
+
+    The data rows are parsed in one numpy pass.  Whenever that pass rejects
+    the text or yields a NaN in a wanted column, the row loop
+    (:func:`_columns_by_row`) parses the file instead; it gives the same
+    numbers, so it alone decides every error and its row number.
     """
+    wanted = list(roles.mapped_columns())
+    wanted += [c for c in extra_columns if c not in wanted]
     with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = _read_header(reader, path)
-        wanted = list(roles.mapped_columns())
-        wanted += [c for c in extra_columns if c not in wanted]
+        header = _read_header(csv.reader(handle), path)
         missing = [c for c in wanted if c not in header]
         if missing:
             raise MissingColumnError(f"{path}: missing columns {missing}")
-        index = {c: header.index(c) for c in wanted}
-        data = {c: [] for c in index}
-        n_rows = 0
-        for row_number, row in _data_rows(reader, path, len(header)):
-            n_rows += 1
-            for column, pos in index.items():
-                data[column].append(_parse_cell(row[pos], path, row_number,
-                                                column))
-    if n_rows == 0:
-        raise ValidationError(f"{path}: no data rows")
+        table = _numeric_table(handle, len(header))
+    positions = [header.index(c) for c in wanted]
+    if table is None or np.isnan(table[:, positions]).any():
+        columns, n_rows = _columns_by_row(path, wanted)
+    else:
+        columns = {c: table[:, j].copy() for c, j in zip(wanted, positions)}
+        n_rows = len(table)
 
-    columns = {c: np.asarray(v, dtype=float) for c, v in data.items()}
     binary_roles = [roles.outcome, roles.selection_indicator,
                     roles.external_indicator]
     for name in binary_roles:
@@ -281,6 +282,52 @@ def load_dataset(path, roles, extra_columns=()):
             )
     return AnalysisSample(columns=columns, roles=roles, n_rows=n_rows,
                           source=str(path))
+
+
+def _numeric_table(handle, width):
+    """The rest of ``handle`` as a float matrix of ``width`` columns, or None.
+
+    ``np.loadtxt`` converts each field with ``PyOS_string_to_double``, the
+    routine ``float`` uses, so an accepted matrix holds the row loop's
+    numbers.  It fails on what the row loop treats specially (a missing or
+    quoted token, a whitespace-only or ``,,,`` row, ``1_0``, a row of the
+    wrong width) and returns NaN for ``nan``; the caller then runs the row
+    loop.  None also when there are no rows or not ``width`` columns.
+    """
+    try:
+        with warnings.catch_warnings():
+            # A table without rows warns; the row loop reports it instead.
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2,
+                               dtype=float)
+    except ValueError:
+        return None
+    if table.shape[0] == 0 or table.shape[1] != width:
+        return None
+    return table
+
+
+def _columns_by_row(path, wanted):
+    """Parse the ``wanted`` columns of a data file one row at a time.
+
+    Returns the columns as float arrays and the row count, or raises the
+    error naming the file, the data row and the column of the first bad
+    cell.
+    """
+    with open(path, encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        header = _read_header(reader, path)
+        index = {c: header.index(c) for c in wanted}
+        data = {c: [] for c in index}
+        n_rows = 0
+        for row_number, row in _data_rows(reader, path, len(header)):
+            n_rows += 1
+            for column, pos in index.items():
+                data[column].append(_parse_cell(row[pos], path, row_number,
+                                                column))
+    if n_rows == 0:
+        raise ValidationError(f"{path}: no data rows")
+    return {c: np.asarray(v, dtype=float) for c, v in data.items()}, n_rows
 
 
 def load_population_summary(path, kind):
@@ -373,58 +420,101 @@ def format_number(value):
     return f"{float(value):.17g}"
 
 
-@dataclass
-class ResultTable:
-    """Flat result rows with a fixed column order, writable as CSV or JSON."""
+def _formatted_column(values):
+    """The CSV text and the JSON text of each value of one result column.
 
-    column_names: list
-    rows: list = field(default_factory=list)
+    A number is written with 17 significant digits, a non-finite float is
+    ``null`` in JSON, and any other value is its ``str``, quoted in JSON.
+    An integer or float array is formatted as a whole.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        if values.dtype.kind == "f":
+            texts = [f"{v:.17g}" for v in values.tolist()]
+        else:
+            texts = [str(v) for v in values.tolist()]
+        finite = np.isfinite(values).tolist()
+        return texts, [t if ok else "null" for t, ok in zip(texts, finite)]
+    texts, json_texts = [], []
+    for value in values:
+        if isinstance(value, (int, float, np.integer, np.floating)):
+            text = format_number(value)
+            finite = (not isinstance(value, (float, np.floating))
+                      or np.isfinite(value))
+            json_texts.append(text if finite else "null")
+        else:
+            text = str(value)
+            json_texts.append(json.dumps(text))
+        texts.append(text)
+    return texts, json_texts
+
+
+def _check_intervals(columns):
+    """Raise unless every row's ``ci_lower`` <= ``estimate`` <= ``ci_upper``,
+    when the columns include all three."""
+    if {"ci_lower", "estimate", "ci_upper"} <= columns.keys():
+        lower, estimate, upper = (np.asarray(columns[c], dtype=float)
+                                  for c in ("ci_lower", "estimate", "ci_upper"))
+        if not np.all((lower <= estimate) & (estimate <= upper)):
+            raise ValidationError(
+                "confidence interval does not bracket the estimate"
+            )
+
+
+class ResultTable:
+    """Result columns in a fixed order, writable as CSV or JSON.
+
+    Fill a table row by row with :meth:`append`, or make it whole from
+    named columns with :meth:`from_columns`; both write the same bytes for
+    the same values.
+    """
+
+    def __init__(self, column_names):
+        self.column_names = list(column_names)
+        self.columns = {c: [] for c in self.column_names}
+
+    @classmethod
+    def from_columns(cls, **columns):
+        """A table of the given columns, in argument order, one entry per row.
+
+        As in :meth:`append`, every row's confidence interval must bracket
+        its estimate, and every column needs the same length.
+        """
+        lengths = {name: len(values) for name, values in columns.items()}
+        if len(set(lengths.values())) > 1:
+            raise ValidationError(f"result columns differ in length: {lengths}")
+        _check_intervals(columns)
+        table = cls(columns)
+        table.columns = dict(columns)
+        return table
 
     def append(self, **values):
+        """Add one row; a column it does not name is written empty."""
         unknown = set(values) - set(self.column_names)
         if unknown:
             raise ValidationError(f"unknown result columns {sorted(unknown)}")
-        if ("ci_lower" in values and "estimate" in values
-                and "ci_upper" in values):
-            if not (values["ci_lower"] <= values["estimate"] <= values["ci_upper"]):
-                raise ValidationError(
-                    "confidence interval does not bracket the estimate"
-                )
-        self.rows.append(values)
+        _check_intervals({name: [value] for name, value in values.items()})
+        for name, column in self.columns.items():
+            column.append(values.get(name, ""))
 
     def _formatted(self):
-        for row in self.rows:
-            yield [
-                format_number(row[c]) if isinstance(row.get(c), (int, float, np.floating, np.integer))
-                else str(row.get(c, ""))
-                for c in self.column_names
-            ]
+        """(CSV texts, JSON texts) of each column, in column order."""
+        return [_formatted_column(self.columns[c]) for c in self.column_names]
 
     def write_csv(self, path):
+        texts = [csv_texts for csv_texts, _ in self._formatted()]
         with open(path, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(self.column_names)
-            writer.writerows(self._formatted())
+            writer.writerows(zip(*texts))
 
     def write_json(self, path):
         # Hand-rolled so numeric fields carry the same 17-significant-digit
         # text as the CSV writer.
-        lines = ["["]
-        formatted = list(self._formatted())
-        for i, (row, cells) in enumerate(zip(self.rows, formatted)):
-            parts = []
-            for name, cell in zip(self.column_names, cells):
-                value = row.get(name)
-                if isinstance(value, (int, float, np.floating, np.integer)):
-                    if isinstance(value, (float, np.floating)) and not np.isfinite(value):
-                        parts.append(f"{json.dumps(name)}: null")
-                    else:
-                        parts.append(f"{json.dumps(name)}: {cell}")
-                else:
-                    parts.append(f"{json.dumps(name)}: {json.dumps(cell)}")
-            suffix = "," if i + 1 < len(formatted) else ""
-            lines.append("  {" + ", ".join(parts) + "}" + suffix)
-        lines.append("]")
+        fields = [[f"{json.dumps(name)}: {text}" for text in json_texts]
+                  for name, (_, json_texts) in zip(self.column_names,
+                                                   self._formatted())]
+        rows = ["  {" + ", ".join(cells) + "}" for cells in zip(*fields)]
+        lines = ["[", *(row + "," for row in rows[:-1]), *rows[-1:], "]"]
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write("\n".join(lines) + "\n")
 

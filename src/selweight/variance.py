@@ -48,7 +48,7 @@ def normal_quantile(p):
     p = np.asarray(p, dtype=float)
     scalar = p.ndim == 0
     p = np.atleast_1d(p)
-    if np.any((p <= 0.0) | (p >= 1.0)):
+    if not np.all((p > 0.0) & (p < 1.0)):  # also rejects NaN
         raise ValidationError("normal_quantile requires probabilities in (0, 1)")
     out = np.empty_like(p)
 

@@ -1,14 +1,22 @@
 import argparse
+import csv
 import inspect
+import io
 import json
 import re
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import selweight as sw
+from selweight import dataio
 from selweight.cli import build_parser
 from selweight.dataio import ResultTable, format_number
 
@@ -137,6 +145,105 @@ def test_round_trip_export_import_fit_identical(tmp_path, roles_file):
     assert np.max(np.abs(fit_mem.coefficients - fit_file.coefficients)) <= 1e-12
 
 
+# Cell tokens: mostly numbers, so that many files take the numpy pass, plus
+# every token the row loop treats specially.
+NUMBER_TOKENS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["-0", "1e400", "-1e-400", "5e-324", "+.5", "7."]),
+)
+SPECIAL_TOKENS = st.sampled_from([
+    "", "NA", "na", "nan", "NaN", "-nan", "null", "N/A", "inf", "-Infinity",
+    "1_0", '"1.5"', '"1,5"', "x", "0x10", "\u0661",
+])
+PADDING = st.sampled_from(["", "", " ", "\t", "  "])
+
+
+@st.composite
+def padded(draw, tokens):
+    return draw(PADDING) + draw(tokens) + draw(PADDING)
+
+
+CELL_TOKENS = padded(st.one_of(NUMBER_TOKENS, NUMBER_TOKENS, SPECIAL_TOKENS))
+BINARY_DIGITS = st.sampled_from(["0", "1", "1.0", "0e0", "-0"])
+BINARY_TOKENS = padded(st.sampled_from(["0", "1", "1.0", "2", "0.5", "nan",
+                                        "NA", ""]))
+LABEL_TOKENS = st.sampled_from(["a", "b c", "1", "", "nan"])
+
+
+@st.composite
+def csv_texts(draw):
+    """A data file with outcome D, covariates X and W and, when drawn, an
+    unmapped column, written from the token grammar above.  Most files
+    draw only numbers, empty lines and padding, some with a 2 in D or NaN
+    tokens in X and W."""
+    header = ["D", "X", "W"] + (["label"] if draw(st.booleans()) else [])
+    style = draw(st.sampled_from(["numbers", "numbers", "D in 0, 1, 2",
+                                  "NaN", "mixed", "mixed"]))
+    if style != "mixed":
+        outcome = (st.sampled_from(["0", "1", "2"]) if style == "D in 0, 1, 2"
+                   else BINARY_DIGITS)
+        number = padded(NUMBER_TOKENS if style != "NaN" else st.one_of(
+            NUMBER_TOKENS, st.sampled_from(["nan", "-nan", "NaN", "+nan"])))
+        tokens = {"D": padded(outcome), "X": number, "W": number,
+                  "label": st.sampled_from(["1", "nan", " -2 "])}
+        kinds = ["row"] * 6 + ["blank"]
+        blanks = [""]
+    else:
+        tokens = {"D": BINARY_TOKENS, "X": CELL_TOKENS, "W": CELL_TOKENS,
+                  "label": LABEL_TOKENS}
+        kinds = ["row"] * 6 + ["blank", "narrow", "wide"]
+        blanks = ["", "  ", ",,,", " , ,"]
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(kinds))
+        cells = [draw(tokens[name]) for name in header]
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(blanks)))
+        elif kind == "narrow":
+            lines.append(",".join(cells[:-1]))
+        else:
+            lines.append(",".join(cells + ["1"] * (kind == "wide")))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]),
+                         min_size=len(lines), max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def load_outcome(path, roles):
+    """The loaded columns' bytes and row count, or the error's type and text."""
+    try:
+        sample = sw.load_dataset(path, roles)
+    except Exception as exc:  # the error is the outcome to compare
+        return type(exc), str(exc)
+    return {c: v.tobytes() for c, v in sample.columns.items()}, sample.n_rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(csv_texts())
+def test_load_dataset_equals_the_row_loop(text):
+    roles = sw.ColumnRoleMap(outcome="D", disease_covariates=["X"],
+                             selection_covariates=["W"])
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        got = load_outcome(path, roles)
+        # With the numpy pass declined, the row loop parses every file.
+        with mock.patch.object(dataio, "_numeric_table", return_value=None):
+            expected = load_outcome(path, roles)
+    assert got == expected
+
+
+def test_load_dataset_parses_clean_files_in_one_numpy_pass(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"D,Z1,W1,note\r\n1, 0.5 ,2e0,-1\r\n\r\n0,-0,inf,nan\r\n")
+    with mock.patch.object(dataio, "_columns_by_row",
+                           side_effect=AssertionError("row loop ran")):
+        sample = sw.load_dataset(path, simple_roles())
+    assert sample.n_rows == 2
+    assert sample.columns["Z1"].tobytes() == np.array([0.5, -0.0]).tobytes()
+    assert sample.columns["W1"].tolist() == [2.0, np.inf]
+
+
 # ---------------------------------------------------------------------------
 # summary loading
 
@@ -229,7 +336,7 @@ def test_result_table_interval_invariant():
                      std_error=0.1, ci_lower=0.0, ci_upper=1.0)
     table.append(method="pl", parameter="z1", estimate=0.5, std_error=0.1,
                  ci_lower=0.3, ci_upper=0.7)
-    assert len(table.rows) == 1
+    assert table.columns["estimate"] == [0.5]
 
 
 def test_result_table_serialization_17_digits(tmp_path):
@@ -243,6 +350,66 @@ def test_result_table_serialization_17_digits(tmp_path):
     assert "0.33333333333333331" in text
     parsed = json.loads(json_path.read_text())
     assert parsed[0]["value"] == 1.0 / 3.0
+
+
+# pi values a weights table may hold: signed zeros, subnormals, extremes and
+# non-finite values, whose reciprocals are infinite or subnormal in turn.
+EDGE_VALUES = np.array([0.5, 1.0 / 3.0, -0.0, 0.0, 5e-324, 2.2250738585072014e-308,
+                        1e308, -1.7976931348623157e308, np.inf, -np.inf, np.nan])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_weights_table_from_columns_writes_the_appended_bytes(tmp_path, fmt):
+    with np.errstate(divide="ignore", over="ignore"):
+        weight = 1.0 / EDGE_VALUES
+    rows = np.arange(1, EDGE_VALUES.size + 1)
+    by_column = ResultTable.from_columns(row=rows, pi_hat=EDGE_VALUES,
+                                         weight=weight)
+    by_row = ResultTable(["row", "pi_hat", "weight"])
+    for i, (value, w) in enumerate(zip(EDGE_VALUES, weight), start=1):
+        by_row.append(row=i, pi_hat=float(value), weight=float(w))
+    by_column.write(tmp_path / "columns", fmt)
+    by_row.write(tmp_path / "rows", fmt)
+    written = (tmp_path / "columns").read_bytes()
+    assert written == (tmp_path / "rows").read_bytes()
+    if fmt == "json":
+        assert json.loads(written)[-1] == {"row": 11, "pi_hat": None,
+                                           "weight": None}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_fit_table_from_columns_writes_the_appended_bytes(tmp_path, fmt):
+    estimate = np.array([-2.0, 0.5, 1e-320, -0.0])
+    std_error = np.array([0.25, np.inf, 1e308, 0.0])
+    lower, upper = estimate - std_error, estimate + std_error
+    names = ["intercept", "z1", "a,b", 'say "x"']
+    by_column = ResultTable.from_columns(
+        method=["pl"] * 4, parameter=names, estimate=estimate,
+        std_error=std_error, ci_lower=lower, ci_upper=upper)
+    by_row = ResultTable(["method", "parameter", "estimate", "std_error",
+                          "ci_lower", "ci_upper"])
+    for j, name in enumerate(names):
+        by_row.append(method="pl", parameter=name, estimate=float(estimate[j]),
+                      std_error=float(std_error[j]), ci_lower=float(lower[j]),
+                      ci_upper=float(upper[j]))
+    by_column.write(tmp_path / "columns", fmt)
+    by_row.write(tmp_path / "rows", fmt)
+    written = (tmp_path / "columns").read_text(encoding="utf-8")
+    assert written == (tmp_path / "rows").read_text(encoding="utf-8")
+    if fmt == "csv":
+        read_back = [row[1] for row in csv.reader(io.StringIO(written))][1:]
+    else:
+        read_back = [row["parameter"] for row in json.loads(written)]
+    assert read_back == names
+
+
+def test_result_table_from_columns_checks_its_rows():
+    with pytest.raises(sw.ValidationError, match="differ in length"):
+        ResultTable.from_columns(row=np.arange(3), pi_hat=np.ones(2))
+    for estimate in (2.0, -1.0, np.nan):
+        with pytest.raises(sw.ValidationError, match="bracket"):
+            ResultTable.from_columns(estimate=np.array([0.5, estimate]),
+                                     ci_lower=np.zeros(2), ci_upper=np.ones(2))
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +667,27 @@ def test_cli_ps_level_column_missing_from_data(replication_files, tmp_path,
     message = ("data lacks summary level column 'w_bin'" if roles == "roles.cfg"
                else f"{data}: missing columns ['w_bin']")
     assert result.stderr.splitlines() == [f"error: validation: {message}"]
+
+
+@pytest.mark.parametrize("command", ["fit", "weights"])
+def test_cli_prints_summary_warnings(replication_files, tmp_path, command):
+    lines = (replication_files / "cells.csv").read_text(
+        encoding="utf-8").splitlines()
+    cells = tmp_path / "cells.csv"
+    write_lines(cells, lines[:1] + [
+        f"{head},{format_number(float(p) * 1.0005)}"
+        for head, p in (line.rsplit(",", 1) for line in lines[1:])])
+    args = method_args("ps", replication_files)
+    args[args.index("--summary") + 1] = str(cells)
+    out = tmp_path / "out.csv"
+    result = run_cli(command, "--method", "ps", *args, "--population-size",
+                     str(REPLICATION_CFG.population_size), "--out", str(out))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        "warning: cell probabilities summed to 1.000500; renormalized to 1"]
+    assert out.read_text(encoding="utf-8").startswith(
+        "method," if command == "fit" else "row,pi_hat,weight\n1,")
 
 
 def replace_field(path, column, row, value):

@@ -123,7 +123,7 @@ def test_normal_quantile_specials_match_reference_bit_for_bit():
         got = sw.normal_quantile(value)
         assert type(got) is float
         assert same_bits(got, reference_normal_quantile(value))
-    for bad in (0.0, 1.0, -0.5, 1.5, [0.5, 0.0]):
+    for bad in (0.0, 1.0, -0.5, 1.5, [0.5, 0.0], np.nan, [0.5, np.nan]):
         with pytest.raises(sw.ValidationError, match=r"\(0, 1\)"):
             sw.normal_quantile(bad)
 

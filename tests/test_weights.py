@@ -522,6 +522,69 @@ def test_cl_aligns_summary_means_by_name():
                           ws2.pi_hat)
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_cl_meets_random_feasible_totals(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(20, 200))
+    x = rng.normal(size=(n, 2))
+    beta = rng.normal(scale=0.5, size=2)
+    n_pop = int(rng.integers(2 * n, 10 * n))
+    # The intercept that puts sum(1 / expit(a0 + x beta)) at n_pop makes the
+    # totals below feasible.
+    a0 = -math.log((n_pop - n) / np.exp(-(x @ beta)).sum())
+    means = x.T @ (1.0 + np.exp(-a0 - x @ beta)) / n_pop
+    summary = sw.PopulationSummary("marginal_means", means=means,
+                                   names=["x1", "x2"], population_size=n_pop)
+    design = design_from(*x.T, names=["x1", "x2"])
+    ws = sw.estimate_weights_cl(design, summary)
+    assert ws.diagnostics["clamped_low"] == ws.diagnostics["clamped_high"] == 0
+    achieved = design.matrix.T @ (1.0 / ws.pi_hat)
+    totals = n_pop * np.concatenate([[1.0], means])
+    assert np.max(np.abs(achieved - totals)) / n_pop <= sw.SolveConfig().tol_score
+
+
+# ---------------------------------------------------------------------------
+# row-permutation invariance
+
+
+def selection_pi(method, x_int, x_ext, pi_ext, int_in_ext, ext_in_int,
+                 population_means, n_pop):
+    """pi-hat of PL, SR or CL from an internal and an external sample."""
+    internal = design_from(*x_int.T, names=["x1", "x2"])
+    external = design_from(*x_ext.T, names=["x1", "x2"])
+    if method == "pl":
+        return sw.estimate_weights_pl(internal, external, pi_ext).pi_hat
+    if method == "sr":
+        labels = sw.overlap_labels(int_in_ext, ext_in_int)
+        return sw.estimate_weights_sr(internal, external, pi_ext, labels).pi_hat
+    summary = sw.PopulationSummary("marginal_means", means=population_means,
+                                   names=["x1", "x2"], population_size=n_pop)
+    return sw.estimate_weights_cl(internal, summary).pi_hat
+
+
+@pytest.mark.parametrize("method", ["pl", "sr", "cl"])
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_permuting_sample_rows_permutes_pi(method, seed):
+    rng = np.random.default_rng(seed)
+    n_pop = 600
+    x = rng.normal(size=(n_pop, 2))
+    s = rng.random(n_pop) < sw.expit(-1.0 + x @ np.array([0.6, -0.4]))
+    pi_ext = 0.15 + 0.5 * sw.expit(0.8 * x[:, 0])
+    s_ext = rng.random(n_pop) < pi_ext
+    internal = (x[s], s_ext[s])
+    external = (x[s_ext], pi_ext[s_ext], s[s_ext])
+    pi = selection_pi(method, internal[0], external[0], external[1],
+                      internal[1], external[2], x.mean(axis=0), n_pop)
+    p_int = rng.permutation(int(s.sum()))
+    p_ext = rng.permutation(int(s_ext.sum()))
+    permuted = selection_pi(method, internal[0][p_int], external[0][p_ext],
+                            external[1][p_ext], internal[1][p_int],
+                            external[2][p_ext], x.mean(axis=0), n_pop)
+    assert np.allclose(permuted, pi[p_int], rtol=1e-9, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # winsorization
 
