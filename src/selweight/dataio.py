@@ -212,6 +212,16 @@ def integer_cells(values, columns, path, rows=None):
     return values.astype(np.int64)
 
 
+def _csv_rows(handle, path):
+    """The rows of a CSV file, as ``csv.reader`` yields them; a malformed
+    row (say, a field over ``csv.field_size_limit()``) raises
+    :class:`ValidationError` naming ``path``."""
+    try:
+        yield from csv.reader(handle)
+    except csv.Error as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+
+
 def _data_rows(reader, path, width):
     """Yield (1-based row number, fields) for each non-blank data row;
     blank lines are not counted, so row i is entry i of the loaded arrays."""
@@ -239,7 +249,7 @@ def _read_header(reader, path):
 def read_header(path):
     """The stripped header fields of a delimited file."""
     with open(path, encoding="utf-8", newline="") as handle:
-        return _read_header(csv.reader(handle), path)
+        return _read_header(_csv_rows(handle, path), path)
 
 
 def load_dataset(path, roles, extra_columns=()):
@@ -251,20 +261,29 @@ def load_dataset(path, roles, extra_columns=()):
     columns beyond the role map (for example outcome-probability columns
     used by weight augmentation).
 
-    The data rows are parsed in one numpy pass.  Whenever that pass rejects
-    the text or yields a NaN in a wanted column, the row loop
-    (:func:`_columns_by_row`) parses the file instead; it gives the same
-    numbers, so it alone decides every error and its row number.
+    The data rows are parsed in one numpy pass over every column.  When
+    that fails and some columns are not wanted (a text column such as a
+    subject ID fails it), a second numpy pass converts only the wanted
+    ones.  Whenever the numpy passes reject the text or yield a NaN in a
+    wanted column, the row loop (:func:`_columns_by_row`) parses the file
+    instead; it gives the same numbers, so it alone decides every error and
+    its row number.
     """
     wanted = list(roles.mapped_columns())
     wanted += [c for c in extra_columns if c not in wanted]
     with open(path, encoding="utf-8", newline="") as handle:
-        header = _read_header(csv.reader(handle), path)
+        header = _read_header(_csv_rows(handle, path), path)
         missing = [c for c in wanted if c not in header]
         if missing:
             raise MissingColumnError(f"{path}: missing columns {missing}")
+        positions = [header.index(c) for c in wanted]
         table = _numeric_table(handle, len(header))
-    positions = [header.index(c) for c in wanted]
+        skipped = set(range(len(header))) - set(positions)
+        if table is None and skipped:
+            # Converters slow the pass, so only a failed pass takes them.
+            handle.seek(0)
+            _read_header(_csv_rows(handle, path), path)
+            table = _numeric_table(handle, len(header), skipped)
     if table is None or np.isnan(table[:, positions]).any():
         columns, n_rows = _columns_by_row(path, wanted)
     else:
@@ -284,22 +303,35 @@ def load_dataset(path, roles, extra_columns=()):
                           source=str(path))
 
 
-def _numeric_table(handle, width):
+def _skipped_cell(text):
+    """0 for a cell of a column that is not read.  A quote may change how
+    ``csv`` splits the row, so it sends the file to the row loop."""
+    if '"' in text:
+        raise ValueError("quoted field")
+    return 0.0
+
+
+def _numeric_table(handle, width, skipped=()):
     """The rest of ``handle`` as a float matrix of ``width`` columns, or None.
 
-    ``np.loadtxt`` converts each field with ``PyOS_string_to_double``, the
-    routine ``float`` uses, so an accepted matrix holds the row loop's
-    numbers.  It fails on what the row loop treats specially (a missing or
-    quoted token, a whitespace-only or ``,,,`` row, ``1_0``, a row of the
-    wrong width) and returns NaN for ``nan``; the caller then runs the row
-    loop.  None also when there are no rows or not ``width`` columns.
+    The columns at the positions in ``skipped`` are not converted; they
+    read as 0 (:func:`_skipped_cell`).  ``np.loadtxt`` converts each field
+    with ``PyOS_string_to_double``, the routine ``float`` uses, so an
+    accepted matrix holds the row loop's numbers.  It fails on what the row
+    loop treats specially (a missing or quoted token, a whitespace-only or
+    ``,,,`` row, ``1_0``, a row of the wrong width, a quote in any column)
+    and returns NaN for ``nan``; the caller then runs the row loop.  None
+    also when there are no rows or not ``width`` columns.
     """
+    # Converters, not ``usecols``, skip columns, so that loadtxt still
+    # checks that every row has the width of the first.
+    converters = dict.fromkeys(skipped, _skipped_cell)
     try:
         with warnings.catch_warnings():
             # A table without rows warns; the row loop reports it instead.
             warnings.simplefilter("ignore", UserWarning)
             table = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2,
-                               dtype=float)
+                               dtype=float, converters=converters)
     except ValueError:
         return None
     if table.shape[0] == 0 or table.shape[1] != width:
@@ -315,7 +347,7 @@ def _columns_by_row(path, wanted):
     cell.
     """
     with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
+        reader = _csv_rows(handle, path)
         header = _read_header(reader, path)
         index = {c: header.index(c) for c in wanted}
         data = {c: [] for c in index}
@@ -348,7 +380,7 @@ def load_population_summary(path, kind):
 
 def _load_joint_cells(path):
     with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
+        reader = _csv_rows(handle, path)
         header = _read_header(reader, path)
         if len(header) < 2 or header[-1] != "probability":
             raise ValidationError(
@@ -390,7 +422,7 @@ def _load_marginal_means(path):
     names, means = [], []
     population_size = None
     with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
+        reader = _csv_rows(handle, path)
         header = _read_header(reader, path)
         if [h.lower() for h in header] != ["name", "value"]:
             raise ValidationError(

@@ -32,18 +32,23 @@ MULTINOMIAL_CATEGORIES = 3
 def expit(x):
     """Numerically stable inverse logit, branch-free.
 
-    With ``e = exp(-|x|)`` the result is ``where(x >= 0, 1, e) / (1 + e)``:
-    for x >= 0 that is ``1/(1+exp(-x))`` and for x < 0 ``exp(x)/(1+exp(x))``,
-    the same operations as the two-branch form, so every value matches it
-    bit for bit.  ``-|x|`` is taken as ``minimum(x, -x)``, which keeps a
-    NaN's sign as the two-branch form does.  The shorter ``(1 + tanh(x/2))/2``
-    is not used: it loses relative accuracy for small probabilities, the
-    range ``weights.PI_FLOOR`` guards.
+    With ``e = exp(-|x|)`` the result is ``maximum(e, x >= 0) / (1 + e)``:
+    for x >= 0 the numerator is 1 (e <= 1), giving ``1/(1+exp(-x))``, and
+    for x < 0 it is e, giving ``exp(x)/(1+exp(x))``; a NaN keeps e's own
+    NaN.  These are the operations of the two-branch form, so every value
+    matches it bit for bit.  ``-|x|`` is taken as ``minimum(x, -x)``, which
+    keeps a NaN's sign as the two-branch form does.  The shorter
+    ``(1 + tanh(x/2))/2`` is not used: it loses relative accuracy for small
+    probabilities, the range ``weights.PI_FLOOR`` guards.
     """
     x = np.asarray(x, dtype=float)
-    e = np.exp(np.minimum(x, -x))
-    out = np.where(x >= 0, 1.0, e)
-    out /= 1.0 + e
+    # ``out=`` keeps 0-d inputs as arrays, which the in-place steps need.
+    e = np.negative(x, out=np.empty_like(x))
+    np.minimum(x, e, out=e)
+    np.exp(e, out=e)
+    out = np.maximum(e, x >= 0, out=np.empty_like(x))
+    e += 1.0
+    out /= e
     return out if out.ndim else float(out)
 
 

@@ -6,11 +6,16 @@ external probability sample is drawn alongside, and each replication fits
 the requested weighting methods with their matching sandwich variances.
 Replication streams are keyed by (seed, replication index) on a
 counter-based generator, and normal variates come from the inverse CDF, so
-studies are bit-reproducible at any degree of parallelism.
+studies are bit-reproducible at any degree of parallelism.  Within a
+replication the methods share only the read-only population, so they run on
+the calling thread and up to one helper thread per further usable CPU; each
+result is the same bits whichever thread computed it.
 """
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
+from collections import deque
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -425,13 +430,42 @@ def fit_method(method, src, pi, weight_set):
     return model
 
 
+def _usable_cpus():
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fit_one(method, src):
+    """``method``'s result on ``src``; a :class:`SelweightError` is captured
+    in it, and any other exception is returned instead of a result."""
+    try:
+        pi, weight_set = estimate_pi(method, src)
+        model = fit_method(method, src, pi, weight_set)
+        return MethodResult(method, model=model, weight_set=weight_set)
+    except SelweightError as exc:
+        return MethodResult(method, error=f"{type(exc).__name__}: {exc}")
+    except Exception as exc:  # re-raised in method order by the caller
+        return exc
+
+
 def run_replication(cfg, replication_index, methods=METHODS):
     """Generate one population and fit every requested method on it.
 
     Per-method failures are captured in the returned results rather than
     raised, so a single separation or convergence failure does not abort a
-    study.
+    study.  Any other exception propagates; when several methods raise, the
+    one listed first in ``methods`` does.
+
+    The methods are fitted concurrently, on the calling thread and one
+    helper thread per further usable CPU (at most one per further method).
+    The results are bit-identical to fitting them one after another.
     """
+    return _replicate(cfg, replication_index, methods, threaded=True)
+
+
+def _replicate(cfg, replication_index, methods, threaded):
     methods = tuple(methods)
     if not methods:
         raise ValidationError("at least one method is required")
@@ -440,16 +474,39 @@ def run_replication(cfg, replication_index, methods=METHODS):
         raise ValidationError(f"unknown methods {unknown}")
 
     src = PopulationSource(generate_population(cfg, replication_index))
-    results = {}
+    queue = deque(dict.fromkeys(methods))
+    outcomes = {}
+
+    def drain():
+        # popleft is atomic, so each method is taken by exactly one thread.
+        while True:
+            try:
+                method = queue.popleft()
+            except IndexError:
+                return
+            outcomes[method] = _fit_one(method, src)
+
+    helpers = min(len(queue), _usable_cpus()) - 1 if threaded else 0
+    if helpers > 0:
+        errors = np.geterr()
+
+        def helper():
+            # numpy's floating-point error state is per thread.
+            with np.errstate(**errors):
+                drain()
+
+        with ThreadPoolExecutor(max_workers=helpers) as pool:
+            futures = [pool.submit(helper) for _ in range(helpers)]
+            drain()
+            for future in futures:
+                future.result()
+    else:
+        drain()
+
     for method in methods:
-        try:
-            pi, weight_set = estimate_pi(method, src)
-            model = fit_method(method, src, pi, weight_set)
-            results[method] = MethodResult(method, model=model,
-                                           weight_set=weight_set)
-        except SelweightError as exc:
-            results[method] = MethodResult(method, error=f"{type(exc).__name__}: {exc}")
-    return results
+        if isinstance(outcomes[method], Exception):
+            raise outcomes[method]
+    return {method: outcomes[method] for method in methods}
 
 
 # Coverage is that of the two-sided Wald interval at this level.
@@ -500,8 +557,8 @@ class StudyResult:
 
 
 def _run_replication_task(args):
-    cfg, index, methods = args
-    results = run_replication(cfg, index, methods)
+    cfg, index, methods, threaded = args
+    results = _replicate(cfg, index, methods, threaded)
     compact = {}
     for method, res in results.items():
         if res.failed:
@@ -521,9 +578,12 @@ def _run_replication_task(args):
 def run_study(cfg, methods=DATA_METHODS, parallelism=1):
     """Run the configured number of replications and aggregate the metrics.
 
-    Parallel execution farms replications out to worker processes; the
-    aggregation is a deterministic reduction in replication order, so the
-    result is identical for every ``parallelism`` value.
+    Parallel execution farms replications out to worker processes, which
+    fit each replication's methods one after another, as the processes
+    already fill the CPUs; with ``parallelism`` 1 each replication fits its
+    methods on threads, as :func:`run_replication` does.  The aggregation
+    is a deterministic reduction in replication order, so the result is
+    identical for every ``parallelism`` value.
     """
     methods = tuple(methods)
     repeated = [m for i, m in enumerate(methods) if m in methods[:i]]
@@ -532,8 +592,9 @@ def run_study(cfg, methods=DATA_METHODS, parallelism=1):
     r_total = cfg.replications
     if r_total < 2:
         raise ValidationError("at least two replications are required")
-    tasks = [(cfg, r, methods) for r in range(r_total)]
-    if parallelism and parallelism > 1:
+    processes = bool(parallelism and parallelism > 1)
+    tasks = [(cfg, r, methods, not processes) for r in range(r_total)]
+    if processes:
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
             outcomes = list(pool.map(_run_replication_task, tasks,
                                      chunksize=max(1, r_total // (8 * parallelism))))

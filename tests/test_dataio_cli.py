@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import selweight as sw
@@ -168,16 +168,20 @@ CELL_TOKENS = padded(st.one_of(NUMBER_TOKENS, NUMBER_TOKENS, SPECIAL_TOKENS))
 BINARY_DIGITS = st.sampled_from(["0", "1", "1.0", "0e0", "-0"])
 BINARY_TOKENS = padded(st.sampled_from(["0", "1", "1.0", "2", "0.5", "nan",
                                         "NA", ""]))
-LABEL_TOKENS = st.sampled_from(["a", "b c", "1", "", "nan"])
+# Unmapped text: IDs, and quoted cells that csv and loadtxt split differently.
+TEXT_LABELS = ["S000017", "id 7", '"a,b"', '"q"', 'x"y', '""']
+LABEL_TOKENS = st.sampled_from(["a", "b c", "1", "", "nan", *TEXT_LABELS])
 
 
 @st.composite
 def csv_texts(draw):
-    """A data file with outcome D, covariates X and W and, when drawn, an
-    unmapped column, written from the token grammar above.  Most files
-    draw only numbers, empty lines and padding, some with a 2 in D or NaN
-    tokens in X and W."""
-    header = ["D", "X", "W"] + (["label"] if draw(st.booleans()) else [])
+    """A data file with outcome D, covariates X and W and, when drawn, one
+    or two unmapped columns, written from the token grammar above.  Most
+    files draw only numbers, empty lines and padding in D, X and W, some
+    with a 2 in D or NaN tokens in X and W; unmapped columns may hold
+    text."""
+    header = ["D", "X", "W"] + draw(st.sampled_from([[], ["label"],
+                                                     ["label", "note"]]))
     style = draw(st.sampled_from(["numbers", "numbers", "D in 0, 1, 2",
                                   "NaN", "mixed", "mixed"]))
     if style != "mixed":
@@ -186,12 +190,13 @@ def csv_texts(draw):
         number = padded(NUMBER_TOKENS if style != "NaN" else st.one_of(
             NUMBER_TOKENS, st.sampled_from(["nan", "-nan", "NaN", "+nan"])))
         tokens = {"D": padded(outcome), "X": number, "W": number,
-                  "label": st.sampled_from(["1", "nan", " -2 "])}
+                  "label": st.sampled_from(["1", "nan", " -2 ", *TEXT_LABELS])}
+        tokens["note"] = tokens["label"]
         kinds = ["row"] * 6 + ["blank"]
         blanks = [""]
     else:
         tokens = {"D": BINARY_TOKENS, "X": CELL_TOKENS, "W": CELL_TOKENS,
-                  "label": LABEL_TOKENS}
+                  "label": LABEL_TOKENS, "note": LABEL_TOKENS}
         kinds = ["row"] * 6 + ["blank", "narrow", "wide"]
         blanks = ["", "  ", ",,,", " , ,"]
     lines = [",".join(header)]
@@ -220,6 +225,10 @@ def load_outcome(path, roles):
 
 @settings(max_examples=60, deadline=None)
 @given(csv_texts())
+# An ID column; a short row whose quoted comma makes up the missing field
+# for loadtxt, which does not read quotes.
+@example("D,X,W,label\n1,2,3,S000017\n0,4,5,S000018\n")
+@example('D,X,W,label,note\n1,2,3,"a,b"\n')
 def test_load_dataset_equals_the_row_loop(text):
     roles = sw.ColumnRoleMap(outcome="D", disease_covariates=["X"],
                              selection_covariates=["W"])
@@ -242,6 +251,17 @@ def test_load_dataset_parses_clean_files_in_one_numpy_pass(tmp_path):
     assert sample.n_rows == 2
     assert sample.columns["Z1"].tobytes() == np.array([0.5, -0.0]).tobytes()
     assert sample.columns["W1"].tolist() == [2.0, np.inf]
+
+
+def test_load_dataset_reads_text_columns_in_the_numpy_pass(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"id,D,Z1,W1,site\nS01,1,0.5,2,north\nS02,0,-1,3,\n")
+    with mock.patch.object(dataio, "_columns_by_row",
+                           side_effect=AssertionError("row loop ran")):
+        sample = sw.load_dataset(path, simple_roles())
+    assert sample.n_rows == 2
+    assert sample.columns["Z1"].tolist() == [0.5, -1.0]
+    assert sample.columns["W1"].tolist() == [2.0, 3.0]
 
 
 # ---------------------------------------------------------------------------
@@ -780,6 +800,31 @@ def test_cli_non_numeric_cell_names_its_file(replication_files, tmp_path,
                      "--out", str(tmp_path / "out.csv"))
     assert result.returncode == 2
     assert result.stderr.splitlines() == [f"error: validation: {bad}: {message}"]
+
+
+# A field over csv.field_size_limit() (131,072 characters); the value is 0.5.
+LONG_NUMBER = "0.5" + "0" * 140_000
+
+
+@pytest.mark.parametrize("target", ["means.csv", "internal.csv"])
+def test_cli_overlong_field_is_a_validation_error(replication_files, tmp_path,
+                                                  target):
+    bad = tmp_path / target
+    bad.write_text((replication_files / target).read_text(encoding="utf-8"),
+                   encoding="utf-8")
+    # Data row 2 of means.csv is z2's mean; row 1 is N.
+    column, row = ("value", 2) if target == "means.csv" else ("z2", 1)
+    replace_field(bad, column, row, LONG_NUMBER)
+    if target == "internal.csv":
+        # A quoted cell further down sends the file to the row loop.
+        replace_field(bad, "z1", 3, '"0.25"')
+    args = method_args("cl", replication_files)
+    args[args.index(str(replication_files / target))] = str(bad)
+    result = run_cli("fit", "--method", "cl", *args,
+                     "--out", str(tmp_path / "out.csv"))
+    assert result.returncode == 2
+    assert result.stderr.splitlines() == [
+        f"error: validation: {bad}: field larger than field limit (131072)"]
 
 
 def test_cli_method_lists_are_the_data_methods():

@@ -1,4 +1,7 @@
 import json
+import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -136,6 +139,28 @@ def test_r_offset_skips_sparse_bins():
 # replication and study plumbing
 
 
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the number of CPUs the replication sees as usable."""
+    def set_cpus(count):
+        monkeypatch.setattr(sim_mod, "_usable_cpus", lambda: count)
+    return set_cpus
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """The threads started so far, in start order."""
+    started = []
+    start = threading.Thread.start
+
+    def counted(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return started
+
+
 def test_run_replication_returns_all_requested_methods():
     cfg = sw.SimulationConfig(dag=1, setup=1, seed=2, n_population=6000)
     results = sw.run_replication(cfg, 0, methods=sw.METHODS)
@@ -157,15 +182,17 @@ def test_run_replication_rejects_unknown_method():
         sw.run_replication(cfg, 0, methods=("banana",))
 
 
-def test_run_replication_captures_method_failures(monkeypatch):
+def test_run_replication_captures_method_failures(monkeypatch, cpus):
     cfg = sw.SimulationConfig(dag=1, setup=1, seed=2, n_population=5000)
 
     def boom(*args, **kwargs):
         raise sw.NonConvergenceError("forced failure")
 
     monkeypatch.setattr(sim_mod, "estimate_weights_pl", boom)
-    results = sw.run_replication(cfg, 0, methods=("unweighted", "pl"))
-    assert not results["unweighted"].failed
+    # One thread per method: the failure stays in pl's result.
+    cpus(len(sw.METHODS))
+    results = sw.run_replication(cfg, 0, methods=sw.METHODS)
+    assert not any(results[m].failed for m in sw.METHODS if m != "pl")
     assert results["pl"].failed
     assert "forced failure" in results["pl"].error
 
@@ -208,6 +235,147 @@ def test_run_study_unweighted_rmse_is_exactly_one():
     assert study.metric("unweighted", "theta2").rmse_relative == 1.0
     for row in study.rows:
         assert 0.0 <= row.coverage <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# concurrent replication: the calling thread and helper threads share the
+# methods
+
+
+def replication_bits(results):
+    """Per method: the error text, or every number the study keeps."""
+    bits = {}
+    for method, res in results.items():
+        if res.failed:
+            bits[method] = res.error
+            continue
+        ws = res.weight_set
+        bits[method] = (res.model.coefficients.tobytes(),
+                        res.model.vcov.tobytes())
+        if ws is not None:
+            alpha = b"" if ws.alpha_hat is None else ws.alpha_hat.tobytes()
+            bits[method] += (ws.pi_hat.tobytes(), alpha,
+                             ws.diagnostics.get("clamped_low", 0),
+                             ws.diagnostics.get("clamped_high", 0))
+    return bits
+
+
+@pytest.mark.parametrize("dag", [1, 2, 3, 4])
+@pytest.mark.parametrize("setup", [1, 2, 3])
+def test_threaded_replication_matches_the_serial_one_bit_for_bit(
+        dag, setup, monkeypatch, cpus, thread_starts):
+    cfg = sw.SimulationConfig(dag=dag, setup=setup, seed=5, n_population=5000)
+    cpus(1)
+    serial = sw.run_replication(cfg, 1, methods=sw.METHODS)
+    assert not thread_starts
+
+    fitted = []
+    fit_one = sim_mod._fit_one
+
+    def counted(method, src):
+        fitted.append(method)
+        return fit_one(method, src)
+
+    monkeypatch.setattr(sim_mod, "_fit_one", counted)
+    # Six threads on fewer cores, switching often: a method taken twice or
+    # not at all, or a lost result, would show.
+    cpus(len(sw.METHODS))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = sw.run_replication(cfg, 1, methods=sw.METHODS)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(thread_starts) == len(sw.METHODS) - 1
+    assert sorted(fitted) == sorted(sw.METHODS)
+    assert list(threaded) == list(sw.METHODS)
+    assert replication_bits(threaded) == replication_bits(serial)
+
+
+def test_helper_threads_run_beside_the_caller_with_its_error_state(
+        monkeypatch, cpus):
+    # Each method waits until both have started, so the test passes only if
+    # two threads fit them at once; each records numpy's error state.
+    both_started = threading.Barrier(2, timeout=30)
+    seen = {}
+    estimate_pi = sim_mod.estimate_pi
+
+    def recorded(method, src):
+        both_started.wait()
+        seen[threading.get_ident()] = np.geterr()
+        return estimate_pi(method, src)
+
+    monkeypatch.setattr(sim_mod, "estimate_pi", recorded)
+    cpus(2)
+    cfg = sw.SimulationConfig(dag=1, setup=1, seed=2, n_population=5000)
+    with np.errstate(divide="ignore", over="raise", invalid="print"):
+        caller = np.geterr()
+        results = sw.run_replication(cfg, 0, methods=("unweighted", "cl"))
+    assert threading.get_ident() in seen and len(seen) == 2
+    assert all(state == caller for state in seen.values())
+    assert not any(res.failed for res in results.values())
+
+
+@pytest.mark.parametrize("usable", [1, 3])
+@pytest.mark.parametrize("order", [("pl", "unweighted", "cl"),
+                                   ("cl", "unweighted", "pl")])
+def test_the_first_listed_method_error_propagates(monkeypatch, cpus, usable,
+                                                  order):
+    # pl raises late, so with threads cl's error is raised first in time.
+    def late_pl(*args, **kwargs):
+        time.sleep(0.2)
+        raise RuntimeError("pl defect")
+
+    def cl_defect(*args, **kwargs):
+        raise KeyError("cl defect")
+
+    monkeypatch.setattr(sim_mod, "estimate_weights_pl", late_pl)
+    monkeypatch.setattr(sim_mod, "estimate_weights_cl", cl_defect)
+    cpus(usable)
+    cfg = sw.SimulationConfig(dag=1, setup=1, seed=2, n_population=5000)
+    expected = RuntimeError if order[0] == "pl" else KeyError
+    with pytest.raises(expected, match=f"{order[0]} defect"):
+        sw.run_replication(cfg, 0, methods=order)
+
+
+@pytest.mark.parametrize("usable, methods", [(1, sw.METHODS), (8, ("cl",))])
+def test_no_thread_without_a_second_cpu_or_method(cpus, thread_starts, usable,
+                                                  methods):
+    cpus(usable)
+    cfg = sw.SimulationConfig(dag=1, setup=1, seed=2, n_population=5000)
+    results = sw.run_replication(cfg, 0, methods=methods)
+    assert not thread_starts
+    assert list(results) == list(methods)
+
+
+class InProcessPool:
+    """A stand-in process pool that runs every task in this process."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return [fn(task) for task in tasks]
+
+
+def test_study_worker_processes_start_no_threads(monkeypatch, cpus,
+                                                 thread_starts):
+    monkeypatch.setattr(sim_mod, "ProcessPoolExecutor", InProcessPool)
+    cpus(8)
+    cfg = sw.SimulationConfig(dag=2, setup=1, seed=9, n_population=4000,
+                              replications=3)
+    methods = ("unweighted", "pl", "cl")
+    pooled = sw.run_study(cfg, methods=methods, parallelism=2)
+    assert not thread_starts
+    threaded = sw.run_study(cfg, methods=methods, parallelism=1)
+    assert len(thread_starts) == 3 * (len(methods) - 1)
+    assert pooled.rows == threaded.rows
 
 
 # ---------------------------------------------------------------------------
