@@ -93,7 +93,7 @@ def read_key_values(path, parsers):
     """
     values = {}
     with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
+        for lineno, raw in enumerate(_checked(handle, path), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -212,14 +212,25 @@ def integer_cells(values, columns, path, rows=None):
     return values.astype(np.int64)
 
 
-def _csv_rows(handle, path):
-    """The rows of a CSV file, as ``csv.reader`` yields them; a malformed
-    row (say, a field over ``csv.field_size_limit()``) raises
-    :class:`ValidationError` naming ``path``."""
+def _checked(items, path):
+    """Yield from ``items``, the lines or CSV rows of the file ``path``; a
+    malformed CSV row (say, a field over ``csv.field_size_limit()``) or a
+    byte that is not UTF-8 raises :class:`ValidationError` naming ``path``."""
     try:
-        yield from csv.reader(handle)
+        yield from items
     except csv.Error as exc:
         raise ValidationError(f"{path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise ValidationError(
+            f"{path}: not UTF-8 text (byte 0x{byte:02x}: {exc.reason})"
+        ) from None
+
+
+def _csv_rows(handle, path):
+    """The rows of a CSV file, as ``csv.reader`` yields them (see
+    :func:`_checked` for the errors)."""
+    return _checked(csv.reader(handle), path)
 
 
 def _data_rows(reader, path, width):

@@ -5,19 +5,25 @@ crossed with three internal-selection-model forms (``setup`` 1-3), an
 external probability sample is drawn alongside, and each replication fits
 the requested weighting methods with their matching sandwich variances.
 Replication streams are keyed by (seed, replication index) on a
-counter-based generator, and normal variates come from the inverse CDF, so
-studies are bit-reproducible at any degree of parallelism.  Within a
-replication the methods share only the read-only population, so they run on
-the calling thread and up to one helper thread per further usable CPU; each
-result is the same bits whichever thread computed it.
+counter-based generator (Philox), and normal variates come from the
+inverse CDF, so studies are bit-reproducible at any degree of parallelism.
+A population is drawn in row blocks, each reading its uniforms from fixed
+positions in the replication's stream, so the blocks can be drawn in any
+order.  A replication shares its blocks, and then its methods (which read
+only the finished population), between the calling thread and up to one
+helper thread per further usable CPU; every array and every result is the
+same bits at any thread, process or block count.
 """
 
 import math
 import os
+import threading
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
-from typing import Optional
+from functools import partial
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -143,48 +149,148 @@ class Population:
         return self.z1.size
 
 
-def _replication_rng(seed, replication_index):
-    key = np.array([seed, replication_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+# Rows per block of a population draw.  Blocks of this size keep a draw's
+# temporaries in cache and let the replication's threads share the draw.
+POPULATION_BLOCK_ROWS = 32_768
 
 
-def _standard_normal(rng, n):
-    # Inverse-CDF sampling keeps draws identical across platforms.
-    u = np.clip(rng.random(n), 1e-300, 1.0 - 1e-16)
-    return normal_quantile(u)
+class _Helpers(NamedTuple):
+    """A replication's helper threads: up to ``count`` tasks of ``pool``."""
+
+    pool: ThreadPoolExecutor
+    count: int
 
 
-def generate_population(cfg, replication_index=0):
-    """Simulate one population under the configured scenario.
+def _run_tasks(tasks, helpers=None):
+    """The results of the zero-argument callables ``tasks``, in task order.
 
-    Draw order is fixed (z1, z2 innovation, disease, w innovation, internal
-    selection, external selection) so a (seed, replication) pair always
-    yields the same arrays.
+    The calling thread and up to ``helpers.count`` helper threads (no more
+    than there are further tasks) take tasks from one queue; helpers run
+    under the caller's numpy error state.  With ``helpers`` None the calling
+    thread runs every task.  Every task runs; if some raise, the exception
+    of the one listed first is raised.
     """
-    rng = _replication_rng(cfg.seed, replication_index)
-    n = cfg.population_size
-    rho = cfg.z_correlation
+    queue = deque(enumerate(tasks))
+    results = [None] * len(queue)
+    errors = [None] * len(queue)
 
-    z1 = _standard_normal(rng, n)
-    z2 = rho * z1 + math.sqrt(1.0 - rho**2) * _standard_normal(rng, n)
+    def drain():
+        # popleft is atomic, so each task is taken by exactly one thread.
+        while True:
+            try:
+                i, task = queue.popleft()
+            except IndexError:
+                return
+            try:
+                results[i] = task()
+            except Exception as exc:  # raised in task order below
+                errors[i] = exc
+
+    count = min(helpers.count, len(queue) - 1) if helpers else 0
+    if count > 0:
+        saved = np.geterr()
+        # Helpers drain only once all are submitted: a helper that finished
+        # early would take a later submission itself, leaving fewer threads.
+        submitted = threading.Event()
+
+        def helper():
+            submitted.wait()
+            # numpy's floating-point error state is per thread.
+            with np.errstate(**saved):
+                drain()
+
+        try:
+            futures = [helpers.pool.submit(helper) for _ in range(count)]
+        finally:
+            submitted.set()
+        drain()
+        for future in futures:
+            future.result()
+    else:
+        drain()
+
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
+
+
+def _uniforms(key, start, m):
+    """Uniforms ``start .. start + m - 1`` of the Philox stream keyed by ``key``.
+
+    A Philox counter step yields four 64-bit outputs and each uniform takes
+    one, so the stream is reached at ``start`` without drawing what comes
+    before it.
+    """
+    bits = np.random.Philox(key=key)
+    bits.advance(start // 4)
+    bits.random_raw(start % 4)
+    return np.random.Generator(bits).random(m)
+
+
+def _standard_normal(u):
+    # Inverse-CDF sampling keeps draws identical across platforms.
+    return normal_quantile(np.clip(u, 1e-300, 1.0 - 1e-16))
+
+
+def _draw_block(cfg, key, pop, lo, hi):
+    """Draw rows ``lo:hi`` of ``pop`` in place.
+
+    Draw ``t`` (z1, z2 innovation, disease, w innovation, internal
+    selection, external selection) reads uniform ``j`` of the population
+    at stream position ``t * n + j``; everything after the uniforms is
+    element-wise, so a row's values do not depend on the block it is in.
+    """
+    n, m = pop.n, hi - lo
+
+    def uniforms(t):
+        return _uniforms(key, t * n + lo, m)
+
+    rho = cfg.z_correlation
+    z1 = _standard_normal(uniforms(0))
+    z2 = rho * z1 + math.sqrt(1.0 - rho**2) * _standard_normal(uniforms(1))
 
     t0, t1, t2 = cfg.theta
-    d = (rng.random(n) < expit(t0 + t1 * z1 + t2 * z2)).astype(float)
+    d = (uniforms(2) < expit(t0 + t1 * z1 + t2 * z2)).astype(float)
 
     g1, g2, g3 = cfg.gamma
-    w = g1 * d + g2 * z1 + g3 * z2 + _standard_normal(rng, n)
+    w = g1 * d + g2 * z1 + g3 * z2 + _standard_normal(uniforms(3))
 
     a4, a5 = cfg.interactions
     eta = (cfg.alpha0 + cfg.alpha1 * z2 + cfg.alpha2 * w + cfg.alpha3 * d
            + a4 * d * z2 + a5 * d * w)
     pi_true = cfg.selection_scale * expit(eta)
-    s = (rng.random(n) < pi_true).astype(float)
+    s = (uniforms(4) < pi_true).astype(float)
 
     v0, v1, v2, v3 = cfg.nu
     pi_ext = cfg.external_scale * expit(v0 + v1 * z2 + v2 * w + v3 * d)
-    s_ext = (rng.random(n) < pi_ext).astype(float)
+    s_ext = (uniforms(5) < pi_ext).astype(float)
 
-    return Population(z1, z2, w, d, s, s_ext, pi_true, pi_ext)
+    parts = {"z1": z1, "z2": z2, "w": w, "d": d, "s": s, "s_ext": s_ext,
+             "pi_true": pi_true, "pi_ext": pi_ext}
+    for name, part in parts.items():
+        getattr(pop, name)[lo:hi] = part
+
+
+def generate_population(cfg, replication_index=0, *, helpers=None):
+    """Simulate one population under the configured scenario.
+
+    Draw order is fixed (z1, z2 innovation, disease, w innovation, internal
+    selection, external selection) so a (seed, replication) pair always
+    yields the same arrays.  The rows are drawn in blocks of at most
+    ``POPULATION_BLOCK_ROWS``, each from its own positions in the
+    replication's stream, on the calling thread and the replication's
+    ``helpers`` (None: the calling thread alone); the arrays are the same
+    bits for any block or thread count.
+    """
+    n = cfg.population_size
+    key = np.array([cfg.seed, replication_index], dtype=np.uint64)
+    pop = Population(*(np.empty(n) for _ in range(8)))
+    blocks = -(-n // POPULATION_BLOCK_ROWS)
+    bounds = [i * n // blocks for i in range(blocks + 1)]
+    _run_tasks([partial(_draw_block, cfg, key, pop, lo, hi)
+                for lo, hi in zip(bounds, bounds[1:])], helpers)
+    return pop
 
 
 @dataclass
@@ -284,10 +390,10 @@ class MethodResult:
         return self.error is not None
 
 
-def _selection_design(population, mask):
+def _selection_design(population, rows):
     return DesignMatrix(
-        np.column_stack([np.ones(int(mask.sum())), population.z2[mask],
-                         population.w[mask], population.d[mask]]),
+        np.column_stack([np.ones(rows.size), population.z2[rows],
+                         population.w[rows], population.d[rows]]),
         ["intercept", "z2", "w", "d"],
     )
 
@@ -296,7 +402,9 @@ class PopulationSource:
     """Method inputs read from one simulated population.
 
     The internal sample is the units with ``s == 1``, the external sample
-    those with ``s_ext == 1``.  The designs are built up front: building
+    those with ``s_ext == 1``; ``internal`` and ``external`` are their row
+    indices (``np.flatnonzero``), not boolean masks, since an index gather
+    reads only the chosen rows.  The designs are built up front: building
     them on first use does the same work but measured about 10% slower per
     dag 3 replication on a 2-core host.  The cell table and the marginal
     means are built only when a method asks for them.
@@ -304,11 +412,11 @@ class PopulationSource:
 
     def __init__(self, population):
         pop = self.population = population
-        self.internal = pop.s == 1.0
-        self.external = pop.s_ext == 1.0
+        self.internal = np.flatnonzero(pop.s == 1.0)
+        self.external = np.flatnonzero(pop.s_ext == 1.0)
         self.n_population = pop.n
         self.disease_design = DesignMatrix(
-            np.column_stack([np.ones(int(self.internal.sum())),
+            np.column_stack([np.ones(self.internal.size),
                              pop.z1[self.internal], pop.z2[self.internal]]),
             ["intercept", "z1", "z2"],
         )
@@ -439,15 +547,13 @@ def _usable_cpus():
 
 def _fit_one(method, src):
     """``method``'s result on ``src``; a :class:`SelweightError` is captured
-    in it, and any other exception is returned instead of a result."""
+    in it, and any other exception propagates."""
     try:
         pi, weight_set = estimate_pi(method, src)
         model = fit_method(method, src, pi, weight_set)
         return MethodResult(method, model=model, weight_set=weight_set)
     except SelweightError as exc:
         return MethodResult(method, error=f"{type(exc).__name__}: {exc}")
-    except Exception as exc:  # re-raised in method order by the caller
-        return exc
 
 
 def run_replication(cfg, replication_index, methods=METHODS):
@@ -458,9 +564,10 @@ def run_replication(cfg, replication_index, methods=METHODS):
     study.  Any other exception propagates; when several methods raise, the
     one listed first in ``methods`` does.
 
-    The methods are fitted concurrently, on the calling thread and one
-    helper thread per further usable CPU (at most one per further method).
-    The results are bit-identical to fitting them one after another.
+    The population's row blocks, and then the methods, are shared out
+    between the calling thread and one helper thread per further usable
+    CPU (at most one per further method).  The results are bit-identical
+    to drawing and fitting on one thread.
     """
     return _replicate(cfg, replication_index, methods, threaded=True)
 
@@ -473,39 +580,15 @@ def _replicate(cfg, replication_index, methods, threaded):
     if unknown:
         raise ValidationError(f"unknown methods {unknown}")
 
-    src = PopulationSource(generate_population(cfg, replication_index))
-    queue = deque(dict.fromkeys(methods))
-    outcomes = {}
-
-    def drain():
-        # popleft is atomic, so each method is taken by exactly one thread.
-        while True:
-            try:
-                method = queue.popleft()
-            except IndexError:
-                return
-            outcomes[method] = _fit_one(method, src)
-
-    helpers = min(len(queue), _usable_cpus()) - 1 if threaded else 0
-    if helpers > 0:
-        errors = np.geterr()
-
-        def helper():
-            # numpy's floating-point error state is per thread.
-            with np.errstate(**errors):
-                drain()
-
-        with ThreadPoolExecutor(max_workers=helpers) as pool:
-            futures = [pool.submit(helper) for _ in range(helpers)]
-            drain()
-            for future in futures:
-                future.result()
-    else:
-        drain()
-
-    for method in methods:
-        if isinstance(outcomes[method], Exception):
-            raise outcomes[method]
+    unique = tuple(dict.fromkeys(methods))
+    count = min(len(unique), _usable_cpus()) - 1 if threaded else 0
+    with ThreadPoolExecutor(count) if count > 0 else nullcontext() as pool:
+        helpers = _Helpers(pool, count) if count > 0 else None
+        src = PopulationSource(generate_population(cfg, replication_index,
+                                                   helpers=helpers))
+        results = _run_tasks([partial(_fit_one, method, src)
+                              for method in unique], helpers)
+    outcomes = dict(zip(unique, results))
     return {method: outcomes[method] for method in methods}
 
 

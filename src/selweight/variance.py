@@ -193,9 +193,12 @@ def pl_components(theta_hat, alpha_hat, design, outcome, selection_design,
     cross = (xi.T * (resid / pi_int)) @ z / n
     bracket = (xi.T @ xi) / n
     if mask.any():
-        cross -= (xi[mask].T * (resid[mask] / internal_pi_ext[mask])) @ z[mask] / n
+        rows = np.flatnonzero(mask)
+        xi_both = xi[rows]
+        pi_ext_both = internal_pi_ext[rows]
+        cross -= (xi_both.T * (resid[rows] / pi_ext_both)) @ z[rows] / n
         bracket -= 2.0 * (
-            (xi[mask].T * (pi_int[mask] / internal_pi_ext[mask])) @ xi[mask] / n
+            (xi_both.T * (pi_int[rows] / pi_ext_both)) @ xi_both / n
         )
     bracket += (xe.T * ((pi_at_ext / pi_ext) ** 2)) @ xe / n
     return _two_step_components(g_pos, e1, g_alpha_pos, h_pos, cross, bracket,

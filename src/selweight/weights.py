@@ -392,9 +392,9 @@ def estimate_weights_sr(internal_X, external_X, pi_ext, overlap):
 
     simplex = fit_simplex_regression(external_X, pi_ext)
 
-    ext_only = lab_ext == EXTERNAL_ONLY
+    ext_only = np.flatnonzero(lab_ext == EXTERNAL_ONLY)
     combined = np.vstack([xi, xe[ext_only]])
-    labels = np.concatenate([lab_int, np.full(int(ext_only.sum()), EXTERNAL_ONLY)])
+    labels = np.concatenate([lab_int, np.full(ext_only.size, EXTERNAL_ONLY)])
     multinomial = fit_multinomial(
         DesignMatrix(combined, list(internal_X.column_names),
                      internal_X.has_intercept),

@@ -827,6 +827,41 @@ def test_cli_overlong_field_is_a_validation_error(replication_files, tmp_path,
         f"error: validation: {bad}: field larger than field limit (131072)"]
 
 
+@pytest.mark.parametrize("target, column, row, method", [
+    ("internal.csv", "z1", 0, "cl"),       # the header
+    ("internal.csv", "z2", 1, "cl"),       # the first data row
+    ("internal.csv", "w", -1, "cl"),       # the last data row
+    ("internal.csv", "pi_ext", 5, "cl"),   # a column fit does not read
+    ("external.csv", "z2", 2, "pl"),
+    ("means.csv", "value", 2, "cl"),
+    ("cells.csv", "probability", 1, "ps"),
+    ("roles.cfg", None, None, "cl"),
+])
+def test_cli_non_utf8_byte_is_a_validation_error(replication_files, tmp_path,
+                                                 target, column, row, method):
+    bad = tmp_path / target
+    bad.write_text((replication_files / target).read_text(encoding="utf-8"),
+                   encoding="utf-8")
+    if column is None:
+        with bad.open("a", encoding="utf-8") as handle:
+            handle.write("# @BAD@\n")
+    else:
+        lines = bad.read_text(encoding="utf-8").splitlines()
+        row = row % len(lines)
+        value = lines[row].split(",")[lines[0].split(",").index(column)]
+        replace_field(bad, column, row, value + "@BAD@")
+    bad.write_bytes(bad.read_bytes().replace(b"@BAD@", b"\xff"))
+    args = method_args(method, replication_files)
+    args[args.index(str(replication_files / target))] = str(bad)
+    result = run_cli("fit", "--method", method, *args,
+                     "--population-size", str(REPLICATION_CFG.population_size),
+                     "--out", str(tmp_path / "out.csv"))
+    assert result.returncode == 2
+    assert result.stderr.splitlines() == [
+        f"error: validation: {bad}: not UTF-8 text "
+        "(byte 0xff: invalid start byte)"]
+
+
 def test_cli_method_lists_are_the_data_methods():
     assert sw.DATA_METHODS == ("unweighted", "pl", "sr", "ps", "cl")
     assert sw.DATA_METHODS == tuple(

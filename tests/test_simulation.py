@@ -101,6 +101,69 @@ def test_setup2_scales_selection_and_population():
     assert 0.8 <= (pop2.s.sum() / pop1.s.sum()) <= 1.2
 
 
+def reference_population(cfg, replication_index=0):
+    """The single-stream draw: one Philox generator read in draw order."""
+    key = np.array([cfg.seed, replication_index], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    n = cfg.population_size
+    rho = cfg.z_correlation
+
+    def standard_normal():
+        return sw.normal_quantile(np.clip(rng.random(n), 1e-300, 1.0 - 1e-16))
+
+    z1 = standard_normal()
+    z2 = rho * z1 + np.sqrt(1.0 - rho**2) * standard_normal()
+    t0, t1, t2 = cfg.theta
+    d = (rng.random(n) < sw.expit(t0 + t1 * z1 + t2 * z2)).astype(float)
+    g1, g2, g3 = cfg.gamma
+    w = g1 * d + g2 * z1 + g3 * z2 + standard_normal()
+    a4, a5 = cfg.interactions
+    eta = (cfg.alpha0 + cfg.alpha1 * z2 + cfg.alpha2 * w + cfg.alpha3 * d
+           + a4 * d * z2 + a5 * d * w)
+    pi_true = cfg.selection_scale * sw.expit(eta)
+    s = (rng.random(n) < pi_true).astype(float)
+    v0, v1, v2, v3 = cfg.nu
+    pi_ext = cfg.external_scale * sw.expit(v0 + v1 * z2 + v2 * w + v3 * d)
+    s_ext = (rng.random(n) < pi_ext).astype(float)
+    return sw.Population(z1, z2, w, d, s, s_ext, pi_true, pi_ext)
+
+
+POPULATION_FIELDS = ("z1", "z2", "w", "d", "s", "s_ext", "pi_true", "pi_ext")
+
+
+def population_bits(pop):
+    return [getattr(pop, name).tobytes() for name in POPULATION_FIELDS]
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 1000])
+@pytest.mark.parametrize("block_rows", [1, 3, 4, 5, 7])
+def test_blocked_draw_matches_the_single_stream_draw_bit_for_bit(
+        monkeypatch, thread_starts, n, block_rows):
+    monkeypatch.setattr(sim_mod, "POPULATION_BLOCK_ROWS", block_rows)
+    for k, (seed, index) in enumerate([(0, 0), (2**63 - 1, 3),
+                                       (2**63 - 2, 2**40 + 1)]):
+        dag, setup = 1 + (n + k) % 4, 1 + (block_rows + k) % 3
+        cfg = sw.SimulationConfig(dag=dag, setup=setup, seed=seed,
+                                  n_population=n)
+        assert (population_bits(sw.generate_population(cfg, index))
+                == population_bits(reference_population(cfg, index)))
+    # Without helpers every block is drawn on the calling thread.
+    assert not thread_starts
+
+
+@pytest.mark.parametrize("n", [1, 7, 1001])
+def test_stream_positions_read_the_single_stream(n):
+    key = np.array([2**63 - 7, 12], dtype=np.uint64)
+    stream = np.random.Generator(np.random.Philox(key=key)).random(6 * n)
+    starts = {0, 1, 2, 3, 4, 5, 6, 7, n, n + 1, 2 * n + 3, 5 * n - 1,
+              6 * n - 1}
+    for start in sorted(k for k in starts if k < 6 * n):
+        for m in (1, 2, 5, 9):
+            m = min(m, 6 * n - start)
+            assert (sim_mod._uniforms(key, start, m).tobytes()
+                    == stream[start:start + m].tobytes()), (start, m)
+
+
 # ---------------------------------------------------------------------------
 # binned log selection-ratio diagnostics
 
@@ -346,6 +409,91 @@ def test_no_thread_without_a_second_cpu_or_method(cpus, thread_starts, usable,
     results = sw.run_replication(cfg, 0, methods=methods)
     assert not thread_starts
     assert list(results) == list(methods)
+
+
+@pytest.fixture
+def drawn(monkeypatch):
+    """The populations run_replication draws, in draw order."""
+    populations = []
+    generate = sim_mod.generate_population
+
+    def recorded(*args, **kwargs):
+        populations.append(generate(*args, **kwargs))
+        return populations[-1]
+
+    monkeypatch.setattr(sim_mod, "generate_population", recorded)
+    return populations
+
+
+@pytest.mark.parametrize("dag, setup", [(1, 3), (3, 2), (4, 1)])
+def test_threaded_draw_in_small_blocks_matches_the_serial_one_bit_for_bit(
+        monkeypatch, cpus, thread_starts, drawn, dag, setup):
+    cfg = sw.SimulationConfig(dag=dag, setup=setup, seed=2**63 - 3,
+                              n_population=5000)
+    cpus(1)
+    serial = sw.run_replication(cfg, 4, methods=sw.METHODS)
+    assert not thread_starts
+    # 5000 rows in 20 blocks of 250, on six threads switching often.
+    monkeypatch.setattr(sim_mod, "POPULATION_BLOCK_ROWS", 257)
+    cpus(len(sw.METHODS))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = sw.run_replication(cfg, 4, methods=sw.METHODS)
+    finally:
+        sys.setswitchinterval(interval)
+    assert 1 <= len(thread_starts) <= len(sw.METHODS) - 1
+    assert population_bits(drawn[1]) == population_bits(drawn[0])
+    assert (population_bits(drawn[0])
+            == population_bits(reference_population(cfg, 4)))
+    assert replication_bits(threaded) == replication_bits(serial)
+
+
+def test_the_caller_and_a_helper_both_draw_with_the_callers_error_state(
+        monkeypatch, cpus, drawn):
+    # Each thread's first block waits until a second thread has taken one,
+    # so the test passes only if two threads draw; each records numpy's
+    # error state.
+    both_started = threading.Barrier(2, timeout=30)
+    seen = {}
+    draw_block = sim_mod._draw_block
+
+    def recorded(*args):
+        if threading.get_ident() not in seen:
+            seen[threading.get_ident()] = np.geterr()
+            both_started.wait()
+        draw_block(*args)
+
+    monkeypatch.setattr(sim_mod, "_draw_block", recorded)
+    monkeypatch.setattr(sim_mod, "POPULATION_BLOCK_ROWS", 1000)
+    cpus(2)
+    cfg = sw.SimulationConfig(dag=2, setup=1, seed=2, n_population=5000)
+    with np.errstate(divide="ignore", over="raise", invalid="print"):
+        caller = np.geterr()
+        results = sw.run_replication(cfg, 0, methods=("unweighted", "cl"))
+    assert threading.get_ident() in seen and len(seen) == 2
+    assert all(state == caller for state in seen.values())
+    assert (population_bits(drawn[0])
+            == population_bits(reference_population(cfg, 0)))
+    assert not any(res.failed for res in results.values())
+
+
+def test_population_source_gathers_the_masked_rows():
+    cfg = sw.SimulationConfig(dag=3, setup=1, seed=8, n_population=5000)
+    pop = sw.generate_population(cfg, 0)
+    src = sim_mod.PopulationSource(pop)
+    internal, external = pop.s == 1.0, pop.s_ext == 1.0
+    assert np.array_equal(src.internal, np.flatnonzero(internal))
+    assert np.array_equal(src.external, np.flatnonzero(external))
+    selection = np.column_stack([np.ones(int(internal.sum())), pop.z2[internal],
+                                 pop.w[internal], pop.d[internal]])
+    x_ext, pi_ext = src.external_sample
+    assert src.selection_design.matrix.tobytes() == selection.tobytes()
+    assert x_ext.matrix.tobytes() == np.column_stack(
+        [np.ones(int(external.sum())), pop.z2[external], pop.w[external],
+         pop.d[external]]).tobytes()
+    assert pi_ext.tobytes() == pop.pi_ext[external].tobytes()
+    assert src.outcome.tobytes() == pop.d[internal].tobytes()
 
 
 class InProcessPool:
