@@ -26,7 +26,7 @@ from .errors import (
     ValidationError,
 )
 from .fitters import DesignMatrix
-from .weights import PopulationSummary
+from .weights import PopulationSummary, non_integer
 
 MISSING_TOKENS = {"", "na", "nan", "null", "n/a"}
 
@@ -140,7 +140,6 @@ class AnalysisSample:
     columns: dict
     roles: ColumnRoleMap
     n_rows: int
-    source: str = ""
 
     def column(self, name):
         return self.columns[name]
@@ -189,10 +188,6 @@ def _parse_cell(text, path, row_number, column):
         ) from None
 
 
-# Integer cells are stored as int64, which holds magnitudes below 2**63.
-INT64_LIMIT = 2.0**63
-
-
 def integer_cells(values, columns, path, rows=None):
     """The int64 form of a matrix of parsed numbers, one column per name.
 
@@ -201,7 +196,7 @@ def integer_cells(values, columns, path, rows=None):
     for matrix row i, or its 1-based position) and the column.
     """
     values = np.asarray(values, dtype=float).reshape(-1, len(columns))
-    bad = ~(np.abs(values) < INT64_LIMIT) | (values != np.floor(values))
+    bad = non_integer(values)
     if bad.any():
         i, j = np.argwhere(bad)[0]
         row = i + 1 if rows is None else rows[i]
@@ -310,8 +305,7 @@ def load_dataset(path, roles, extra_columns=()):
                 f"{path}: column {name!r} must be coded 0/1 "
                 f"(first offending data row {bad})"
             )
-    return AnalysisSample(columns=columns, roles=roles, n_rows=n_rows,
-                          source=str(path))
+    return AnalysisSample(columns=columns, roles=roles, n_rows=n_rows)
 
 
 def _skipped_cell(text):
@@ -439,8 +433,15 @@ def _load_marginal_means(path):
             raise ValidationError(
                 f"{path}: marginal summary must have header 'name,value'"
             )
+        seen = {}
         for row_number, row in _data_rows(reader, path, 2):
             name = row[0].strip()
+            if name in seen:
+                raise ValidationError(
+                    f"{path}: name {name!r} at row {row_number} repeats "
+                    f"row {seen[name]}"
+                )
+            seen[name] = row_number
             value = _parse_cell(row[1], path, row_number, "value")
             if name == "N":
                 population_size = int(integer_cells(

@@ -9,21 +9,21 @@ counter-based generator (Philox), and normal variates come from the
 inverse CDF, so studies are bit-reproducible at any degree of parallelism.
 A population is drawn in row blocks, each reading its uniforms from fixed
 positions in the replication's stream, so the blocks can be drawn in any
-order.  A replication shares its blocks, and then its methods (which read
-only the finished population), between the calling thread and up to one
-helper thread per further usable CPU; every array and every result is the
-same bits at any thread, process or block count.
+order.  A replication runs in two stages, the blocks and then the methods
+(which read only the finished population); each stage runs on the calling
+thread and on helper threads started for it and joined at its end, one per
+further usable CPU and method.  Every array and result is the same bits at
+any thread, process or block count.
 """
 
 import math
 import os
 import threading
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from contextlib import nullcontext
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -154,60 +154,44 @@ class Population:
 POPULATION_BLOCK_ROWS = 32_768
 
 
-class _Helpers(NamedTuple):
-    """A replication's helper threads: up to ``count`` tasks of ``pool``."""
-
-    pool: ThreadPoolExecutor
-    count: int
-
-
-def _run_tasks(tasks, helpers=None):
+def _run_tasks(tasks, helpers):
     """The results of the zero-argument callables ``tasks``, in task order.
 
-    The calling thread and up to ``helpers.count`` helper threads (no more
-    than there are further tasks) take tasks from one queue; helpers run
-    under the caller's numpy error state.  With ``helpers`` None the calling
-    thread runs every task.  Every task runs; if some raise, the exception
-    of the one listed first is raised.
+    The calling thread and up to ``helpers`` helper threads (no more than
+    there are further tasks) take tasks from one queue; helpers run under
+    the caller's numpy error state and are joined before this returns or
+    raises.  Every task runs; if some raise, the exception of the one
+    listed first is raised.
     """
     queue = deque(enumerate(tasks))
     results = [None] * len(queue)
     errors = [None] * len(queue)
+    saved = np.geterr()
 
     def drain():
-        # popleft is atomic, so each task is taken by exactly one thread.
-        while True:
-            try:
-                i, task = queue.popleft()
-            except IndexError:
-                return
-            try:
-                results[i] = task()
-            except Exception as exc:  # raised in task order below
-                errors[i] = exc
+        # numpy's error state is per thread; helpers take the caller's.
+        with np.errstate(**saved):
+            # popleft is atomic, so each task is taken by exactly one thread.
+            while True:
+                try:
+                    i, task = queue.popleft()
+                except IndexError:
+                    return
+                try:
+                    results[i] = task()
+                except Exception as exc:  # raised in task order below
+                    errors[i] = exc
 
-    count = min(helpers.count, len(queue) - 1) if helpers else 0
-    if count > 0:
-        saved = np.geterr()
-        # Helpers drain only once all are submitted: a helper that finished
-        # early would take a later submission itself, leaving fewer threads.
-        submitted = threading.Event()
-
-        def helper():
-            submitted.wait()
-            # numpy's floating-point error state is per thread.
-            with np.errstate(**saved):
-                drain()
-
-        try:
-            futures = [helpers.pool.submit(helper) for _ in range(count)]
-        finally:
-            submitted.set()
+    threads = []
+    try:
+        for _ in range(min(helpers, len(queue) - 1)):
+            thread = threading.Thread(target=drain)
+            thread.start()
+            threads.append(thread)
         drain()
-        for future in futures:
-            future.result()
-    else:
-        drain()
+    finally:
+        for thread in threads:
+            thread.join()
 
     for exc in errors:
         if exc is not None:
@@ -272,16 +256,16 @@ def _draw_block(cfg, key, pop, lo, hi):
         getattr(pop, name)[lo:hi] = part
 
 
-def generate_population(cfg, replication_index=0, *, helpers=None):
+def generate_population(cfg, replication_index=0, *, helpers=0):
     """Simulate one population under the configured scenario.
 
     Draw order is fixed (z1, z2 innovation, disease, w innovation, internal
     selection, external selection) so a (seed, replication) pair always
     yields the same arrays.  The rows are drawn in blocks of at most
     ``POPULATION_BLOCK_ROWS``, each from its own positions in the
-    replication's stream, on the calling thread and the replication's
-    ``helpers`` (None: the calling thread alone); the arrays are the same
-    bits for any block or thread count.
+    replication's stream, on the calling thread and up to ``helpers``
+    helper threads; the arrays are the same bits for any block or thread
+    count.
     """
     n = cfg.population_size
     key = np.array([cfg.seed, replication_index], dtype=np.uint64)
@@ -562,34 +546,36 @@ def run_replication(cfg, replication_index, methods=METHODS):
     Per-method failures are captured in the returned results rather than
     raised, so a single separation or convergence failure does not abort a
     study.  Any other exception propagates; when several methods raise, the
-    one listed first in ``methods`` does.
-
-    The population's row blocks, and then the methods, are shared out
-    between the calling thread and one helper thread per further usable
-    CPU (at most one per further method).  The results are bit-identical
-    to drawing and fitting on one thread.
+    one listed first in ``methods`` does.  The draw and then the fits each
+    run on the calling thread and :func:`_helper_count` helper threads, with
+    results bit-identical to one thread's.
     """
-    return _replicate(cfg, replication_index, methods, threaded=True)
+    methods = _distinct_methods(methods)
+    return _replicate(cfg, replication_index, methods, _helper_count(methods))
 
 
-def _replicate(cfg, replication_index, methods, threaded):
+def _distinct_methods(methods):
+    """``methods`` without repeats, in first-listed order; all must be known."""
     methods = tuple(methods)
     if not methods:
         raise ValidationError("at least one method is required")
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ValidationError(f"unknown methods {unknown}")
+    return tuple(dict.fromkeys(methods))
 
-    unique = tuple(dict.fromkeys(methods))
-    count = min(len(unique), _usable_cpus()) - 1 if threaded else 0
-    with ThreadPoolExecutor(count) if count > 0 else nullcontext() as pool:
-        helpers = _Helpers(pool, count) if count > 0 else None
-        src = PopulationSource(generate_population(cfg, replication_index,
-                                                   helpers=helpers))
-        results = _run_tasks([partial(_fit_one, method, src)
-                              for method in unique], helpers)
-    outcomes = dict(zip(unique, results))
-    return {method: outcomes[method] for method in methods}
+
+def _helper_count(methods):
+    """Helper threads per stage: min(distinct ``methods``, usable CPUs) - 1."""
+    return min(len(methods), _usable_cpus()) - 1
+
+
+def _replicate(cfg, replication_index, methods, helpers):
+    src = PopulationSource(generate_population(cfg, replication_index,
+                                               helpers=helpers))
+    results = _run_tasks([partial(_fit_one, method, src)
+                          for method in methods], helpers)
+    return dict(zip(methods, results))
 
 
 # Coverage is that of the two-sided Wald interval at this level.
@@ -639,9 +625,8 @@ class StudyResult:
         return [asdict(r) for r in self.rows]
 
 
-def _run_replication_task(args):
-    cfg, index, methods, threaded = args
-    results = _replicate(cfg, index, methods, threaded)
+def _run_replication_task(cfg, methods, helpers, index):
+    results = _replicate(cfg, index, methods, helpers)
     compact = {}
     for method, res in results.items():
         if res.failed:
@@ -655,42 +640,42 @@ def _run_replication_task(args):
                           + ws.diagnostics.get("clamped_high", 0))
             compact[method] = (res.model.coefficients,
                                np.diag(res.model.vcov).copy(), alpha, clamps)
-    return index, compact
+    return compact
 
 
 def run_study(cfg, methods=DATA_METHODS, parallelism=1):
     """Run the configured number of replications and aggregate the metrics.
 
-    Parallel execution farms replications out to worker processes, which
-    fit each replication's methods one after another, as the processes
-    already fill the CPUs; with ``parallelism`` 1 each replication fits its
-    methods on threads, as :func:`run_replication` does.  The aggregation
-    is a deterministic reduction in replication order, so the result is
-    identical for every ``parallelism`` value.
+    With ``parallelism`` 1 each replication runs as :func:`run_replication`
+    does; with more, replications run in that many worker processes, which
+    start no threads, as the processes already fill the CPUs.  Outcomes are
+    reduced in replication order, so the result is identical for every
+    ``parallelism`` value.
     """
     methods = tuple(methods)
     repeated = [m for i, m in enumerate(methods) if m in methods[:i]]
     if repeated:
         raise ValidationError(f"method {repeated[0]!r} is repeated")
+    methods = _distinct_methods(methods)
     r_total = cfg.replications
     if r_total < 2:
         raise ValidationError("at least two replications are required")
     processes = bool(parallelism and parallelism > 1)
-    tasks = [(cfg, r, methods, not processes) for r in range(r_total)]
+    task = partial(_run_replication_task, cfg, methods,
+                   0 if processes else _helper_count(methods))
     if processes:
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            outcomes = list(pool.map(_run_replication_task, tasks,
+            outcomes = list(pool.map(task, range(r_total),
                                      chunksize=max(1, r_total // (8 * parallelism))))
     else:
-        outcomes = [_run_replication_task(t) for t in tasks]
-    outcomes.sort(key=lambda item: item[0])
+        outcomes = [task(r) for r in range(r_total)]
 
     estimates = {m: [] for m in methods}
     variances = {m: [] for m in methods}
     alphas = {m: [] for m in methods}
     clamp_totals = {m: 0 for m in methods}
     failures = {m: 0 for m in methods}
-    for _, compact in outcomes:
+    for compact in outcomes:
         for method in methods:
             value = compact[method]
             if isinstance(value, str):

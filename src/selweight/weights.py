@@ -21,6 +21,7 @@ from .errors import (
     DuplicateCellError,
     InfeasibleTotalsError,
     NonConvergenceError,
+    NonIntegerCellError,
     RankDeficientDesignError,
     SingularJacobianError,
     UnmatchedCellError,
@@ -125,8 +126,13 @@ class PopulationSummary:
             self.means = np.asarray(self.means, dtype=float)
             if not np.all(np.isfinite(self.means)):
                 raise ValidationError("marginal means must be finite")
-            if self.names is not None and len(self.names) != self.means.size:
-                raise ValidationError("names length does not match means")
+            if self.names is not None:
+                if len(self.names) != self.means.size:
+                    raise ValidationError("names length does not match means")
+                repeated = [n for i, n in enumerate(self.names)
+                            if n in self.names[:i]]
+                if repeated:
+                    raise ValidationError(f"name {repeated[0]!r} is repeated")
         else:
             raise ValidationError(f"unknown summary kind {self.kind!r}")
 
@@ -183,20 +189,34 @@ def first_occurrence(codes):
 COARSEN_QUANTILES = (0.15, 0.85)
 
 
+# Integer cells are stored as int64, which holds magnitudes below 2**63.
+INT64_LIMIT = 2.0**63
+
+
+def non_integer(values):
+    """Mask of the doubles that are NaN, infinite, fractional or outside
+    the int64 range."""
+    return ~(np.abs(values) < INT64_LIMIT) | (values != np.floor(values))
+
+
 def coarsen(values, cutoffs=None):
     """Bin a continuous variable into ordered integer labels.
 
-    ``cutoffs`` must be strictly increasing; None places them at the type-7
-    ``COARSEN_QUANTILES`` of ``values``.  Label k covers the half-open
-    interval [cutoff_k, cutoff_{k+1}).
+    ``values`` must not be NaN.  ``cutoffs`` must be finite and strictly
+    increasing; None places them at the type-7 ``COARSEN_QUANTILES`` of
+    ``values``.  Label k covers the half-open interval [cutoff_k,
+    cutoff_{k+1}).
     """
     values = np.asarray(values, dtype=float)
+    if np.isnan(values).any():
+        raise ValidationError("values to coarsen must not be NaN")
     if cutoffs is None:
         cutoffs = np.quantile(values, COARSEN_QUANTILES)
     cutoffs = np.asarray(cutoffs, dtype=float).ravel()
-    if cutoffs.size == 0 or np.any(np.diff(cutoffs) <= 0.0):
+    if (cutoffs.size == 0 or not np.isfinite(cutoffs).all()
+            or np.any(np.diff(cutoffs) <= 0.0)):
         raise DegenerateCutoffsError(
-            f"cutoffs {cutoffs.tolist()} are not strictly increasing")
+            f"cutoffs {cutoffs.tolist()} are not finite and strictly increasing")
     return np.searchsorted(cutoffs, values, side="right").astype(int)
 
 
@@ -430,9 +450,11 @@ def estimate_weights_ps(internal_cells, summary):
     """Post-stratification weights from joint cell probabilities.
 
     ``internal_cells`` holds one discretized selection-variable tuple per
-    internal unit (2-d integer array or sequence of tuples).  Raw weight
-    ratios P(cell) / P_hat(cell | selected) are rescaled so the weights sum
-    to the summary's population size, and probabilities are their inverses.
+    internal unit (2-d integer array or sequence of tuples); values of a
+    non-integer dtype must be integral and inside the int64 range.  Raw
+    weight ratios P(cell) / P_hat(cell | selected) are rescaled so the
+    weights sum to the summary's population size, and probabilities are
+    their inverses.
     """
     if summary.kind != "joint_cells":
         raise ValidationError("post-stratification requires a joint_cells summary")
@@ -441,9 +463,18 @@ def estimate_weights_ps(internal_cells, summary):
         raise ValidationError(
             "population size is required to scale post-stratification weights"
         )
-    cells = np.asarray(internal_cells, dtype=np.int64)
+    cells = np.asarray(internal_cells)
     if cells.ndim == 1:
         cells = cells[:, None]
+    if not np.issubdtype(cells.dtype, np.integer):
+        bad = np.argwhere(non_integer(cells.astype(float)))
+        if bad.size:
+            i, j = bad[0]
+            raise NonIntegerCellError(
+                f"internal unit {i} has cell value {float(cells[i, j])!r}, "
+                "not an integer"
+            )
+    cells = cells.astype(np.int64, copy=False)
     n = cells.shape[0]
     if n_pop < n:
         raise ValidationError("population size is smaller than the internal sample")

@@ -106,30 +106,50 @@ def toy_logistic_data():
     return design, d
 
 
-def grid_search_logistic(x, d, w, bounds=(-5.0, 5.0), step=1e-3,
-                         block=400):
-    """Dense grid maximizer of the weighted logistic log-likelihood.
+def grid_search_logistic(x, d, w, bounds=(-5.0, 5.0), step=1e-3, stride=16):
+    """Grid maximizer of the weighted logistic log-likelihood.
 
     Independent of the Newton path: evaluates sum_i w_i [d_i eta_i -
-    log(1+exp(eta_i))] over the full 2-d coefficient grid.
+    log(1+exp(eta_i))] at (intercept, slope) points of the 2-d grid with
+    spacing ``step``.  Every ``stride``-th grid value is searched first; the
+    full-resolution grid is then searched in a window around the best
+    coarse point, re-centred and doubled while its best point lies on an
+    edge that is not a bound of the grid.  This relies on the
+    log-likelihood being concave: a window whose best point is off its
+    edges is taken to hold the whole grid's best point.
     """
     grid = np.arange(bounds[0], bounds[1] + step / 2, step)
-    best_val = -np.inf
-    best = (np.nan, np.nan)
-    xw = x * w
     dw = d * w
-    for start in range(0, grid.size, block):
-        t1 = grid[start:start + block]
-        eta = t1[:, None, None] * x[None, None, :] + grid[None, :, None]
-        ll = (eta * dw[None, None, :]).sum(axis=2)
-        np.logaddexp(0.0, eta, out=eta)
-        ll -= (eta * w[None, None, :]).sum(axis=2)
-        flat = int(np.argmax(ll))
-        i, j = divmod(flat, grid.size)
-        if ll[i, j] > best_val:
-            best_val = float(ll[i, j])
-            best = (float(grid[j]), float(t1[i]))
-    return np.array(best)
+    last = grid.size - 1
+
+    def best(rows, cols):
+        """Grid indices of the first best (slope, intercept) point, rows
+        (slopes) major; blocks of rows bound the memory used."""
+        block = max(1, 2**20 // (cols.size * x.size))
+        best_val, best_at = -np.inf, None
+        for start in range(0, rows.size, block):
+            t1 = grid[rows[start:start + block]]
+            eta = t1[:, None, None] * x[None, None, :] + grid[cols][None, :, None]
+            ll = (eta * dw[None, None, :]).sum(axis=2)
+            np.logaddexp(0.0, eta, out=eta)
+            ll -= (eta * w[None, None, :]).sum(axis=2)
+            i, j = divmod(int(np.argmax(ll)), cols.size)
+            if ll[i, j] > best_val:
+                best_val, best_at = ll[i, j], (rows[start + i], cols[j])
+        return best_at
+
+    coarse = np.arange(0, grid.size, stride)
+    i, j = best(coarse, coarse)
+    half = stride
+    while True:
+        rows = np.arange(max(i - half, 0), min(i + half, last) + 1)
+        cols = np.arange(max(j - half, 0), min(j + half, last) + 1)
+        i, j = best(rows, cols)
+        if (i in (rows[0], rows[-1]) and i not in (0, last)) or (
+                j in (cols[0], cols[-1]) and j not in (0, last)):
+            half *= 2
+            continue
+        return np.array([grid[j], grid[i]])
 
 
 def finite_difference_jacobian(residual, x, rel_step=1e-6):

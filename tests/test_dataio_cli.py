@@ -313,6 +313,19 @@ def test_marginal_means_requires_population_size(tmp_path):
     assert summary.names == ["z2", "w"]
 
 
+@pytest.mark.parametrize("lines, repeat", [
+    (["N,1000", "z2,0.1", "z2,0.9", "N,2000"], "name 'z2' at row 3 repeats row 2"),
+    (["N,1000", "z2,0.1", "N,2000"], "name 'N' at row 3 repeats row 1"),
+    (["w,0.0", "", "N,1000", "w,0.5"], "name 'w' at row 3 repeats row 1"),
+])
+def test_marginal_means_repeated_name_is_rejected(tmp_path, lines, repeat):
+    path = tmp_path / "marg.csv"
+    write_lines(path, ["name,value"] + lines)
+    message = rf"^{re.escape(str(path))}: {re.escape(repeat)}$"
+    with pytest.raises(sw.ValidationError, match=message):
+        sw.load_population_summary(path, "marginal_means")
+
+
 @pytest.mark.parametrize("level", ["1e400", "-inf", "0.5", "-2.5", "1e19"])
 def test_joint_cell_levels_must_be_integers(tmp_path, level):
     path = tmp_path / "cells.csv"

@@ -2,6 +2,7 @@ import json
 import sys
 import threading
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -433,6 +434,21 @@ def test_threaded_draw_in_small_blocks_matches_the_serial_one_bit_for_bit(
     cpus(1)
     serial = sw.run_replication(cfg, 4, methods=sw.METHODS)
     assert not thread_starts
+    # Per stage: the most helpers alive at once, and the threads that ran a
+    # task.  Each stage starts its own helpers and joins them.
+    peaks, runners = {}, {}
+
+    def watched(stage, task):
+        def run(*args):
+            alive = sum(thread.is_alive() for thread in thread_starts)
+            peaks[stage] = max(peaks.get(stage, 0), alive)
+            runners.setdefault(stage, set()).add(threading.get_ident())
+            return task(*args)
+        return run
+
+    monkeypatch.setattr(sim_mod, "_draw_block",
+                        watched("draw", sim_mod._draw_block))
+    monkeypatch.setattr(sim_mod, "_fit_one", watched("fit", sim_mod._fit_one))
     # 5000 rows in 20 blocks of 250, on six threads switching often.
     monkeypatch.setattr(sim_mod, "POPULATION_BLOCK_ROWS", 257)
     cpus(len(sw.METHODS))
@@ -442,11 +458,42 @@ def test_threaded_draw_in_small_blocks_matches_the_serial_one_bit_for_bit(
         threaded = sw.run_replication(cfg, 4, methods=sw.METHODS)
     finally:
         sys.setswitchinterval(interval)
-    assert 1 <= len(thread_starts) <= len(sw.METHODS) - 1
+    helpers = len(sw.METHODS) - 1
+    for stage in ("draw", "fit"):
+        assert peaks[stage] <= helpers, stage
+        assert runners[stage] - {threading.get_ident()}, stage
+    assert not any(thread.is_alive() for thread in thread_starts)
     assert population_bits(drawn[1]) == population_bits(drawn[0])
     assert (population_bits(drawn[0])
             == population_bits(reference_population(cfg, 4)))
     assert replication_bits(threaded) == replication_bits(serial)
+
+
+def test_a_failed_helper_start_joins_the_started_helpers(monkeypatch):
+    started = []
+    start = threading.Thread.start
+
+    def second_fails(self):
+        if started:
+            raise RuntimeError("no second helper")
+        start(self)
+        started.append(self)
+
+    monkeypatch.setattr(threading.Thread, "start", second_fails)
+    before = set(threading.enumerate())
+    done = []
+
+    def slow(i):
+        time.sleep(0.05)
+        done.append(i)
+
+    with pytest.raises(RuntimeError, match="no second helper"):
+        sim_mod._run_tasks([partial(slow, i) for i in range(4)], helpers=3)
+    # The first helper took every task and was joined before the error
+    # reached the caller.
+    assert len(started) == 1 and not started[0].is_alive()
+    assert sorted(done) == [0, 1, 2, 3]
+    assert set(threading.enumerate()) == before
 
 
 def test_the_caller_and_a_helper_both_draw_with_the_callers_error_state(

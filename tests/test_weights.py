@@ -232,6 +232,22 @@ def test_ps_unmatched_cell_raises():
         sw.estimate_weights_ps(np.array([[0], [1]]), summary)
 
 
+@pytest.mark.parametrize("bad", [0.5, -0.5, np.nan, np.inf, 2.0**63])
+def test_ps_rejects_non_integer_cells(bad):
+    summary = sw.PopulationSummary("joint_cells", levels=np.array([[0], [1]]),
+                                   probabilities=np.array([0.5, 0.5]),
+                                   population_size=10)
+    cells = [[1.0], [0.0], [bad]]
+    with pytest.raises(sw.NonIntegerCellError,
+                       match="^internal unit 2 has cell value .*, not an integer$"):
+        sw.estimate_weights_ps(cells, summary)
+    # Integral floats, integers and 1-d input give the same weights.
+    reference = sw.estimate_weights_ps(np.array([[1], [0], [1]]), summary)
+    for same in ([[1.0], [0.0], [1.0]], [1, 0, 1], np.array([1.0, -0.0, 1.0])):
+        ws = sw.estimate_weights_ps(same, summary)
+        assert ws.pi_hat.tobytes() == reference.pi_hat.tobytes()
+
+
 def test_ps_requires_population_size():
     summary = sw.PopulationSummary("joint_cells", levels=np.array([[0]]),
                                    probabilities=np.array([1.0]))
@@ -420,6 +436,12 @@ def test_cell_codes_of_no_rows():
         codes = sw.cell_codes(rows)
         assert codes.shape == (0,) and codes.dtype == np.intp
         assert w_mod.first_occurrence(codes).shape == (0,)
+
+
+def test_marginal_summary_rejects_repeated_names():
+    with pytest.raises(sw.ValidationError, match="^name 'z2' is repeated$"):
+        sw.PopulationSummary("marginal_means", means=np.array([0.1, 0.2, 0.9]),
+                             names=["z2", "w", "z2"], population_size=10)
 
 
 def test_ps_summary_validation():
@@ -697,6 +719,21 @@ def test_coarsen_is_order_preserving(values):
 def test_coarsening_rule_validation():
     with pytest.raises(sw.DegenerateCutoffsError):
         sw.coarsen(np.array([0.5]), np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("cutoffs", [[np.nan, 1.0], [1.0, np.nan], [np.nan],
+                                     [-np.inf, 1.0], [1.0, np.inf],
+                                     [2.0, 1.0]])
+def test_coarsen_rejects_non_finite_or_unordered_cutoffs(cutoffs):
+    with pytest.raises(sw.DegenerateCutoffsError,
+                       match="not finite and strictly increasing"):
+        sw.coarsen(np.array([1.0, 2.0]), np.array(cutoffs))
+
+
+@pytest.mark.parametrize("cutoffs", [None, [1.5]])
+def test_coarsen_rejects_nan_values(cutoffs):
+    with pytest.raises(sw.ValidationError, match="must not be NaN"):
+        sw.coarsen(np.array([np.nan, 1.0, 2.0, 3.0]), cutoffs)
 
 
 # ---------------------------------------------------------------------------
