@@ -48,7 +48,6 @@ from .fitters import (
     simplex_unit_deviance,
 )
 from .solver import (
-    SolveConfig,
     SolveReport,
     solve_estimating_equation,
 )

@@ -7,6 +7,7 @@ printed as ``warning: <text>``.
 """
 
 import argparse
+import dataclasses
 import sys
 from functools import cached_property
 
@@ -26,16 +27,13 @@ from .simulation import (
     DATA_METHODS,
     METHODS,
     SimulationConfig,
+    StudyMetric,
     estimate_pi,
     fit_method,
     run_study,
 )
 from .variance import wald_ci
 from .weights import augment_weights_with_outcome, overlap_labels, winsorize_weights
-
-STUDY_COLUMNS = ["method", "parameter", "bias", "relative_bias_pct",
-                 "rmse_relative", "coverage", "mean_est_var", "mc_var",
-                 "failures", "n_used"]
 
 
 def build_parser():
@@ -273,24 +271,19 @@ def cli_weights(args):
 
 def cli_simulate(args):
     methods = tuple(m.strip() for m in args.method.split(",") if m.strip())
-    unknown = [m for m in methods if m not in METHODS]
-    if unknown:
-        raise ValidationError(f"unknown methods {unknown}")
     settings = read_key_values(args.config, _CONFIG_PARSERS) if args.config else {}
     overrides = {"dag": args.dag, "setup": args.setup,
                  "n_population": args.population_size,
                  "replications": args.replications, "seed": args.seed}
     settings.update({k: v for k, v in overrides.items() if v is not None})
-    settings.setdefault("replications", 500)
-    settings.setdefault("seed", 0)
     if "dag" not in settings or "setup" not in settings:
         raise ValidationError(
             "dag and setup are required (flags or --config file)")
     cfg = SimulationConfig(**settings)
-    study = run_study(cfg, methods, parallelism=max(1, args.threads))
-    table = ResultTable(STUDY_COLUMNS)
-    for record in study.to_records():
-        table.append(**record)
+    study = run_study(cfg, methods, parallelism=args.threads)
+    table = ResultTable.from_columns(**{
+        f.name: [getattr(row, f.name) for row in study.rows]
+        for f in dataclasses.fields(StudyMetric)})
     table.write(args.out, args.format)
     return 0
 

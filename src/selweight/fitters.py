@@ -211,12 +211,12 @@ def fit_weighted_logistic(design, outcome, pi=None):
     d = np.asarray(outcome, dtype=float).ravel()
     if d.size != n:
         raise ValidationError("outcome length does not match design rows")
+    if n < p:
+        raise ValidationError(f"need at least {p} rows, got {n}")
     if not np.all((d == 0.0) | (d == 1.0)):
         raise ValidationError("outcome must be coded 0/1")
     if d.min() == d.max():
         raise DegenerateOutcomeError("outcome is constant; no model is identified")
-    if n < p:
-        raise ValidationError(f"need at least {p} rows, got {n}")
     if pi is None:
         w = np.ones(n)
     else:

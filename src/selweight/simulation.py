@@ -21,7 +21,7 @@ import os
 import threading
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional
 
@@ -88,6 +88,18 @@ class SimulationConfig:
             raise ValidationError("seed must be a nonnegative 63-bit integer")
         if self.n_population is not None and self.n_population < 1:
             raise ValidationError("n_population must be positive")
+        if not abs(self.z_correlation) < 1.0:
+            raise ValidationError("z_correlation must lie in (-1, 1)")
+        for name in ("external_scale", "setup2_scale"):
+            if not 0.0 < getattr(self, name) <= 1.0:
+                raise ValidationError(f"{name} must lie in (0, 1]")
+        for name, size in (("theta", 3), ("nu", 4)):
+            values = getattr(self, name)
+            if len(values) != size or not all(map(math.isfinite, values)):
+                raise ValidationError(f"{name} must be {size} finite numbers")
+        for name in ("alpha0", "alpha2", "alpha3"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite")
 
     @property
     def population_size(self):
@@ -543,26 +555,32 @@ def _fit_one(method, src):
 def run_replication(cfg, replication_index, methods=METHODS):
     """Generate one population and fit every requested method on it.
 
-    Per-method failures are captured in the returned results rather than
-    raised, so a single separation or convergence failure does not abort a
-    study.  Any other exception propagates; when several methods raise, the
-    one listed first in ``methods`` does.  The draw and then the fits each
-    run on the calling thread and :func:`_helper_count` helper threads, with
-    results bit-identical to one thread's.
+    ``methods`` must be non-empty, known and without repeats; otherwise a
+    :class:`ValidationError` is raised before anything is drawn.  The
+    results come back in ``methods`` order.  Per-method failures are
+    captured in the returned results rather than raised, so a single
+    separation or convergence failure does not abort a study.  Any other
+    exception propagates; when several methods raise, the one listed first
+    in ``methods`` does.  The draw and then the fits each run on the calling
+    thread and :func:`_helper_count` helper threads, with results
+    bit-identical to one thread's.
     """
     methods = _distinct_methods(methods)
     return _replicate(cfg, replication_index, methods, _helper_count(methods))
 
 
 def _distinct_methods(methods):
-    """``methods`` without repeats, in first-listed order; all must be known."""
+    """``methods`` as a tuple: non-empty, known methods, none repeated."""
     methods = tuple(methods)
     if not methods:
         raise ValidationError("at least one method is required")
+    repeated = [m for i, m in enumerate(methods) if m in methods[:i]]
+    if repeated:
+        raise ValidationError(f"method {repeated[0]!r} is repeated")
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ValidationError(f"unknown methods {unknown}")
-    return tuple(dict.fromkeys(methods))
+    return methods
 
 
 def _helper_count(methods):
@@ -621,9 +639,6 @@ class StudyResult:
                 return row
         raise KeyError(f"no row for ({method}, {parameter})")
 
-    def to_records(self):
-        return [asdict(r) for r in self.rows]
-
 
 def _run_replication_task(cfg, methods, helpers, index):
     results = _replicate(cfg, index, methods, helpers)
@@ -646,21 +661,22 @@ def _run_replication_task(cfg, methods, helpers, index):
 def run_study(cfg, methods=DATA_METHODS, parallelism=1):
     """Run the configured number of replications and aggregate the metrics.
 
-    With ``parallelism`` 1 each replication runs as :func:`run_replication`
+    ``methods`` follows :func:`run_replication`'s rule, and ``parallelism``
+    must be at least 1; both are checked before any replication runs.  With
+    ``parallelism`` 1 each replication runs as :func:`run_replication`
     does; with more, replications run in that many worker processes, which
     start no threads, as the processes already fill the CPUs.  Outcomes are
     reduced in replication order, so the result is identical for every
-    ``parallelism`` value.
+    ``parallelism`` value.  A method that fails in every replication, or in
+    more than 10% of them, raises a :class:`StudyError`.
     """
-    methods = tuple(methods)
-    repeated = [m for i, m in enumerate(methods) if m in methods[:i]]
-    if repeated:
-        raise ValidationError(f"method {repeated[0]!r} is repeated")
     methods = _distinct_methods(methods)
+    if parallelism < 1:
+        raise ValidationError(f"parallelism must be at least 1, got {parallelism}")
     r_total = cfg.replications
     if r_total < 2:
         raise ValidationError("at least two replications are required")
-    processes = bool(parallelism and parallelism > 1)
+    processes = parallelism > 1
     task = partial(_run_replication_task, cfg, methods,
                    0 if processes else _helper_count(methods))
     if processes:
@@ -670,56 +686,42 @@ def run_study(cfg, methods=DATA_METHODS, parallelism=1):
     else:
         outcomes = [task(r) for r in range(r_total)]
 
-    estimates = {m: [] for m in methods}
-    variances = {m: [] for m in methods}
-    alphas = {m: [] for m in methods}
-    clamp_totals = {m: 0 for m in methods}
-    failures = {m: 0 for m in methods}
-    for compact in outcomes:
-        for method in methods:
-            value = compact[method]
-            if isinstance(value, str):
-                failures[method] += 1
-            else:
-                theta, var_diag, alpha, clamps = value
-                estimates[method].append(theta)
-                variances[method].append(var_diag)
-                clamp_totals[method] += clamps
-                if alpha is not None:
-                    alphas[method].append(alpha)
-
-    for method in methods:
-        if not estimates[method]:
+    # Per method, its (theta, diag(vcov), alpha, clamps) in each replication
+    # it did not fail, in replication order.
+    fits = {m: [o[m] for o in outcomes if not isinstance(o[m], str)]
+            for m in methods}
+    for method, kept in fits.items():
+        failures = r_total - len(kept)
+        if not kept:
             raise AllReplicationsFailedError(
                 f"all {r_total} replications failed for {method}"
             )
-        if failures[method] > 0.10 * r_total:
+        if failures > 0.10 * r_total:
             raise StudyError(
-                f"{failures[method]} of {r_total} replications failed for {method}"
+                f"{failures} of {r_total} replications failed for {method}"
             )
 
     true_theta = np.asarray(cfg.theta)
     parameters = {"theta1": 1, "theta2": 2}
     z = normal_quantile(0.5 * (1.0 + CI_LEVEL))
 
-    mse = {}
-    rows = []
-    for method in methods:
-        est = np.asarray(estimates[method])
-        for name, j in parameters.items():
-            mse[(method, name)] = float(np.mean((est[:, j] - true_theta[j]) ** 2))
+    def mse(est, j):
+        return float(np.mean((est[:, j] - true_theta[j]) ** 2))
 
-    for method in methods:
-        est = np.asarray(estimates[method])
-        var = np.asarray(variances[method])
+    unweighted = (np.asarray([fit[0] for fit in fits["unweighted"]])
+                  if "unweighted" in fits else None)
+    rows, alpha_means, clamp_counts = [], {}, {}
+    for method, kept in fits.items():
+        thetas, var_diags, alphas, clamps = zip(*kept)
+        est, var = np.asarray(thetas), np.asarray(var_diags)
         for name, j in parameters.items():
             truth = true_theta[j]
             bias = float(np.mean(est[:, j]) - truth)
             rel = 100.0 * abs(bias) / abs(truth)
             half = z * np.sqrt(var[:, j])
             covered = (est[:, j] - half <= truth) & (truth <= est[:, j] + half)
-            rmse_rel = (mse[(method, name)] / mse[("unweighted", name)]
-                        if "unweighted" in methods else float("nan"))
+            rmse_rel = (mse(est, j) / mse(unweighted, j)
+                        if unweighted is not None else float("nan"))
             rows.append(StudyMetric(
                 method=method,
                 parameter=name,
@@ -729,11 +731,13 @@ def run_study(cfg, methods=DATA_METHODS, parallelism=1):
                 coverage=float(np.mean(covered)),
                 mean_est_var=float(np.mean(var[:, j])),
                 mc_var=float(np.var(est[:, j], ddof=1)),
-                failures=failures[method],
+                failures=r_total - len(kept),
                 n_used=est.shape[0],
             ))
-    alpha_means = {m: np.mean(np.asarray(a), axis=0)
-                   for m, a in alphas.items() if a}
+        alphas = [a for a in alphas if a is not None]
+        if alphas:
+            alpha_means[method] = np.mean(np.asarray(alphas), axis=0)
+        clamp_counts[method] = sum(clamps)
     return StudyResult(rows=rows, dag=cfg.dag, setup=cfg.setup,
                        replications=r_total, seed=cfg.seed,
-                       alpha_means=alpha_means, clamp_counts=clamp_totals)
+                       alpha_means=alpha_means, clamp_counts=clamp_counts)

@@ -17,27 +17,13 @@ from .errors import SingularJacobianError
 # Pivot |u_kk| below PIVOT_RTOL * max |u| marks the factorization singular.
 PIVOT_RTOL = 1e-12
 
-
-@dataclass(frozen=True)
-class SolveConfig:
-    """Convergence controls for :func:`solve_estimating_equation`.
-
-    tol_score is the max-abs residual threshold, tol_step the max-abs
-    parameter-change threshold; whichever is met first stops the iteration.
-    """
-
-    tol_score: float = 1e-8
-    tol_step: float = 1e-10
-    max_iter: int = 100
-    max_halvings: int = 30
-
-    def __post_init__(self):
-        if self.tol_score <= 0 or self.tol_step <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if self.max_halvings < 0:
-            raise ValueError("max_halvings must be nonnegative")
+# Newton stops when the max-abs residual falls to TOL_SCORE or a step's
+# max-abs change to TOL_STEP, within MAX_ITER iterations of at most
+# MAX_HALVINGS step halvings each.  The solver reads them when it runs.
+TOL_SCORE = 1e-8
+TOL_STEP = 1e-10
+MAX_ITER = 100
+MAX_HALVINGS = 30
 
 
 @dataclass
@@ -106,8 +92,11 @@ def invert_matrix(a):
     return lu_solve(lu, perm, np.eye(a.shape[0]))
 
 
-def solve_estimating_equation(residual, jacobian, init, cfg=None):
+def solve_estimating_equation(residual, jacobian, init):
     """Solve ``residual(x) = 0`` by damped Newton-Raphson.
+
+    The stopping rule is this module's ``TOL_SCORE``, ``TOL_STEP``,
+    ``MAX_ITER`` and ``MAX_HALVINGS``.
 
     Parameters
     ----------
@@ -117,7 +106,6 @@ def solve_estimating_equation(residual, jacobian, init, cfg=None):
         Maps a parameter vector to the square Jacobian of ``residual``.
     init : array_like
         Starting point; the residual and Jacobian must be defined here.
-    cfg : SolveConfig, optional
 
     Returns
     -------
@@ -125,7 +113,6 @@ def solve_estimating_equation(residual, jacobian, init, cfg=None):
         ``converged`` is False when the iteration budget or the halving
         budget ran out; the report then carries the best iterate seen.
     """
-    cfg = cfg or SolveConfig()
     x = np.array(init, dtype=float, copy=True).ravel()
     f = np.asarray(residual(x), dtype=float).ravel()
     if f.shape != x.shape:
@@ -135,8 +122,8 @@ def solve_estimating_equation(residual, jacobian, init, cfg=None):
     best_x, best_norm = x.copy(), norm
     total_halvings = 0
 
-    for iteration in range(1, cfg.max_iter + 1):
-        if norm <= cfg.tol_score:
+    for iteration in range(1, MAX_ITER + 1):
+        if norm <= TOL_SCORE:
             return SolveReport(x, iteration - 1, norm, True,
                                total_halvings, "score tolerance met")
         jac = np.asarray(jacobian(x), dtype=float)
@@ -146,7 +133,7 @@ def solve_estimating_equation(residual, jacobian, init, cfg=None):
 
         # Halve the step until the residual norm stops increasing.
         scale = 1.0
-        for halving in range(cfg.max_halvings + 1):
+        for halving in range(MAX_HALVINGS + 1):
             x_new = x + scale * step
             f_new = np.asarray(residual(x_new), dtype=float).ravel()
             norm_new = float(np.max(np.abs(f_new)))
@@ -162,12 +149,12 @@ def solve_estimating_equation(residual, jacobian, init, cfg=None):
         x, f, norm = x_new, f_new, norm_new
         if norm < best_norm:
             best_x, best_norm = x.copy(), norm
-        if step_size <= cfg.tol_step:
+        if step_size <= TOL_STEP:
             return SolveReport(x, iteration, norm, True,
                                total_halvings, "step tolerance met")
 
-    converged = norm <= cfg.tol_score
-    return SolveReport(x if converged else best_x, cfg.max_iter,
+    converged = norm <= TOL_SCORE
+    return SolveReport(x if converged else best_x, MAX_ITER,
                        norm if converged else best_norm, converged,
                        total_halvings,
                        "" if converged else "max iterations exceeded")

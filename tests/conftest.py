@@ -39,6 +39,15 @@ def _source_fingerprint():
     return digest.hexdigest()[:16]
 
 
+def cli_env():
+    """The environment for a ``python -m selweight.cli`` child process,
+    with this checkout's ``src`` first on its ``PYTHONPATH``."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def _n_workers():
     return max(1, min(4, os.cpu_count() or 1))
 

@@ -13,7 +13,7 @@ from scipy.stats import chi2
 
 import selweight as sw
 
-from conftest import ACCEPTANCE_SEED, grid_search_logistic
+from conftest import ACCEPTANCE_SEED, cli_env, grid_search_logistic
 from test_weights import DISCRETE_CELLS, exact_identity_reconstruction
 
 
@@ -296,7 +296,7 @@ def test_criterion_11_cli_determinism(tmp_path):
              "--seed", str(ACCEPTANCE_SEED), "--population-size", "8000",
              "--threads", str(threads), "--out", str(out),
              "--format", "csv"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=cli_env())
         assert result.returncode == 0, result.stderr
         outputs.append(out.read_bytes())
     identical = outputs[0] == outputs[1]

@@ -20,6 +20,8 @@ from selweight import dataio
 from selweight.cli import build_parser
 from selweight.dataio import ResultTable, format_number
 
+from conftest import cli_env
+
 
 def write_lines(path, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -451,7 +453,7 @@ def test_result_table_from_columns_checks_its_rows():
 
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "selweight.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=cli_env())
 
 
 def test_cli_simulate_deterministic_across_threads(tmp_path):
@@ -974,6 +976,50 @@ def test_cli_simulate_config_rejects_unknown_key(tmp_path):
                      "--out", str(tmp_path / "x.csv"))
     assert result.returncode == 2
     assert "unknown key" in result.stderr
+
+
+@pytest.mark.parametrize("setup, line, message", [
+    (1, "z_correlation=1.5", "z_correlation must lie in (-1, 1)"),
+    (1, "z_correlation=nan", "z_correlation must lie in (-1, 1)"),
+    (2, "setup2_scale=-1", "setup2_scale must lie in (0, 1]"),
+    (1, "external_scale=0", "external_scale must lie in (0, 1]"),
+    (1, "external_scale=1.5", "external_scale must lie in (0, 1]"),
+    (1, "theta=-2,0.5,inf", "theta must be 3 finite numbers"),
+    (1, "alpha3=nan", "alpha3 must be finite"),
+])
+def test_cli_simulate_config_rejects_values_the_draw_cannot_use(
+        tmp_path, setup, line, message):
+    cfg_file = tmp_path / "scenario.cfg"
+    write_lines(cfg_file, ["dag=1", f"setup={setup}", "replications=2",
+                           "n_population=4000", line])
+    out = tmp_path / "x.csv"
+    result = run_cli("simulate", "--config", str(cfg_file),
+                     "--method", "unweighted,pl", "--out", str(out))
+    assert result.returncode == 2
+    assert result.stderr.splitlines() == [f"error: validation: {message}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-4"])
+def test_cli_simulate_rejects_threads_below_one(tmp_path, threads):
+    out = tmp_path / "x.csv"
+    result = run_cli("simulate", "--dag", "1", "--setup", "1",
+                     "--replications", "2", "--population-size", "4000",
+                     "--threads", threads, "--out", str(out))
+    assert result.returncode == 2
+    assert result.stderr.splitlines() == [
+        f"error: validation: parallelism must be at least 1, got {threads}"]
+    assert not out.exists()
+
+
+def test_cli_simulate_rejects_an_unknown_method(tmp_path):
+    out = tmp_path / "x.csv"
+    result = run_cli("simulate", "--dag", "1", "--setup", "1",
+                     "--method", "unweighted,banana", "--out", str(out))
+    assert result.returncode == 2
+    assert result.stderr.splitlines() == [
+        "error: validation: unknown methods ['banana']"]
+    assert not out.exists()
 
 
 def test_cli_simulate_requires_scenario(tmp_path):

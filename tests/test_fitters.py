@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import selweight as sw
-from selweight import fitters
+from selweight import fitters, solver
 from selweight import weights as w_mod
 from selweight.fitters import simplex_log_density, simplex_unit_deviance
 from selweight.solver import solve_estimating_equation
@@ -57,10 +57,9 @@ def test_score_residual_below_tolerance_at_solution():
     d = (rng.random(60) < sw.expit(0.3 + 0.8 * x[:, 1])).astype(float)
     pi = rng.uniform(0.2, 1.0, size=60)
     design = sw.DesignMatrix(x, ["intercept", "x"])
-    cfg = sw.SolveConfig()
     model = sw.fit_weighted_logistic(design, d, pi)
     score = x.T @ ((d - sw.expit(x @ model.coefficients)) / pi) / 60
-    assert np.max(np.abs(score)) <= cfg.tol_score
+    assert np.max(np.abs(score)) <= solver.TOL_SCORE
 
 
 @settings(max_examples=20, deadline=None)
@@ -95,6 +94,12 @@ def test_degenerate_outcome_rejected():
     design = sw.DesignMatrix(np.ones((5, 1)), ["intercept"])
     with pytest.raises(sw.DegenerateOutcomeError):
         sw.fit_weighted_logistic(design, np.ones(5))
+
+
+def test_empty_sample_is_a_validation_error():
+    design = sw.DesignMatrix(np.empty((0, 3)), ["intercept", "z1", "z2"])
+    with pytest.raises(sw.ValidationError, match="^need at least 3 rows, got 0$"):
+        sw.fit_weighted_logistic(design, np.empty(0), np.empty(0))
 
 
 def test_separated_data_raises():
@@ -389,8 +394,8 @@ def record_solves(monkeypatch):
     """Record (residual, jacobian, report) of every solve the fitters run."""
     solves = []
 
-    def solve(residual, jacobian, init, cfg=None):
-        report = solve_estimating_equation(residual, jacobian, init, cfg)
+    def solve(residual, jacobian, init):
+        report = solve_estimating_equation(residual, jacobian, init)
         solves.append((residual, jacobian, report))
         return report
 

@@ -50,6 +50,29 @@ def test_config_validation():
         sw.SimulationConfig(dag=1, setup=1, seed=-1)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("z_correlation", 1.5), ("z_correlation", -1.0),
+    ("z_correlation", float("nan")),
+    ("external_scale", 0.0), ("external_scale", 1.5),
+    ("setup2_scale", -1.0), ("setup2_scale", float("nan")),
+    ("theta", (-2.0, 0.5)), ("theta", (-2.0, 0.5, float("inf"))),
+    ("nu", (-0.6, 1.2, 0.4)), ("nu", (-0.6, 1.2, 0.4, float("nan"))),
+    ("alpha0", float("nan")), ("alpha2", float("inf")),
+    ("alpha3", float("-inf")),
+])
+def test_config_rejects_values_the_draw_cannot_use(field, value):
+    with pytest.raises(sw.ValidationError, match=f"^{field} must "):
+        sw.SimulationConfig(dag=1, setup=2, **{field: value})
+
+
+def test_config_accepts_the_ends_of_its_ranges():
+    cfg = sw.SimulationConfig(dag=1, setup=2, n_population=50,
+                              z_correlation=-0.999, external_scale=1.0,
+                              setup2_scale=1.0)
+    pop = sw.generate_population(cfg)
+    assert np.all((pop.pi_ext > 0.0) & (pop.pi_ext <= 1.0))
+
+
 # ---------------------------------------------------------------------------
 # population generation
 
@@ -246,6 +269,20 @@ def test_run_replication_rejects_unknown_method():
         sw.run_replication(cfg, 0, methods=("banana",))
 
 
+def test_run_replication_rejects_a_repeated_method():
+    cfg = sw.SimulationConfig(dag=1, setup=1, seed=2, n_population=5000)
+    with pytest.raises(sw.ValidationError, match="^method 'cl' is repeated$"):
+        sw.run_replication(cfg, 0, methods=("cl", "unweighted", "cl"))
+
+
+def test_an_empty_internal_sample_fails_every_method_typed():
+    cfg = sw.SimulationConfig(dag=1, setup=1, n_population=3, seed=0)
+    assert not sw.generate_population(cfg, 13).s.any()
+    results = sw.run_replication(cfg, 13, methods=sw.METHODS)
+    assert list(results) == list(sw.METHODS)
+    assert all(res.failed for res in results.values())
+
+
 def test_run_replication_captures_method_failures(monkeypatch, cpus):
     cfg = sw.SimulationConfig(dag=1, setup=1, seed=2, n_population=5000)
 
@@ -278,6 +315,15 @@ def test_run_study_rejects_a_repeated_method():
                               replications=2)
     with pytest.raises(sw.ValidationError, match="^method 'pl' is repeated$"):
         sw.run_study(cfg, methods=("unweighted", "pl", "cl", "pl"))
+
+
+@pytest.mark.parametrize("parallelism", [0, -4])
+def test_run_study_rejects_parallelism_below_one(parallelism):
+    cfg = sw.SimulationConfig(dag=1, setup=1, seed=2, n_population=4000,
+                              replications=2)
+    with pytest.raises(sw.ValidationError,
+                       match=f"^parallelism must be at least 1, got {parallelism}$"):
+        sw.run_study(cfg, methods=("unweighted",), parallelism=parallelism)
 
 
 def test_run_study_deterministic_across_parallelism():

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import selweight as sw
+from selweight import solver
 from selweight.solver import lu_factor, lu_solve, solve_linear
 
 from conftest import finite_difference_jacobian, grid_search_logistic
@@ -32,11 +33,11 @@ def test_linear_system_converges_in_one_iteration():
     assert report.solution[0] == pytest.approx(2.0, abs=1e-12)
 
 
-def test_cube_root_matches_bisection():
-    cfg = sw.SolveConfig(tol_score=1e-12)
+def test_cube_root_matches_bisection(monkeypatch):
+    monkeypatch.setattr(solver, "TOL_SCORE", 1e-12)
     report = sw.solve_estimating_equation(
         lambda x: x**3 - 8.0, lambda x: np.array([[3.0 * x[0] ** 2]]),
-        [1.0], cfg)
+        [1.0])
     oracle = bisect_root(lambda t: t**3 - 8.0, 0.0, 10.0)
     assert report.converged
     assert report.solution[0] == pytest.approx(oracle, abs=1e-10)
@@ -86,12 +87,12 @@ def test_solution_invariant_under_equation_permutation(toy_logistic_data):
         mu = sw.expit(x @ theta)
         return -(x.T * (mu * (1 - mu))) @ x / x.shape[0]
 
-    cfg = sw.SolveConfig()
-    base = sw.solve_estimating_equation(residual, jacobian, np.zeros(2), cfg)
+    base = sw.solve_estimating_equation(residual, jacobian, np.zeros(2))
     permuted = sw.solve_estimating_equation(
         lambda t: residual(t)[perm], lambda t: jacobian(t)[perm, :],
-        np.zeros(2), cfg)
-    assert np.max(np.abs(base.solution - permuted.solution)) <= 10 * cfg.tol_score
+        np.zeros(2))
+    assert (np.max(np.abs(base.solution - permuted.solution))
+            <= 10 * solver.TOL_SCORE)
 
 
 def test_step_halving_never_accepts_worse_iterate():
@@ -125,13 +126,15 @@ def test_singular_jacobian_raises():
             np.zeros(2))
 
 
-def test_max_iterations_returns_best_iterate_unconverged():
-    cfg = sw.SolveConfig(max_iter=3, max_halvings=2)
+def test_max_iterations_returns_best_iterate_unconverged(monkeypatch):
+    monkeypatch.setattr(solver, "MAX_ITER", 3)
+    monkeypatch.setattr(solver, "MAX_HALVINGS", 2)
     report = sw.solve_estimating_equation(
         lambda x: np.arctan(50.0 * x) + 0.5,
         lambda x: np.diag(50.0 / (1.0 + 2500.0 * x**2)),
-        [10.0], cfg)
+        [10.0])
     assert not report.converged
+    assert report.iterations <= 3
     assert np.isfinite(report.final_residual_norm)
 
 
@@ -156,11 +159,3 @@ def test_finite_difference_jacobian_matches_analytic():
     fd = finite_difference_jacobian(residual, x0)
     assert np.allclose(fd, analytic, atol=1e-6)
 
-
-def test_solve_config_validation():
-    with pytest.raises(ValueError):
-        sw.SolveConfig(tol_score=0.0)
-    with pytest.raises(ValueError):
-        sw.SolveConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        sw.SolveConfig(max_halvings=-1)

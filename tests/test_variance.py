@@ -315,6 +315,16 @@ def test_pl_requires_overlap_probabilities():
         sw.vcov_pl(theta, alpha, z, d, xi, xe, pi_ext, n_pop, mask, None)
 
 
+def test_pl_repeated_selection_column_is_a_singular_h():
+    theta, alpha, z, d, xi, xe, pi_ext, n_pop, mask, pi_ext_int = _pl_toy()
+    # The disease design z stays full rank; only the selection score's
+    # Hessian, which the external design carries, is singular.
+    xi, xe = (np.column_stack([x, x[:, 1]]) for x in (xi, xe))
+    alpha = np.array([alpha[0], 0.5 * alpha[1], 0.5 * alpha[1]])
+    with pytest.raises(sw.SingularHError, match="^selection-score Hessian"):
+        sw.vcov_pl(theta, alpha, z, d, xi, xe, pi_ext, n_pop, mask, pi_ext_int)
+
+
 def _cl_toy():
     rng = np.random.default_rng(321)
     n_int, n_pop = 10, 25
@@ -365,6 +375,14 @@ def test_cl_components_match_loop_coded_sums():
     expected = g_inv @ e_hat @ g_inv.T / n_pop
     vcov = sw.vcov_cl(theta, alpha, z, d, xi, n_pop)
     assert np.max(np.abs(vcov - expected)) <= 1e-12
+
+
+def test_cl_repeated_selection_column_is_a_singular_h():
+    theta, alpha, z, d, xi, n_pop = _cl_toy()
+    xi = np.column_stack([xi, xi[:, 1]])
+    alpha = np.array([alpha[0], 0.5 * alpha[1], 0.5 * alpha[1]])
+    with pytest.raises(sw.SingularHError, match="^calibration-score Hessian"):
+        sw.vcov_cl(theta, alpha, z, d, xi, n_pop)
 
 
 def test_cl_fixed_weight_blocks_match_known_weights():

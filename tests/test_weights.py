@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import selweight as sw
+from selweight import solver
 from selweight import weights as w_mod
 
 
@@ -61,7 +62,6 @@ def test_pl_with_population_external_matches_logistic_mle():
 
 
 def test_pl_estimating_equation_residual_small():
-    cfg = sw.SolveConfig()
     sim = sw.SimulationConfig(dag=3, setup=1, seed=4, n_population=20_000)
     pop = sw.generate_population(sim, 0)
     im, em = pop.s == 1.0, pop.s_ext == 1.0
@@ -73,7 +73,7 @@ def test_pl_estimating_equation_residual_small():
     ext_w = 1.0 / pop.pi_ext[em]
     resid = (internal.matrix.sum(axis=0)
              - external.matrix.T @ (ext_w * sw.expit(external.matrix @ ws.alpha_hat)))
-    assert np.max(np.abs(resid)) / ext_w.sum() <= cfg.tol_score
+    assert np.max(np.abs(resid)) / ext_w.sum() <= solver.TOL_SCORE
 
 
 def test_pl_rank_deficient_design_raises():
@@ -563,7 +563,7 @@ def test_cl_meets_random_feasible_totals(seed):
     assert ws.diagnostics["clamped_low"] == ws.diagnostics["clamped_high"] == 0
     achieved = design.matrix.T @ (1.0 / ws.pi_hat)
     totals = n_pop * np.concatenate([[1.0], means])
-    assert np.max(np.abs(achieved - totals)) / n_pop <= sw.SolveConfig().tol_score
+    assert np.max(np.abs(achieved - totals)) / n_pop <= solver.TOL_SCORE
 
 
 # ---------------------------------------------------------------------------
