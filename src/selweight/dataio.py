@@ -11,6 +11,8 @@ import csv
 import json
 import warnings
 from dataclasses import dataclass
+from itertools import chain
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -464,32 +466,37 @@ def format_number(value):
     return f"{float(value):.17g}"
 
 
-def _formatted_column(values):
-    """The CSV text and the JSON text of each value of one result column.
+# The texts of non-finite numbers, written as null in JSON.  A text cell's
+# JSON text starts with a quote, so it is never one of them.
+_JSON_NULLS = dict.fromkeys(("inf", "-inf", "nan"), "null")
 
-    A number is written with 17 significant digits, a non-finite float is
-    ``null`` in JSON, and any other value is its ``str``, quoted in JSON.
-    An integer or float array is formatted as a whole.
+
+def _column_cells(values, text_cell):
+    """The printf conversion and the cells of one result column.
+
+    An integer or float array keeps its numbers for the conversion ``%d``
+    or ``%.17g``, which gives the bytes of :func:`format_number`.  Any other
+    column is formatted here, for ``%s``: a number by :func:`format_number`
+    and any other value as ``text_cell`` of its ``str``.
     """
     if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
-        if values.dtype.kind == "f":
-            texts = [f"{v:.17g}" for v in values.tolist()]
-        else:
-            texts = [str(v) for v in values.tolist()]
-        finite = np.isfinite(values).tolist()
-        return texts, [t if ok else "null" for t, ok in zip(texts, finite)]
-    texts, json_texts = [], []
-    for value in values:
-        if isinstance(value, (int, float, np.integer, np.floating)):
-            text = format_number(value)
-            finite = (not isinstance(value, (float, np.floating))
-                      or np.isfinite(value))
-            json_texts.append(text if finite else "null")
-        else:
-            text = str(value)
-            json_texts.append(json.dumps(text))
-        texts.append(text)
-    return texts, json_texts
+        return ("%.17g" if values.dtype.kind == "f" else "%d"), values.tolist()
+    return "%s", [format_number(value)
+                  if isinstance(value, (int, float, np.integer, np.floating))
+                  else text_cell(str(value)) for value in values]
+
+
+def _csv_quoter(width):
+    """A function that gives a text as ``csv.writer`` writes it in a row of
+    ``width`` fields.
+
+    The other fields of that row are empty, so the csv module alone decides
+    the quoting, including a lone empty field's ``""``.
+    """
+    # ``writerow`` returns what the file's ``write`` returns: the line.
+    line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+    blanks = ("",) * (width - 1)
+    return lambda text: line((text, *blanks))[:-width]
 
 
 def _check_intervals(columns):
@@ -540,23 +547,34 @@ class ResultTable:
         for name, column in self.columns.items():
             column.append(values.get(name, ""))
 
-    def _formatted(self):
-        """(CSV texts, JSON texts) of each column, in column order."""
-        return [_formatted_column(self.columns[c]) for c in self.column_names]
+    def _cells(self, text_cell):
+        """(conversion, cells) of each column, in column order (see
+        :func:`_column_cells`)."""
+        return [_column_cells(self.columns[c], text_cell)
+                for c in self.column_names]
 
     def write_csv(self, path):
-        texts = [csv_texts for csv_texts, _ in self._formatted()]
+        # Only a text cell can need quoting, so the numbers go out as the
+        # conversions make them: one row template, applied to the whole
+        # table in one ``%``.
+        quote = _csv_quoter(len(self.column_names))
+        columns = self._cells(quote)
+        rows = len(columns[0][1]) if columns else 0
+        template = ",".join(spec for spec, _ in columns) + "\n"
+        values = chain.from_iterable(zip(*(cells for _, cells in columns)))
+        table = template * rows % tuple(values)
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(self.column_names)
-            writer.writerows(zip(*texts))
+            handle.write(",".join(map(quote, self.column_names)) + "\n" + table)
 
     def write_json(self, path):
         # Hand-rolled so numeric fields carry the same 17-significant-digit
-        # text as the CSV writer.
-        fields = [[f"{json.dumps(name)}: {text}" for text in json_texts]
-                  for name, (_, json_texts) in zip(self.column_names,
-                                                   self._formatted())]
+        # text as the CSV writer; a non-finite number is null.
+        fields = []
+        for name, (spec, cells) in zip(self.column_names,
+                                       self._cells(json.dumps)):
+            texts = list(map(spec.__mod__, cells))
+            fields.append(map((json.dumps(name) + ": ").__add__,
+                              map(_JSON_NULLS.get, texts, texts)))
         rows = ["  {" + ", ".join(cells) + "}" for cells in zip(*fields)]
         lines = ["[", *(row + "," for row in rows[:-1]), *rows[-1:], "]"]
         with open(path, "w", encoding="utf-8", newline="") as handle:

@@ -82,8 +82,9 @@ class SimulationConfig:
             raise ValidationError("dag must be 1, 2, 3, or 4")
         if self.setup not in (1, 2, 3):
             raise ValidationError("setup must be 1, 2, or 3")
-        if self.replications < 1:
-            raise ValidationError("replications must be at least 1")
+        # A study's spread over replications needs at least two.
+        if self.replications < 2:
+            raise ValidationError("replications must be at least 2")
         if not (0 <= self.seed < 2**63):
             raise ValidationError("seed must be a nonnegative 63-bit integer")
         if self.n_population is not None and self.n_population < 1:
@@ -674,8 +675,6 @@ def run_study(cfg, methods=DATA_METHODS, parallelism=1):
     if parallelism < 1:
         raise ValidationError(f"parallelism must be at least 1, got {parallelism}")
     r_total = cfg.replications
-    if r_total < 2:
-        raise ValidationError("at least two replications are required")
     processes = parallelism > 1
     task = partial(_run_replication_task, cfg, methods,
                    0 if processes else _helper_count(methods))

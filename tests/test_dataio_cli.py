@@ -447,6 +447,109 @@ def test_result_table_from_columns_checks_its_rows():
                                      ci_lower=np.zeros(2), ci_upper=np.ones(2))
 
 
+def reference_texts(values):
+    """(CSV texts, JSON texts) of one column, as the earlier writer made
+    them: one f-string per cell."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        if values.dtype.kind == "f":
+            texts = [f"{v:.17g}" for v in values.tolist()]
+        else:
+            texts = [str(v) for v in values.tolist()]
+        finite = np.isfinite(values).tolist()
+        return texts, [t if ok else "null" for t, ok in zip(texts, finite)]
+    texts, json_texts = [], []
+    for value in values:
+        if isinstance(value, (int, float, np.integer, np.floating)):
+            text = format_number(value)
+            finite = (not isinstance(value, (float, np.floating))
+                      or np.isfinite(value))
+            json_texts.append(text if finite else "null")
+        else:
+            text = str(value)
+            json_texts.append(json.dumps(text))
+        texts.append(text)
+    return texts, json_texts
+
+
+def reference_bytes(table, fmt):
+    """The bytes the earlier writer (per-cell f-strings, ``csv.writer``)
+    wrote for ``table``."""
+    formatted = [reference_texts(table.columns[c]) for c in table.column_names]
+    out = io.StringIO()
+    if fmt == "csv":
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(table.column_names)
+        writer.writerows(zip(*[texts for texts, _ in formatted]))
+    else:
+        fields = [[f"{json.dumps(name)}: {text}" for text in json_texts]
+                  for name, (_, json_texts) in zip(table.column_names, formatted)]
+        rows = ["  {" + ", ".join(cells) + "}" for cells in zip(*fields)]
+        lines = ["[", *(row + "," for row in rows[:-1]), *rows[-1:], "]"]
+        out.write("\n".join(lines) + "\n")
+    return out.getvalue().encode("utf-8")
+
+
+# Text cells and names: CSV's delimiter, quote and line breaks, spaces and
+# words a number's text could be mistaken for.
+TEXTS = st.one_of(
+    st.text(st.sampled_from([",", '"', "\n", "\r", " ", "a", "1", "é"]),
+            max_size=5),
+    st.sampled_from(["nan", "inf", "-inf", "null", " x", "True"]),
+    st.text(max_size=4))
+# The values an appended cell may hold.
+CELLS = st.one_of(
+    st.integers(), st.floats(), st.sampled_from(EDGE_VALUES.tolist()),
+    st.builds(np.float64, st.floats()), st.builds(np.float32, st.floats(width=32)),
+    st.builds(np.int64, st.integers(-2**63, 2**63 - 1)),
+    st.builds(np.uint64, st.integers(0, 2**64 - 1)),
+    st.booleans(), st.builds(np.bool_, st.booleans()), st.just(""), TEXTS)
+NAMES = TEXTS.filter(lambda name: name not in ("ci_lower", "estimate",
+                                               "ci_upper"))
+
+
+@st.composite
+def result_tables(draw):
+    """A table from whole columns (arrays or lists of cells) or from
+    appended rows, which leave some columns empty."""
+    names = draw(st.lists(NAMES, max_size=4, unique=True))
+    n = draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        table = ResultTable(names)
+        for _ in range(n):
+            table.append(**{name: draw(CELLS) for name in names
+                            if draw(st.booleans())})
+        return table
+    columns = {}
+    for name in names:
+        kind = draw(st.sampled_from(["int64", "int32", "uint64", "float64",
+                                     "cells"]))
+        if kind == "cells":
+            columns[name] = draw(st.lists(CELLS, min_size=n, max_size=n))
+        elif kind == "float64":
+            columns[name] = np.array(draw(st.lists(
+                st.one_of(st.sampled_from(EDGE_VALUES.tolist()), st.floats()),
+                min_size=n, max_size=n)), dtype=np.float64)
+        else:
+            info = np.iinfo(kind)
+            columns[name] = np.array(draw(st.lists(
+                st.integers(int(info.min), int(info.max)),
+                min_size=n, max_size=n)), dtype=kind)
+    return ResultTable.from_columns(**columns)
+
+
+@settings(max_examples=300, deadline=None)
+@given(result_tables(), st.sampled_from(["csv", "json"]))
+# A lone empty field, which csv writes as "".
+@example(ResultTable.from_columns(a=[""]), "csv")
+@example(ResultTable([""]), "csv")
+@example(ResultTable([]), "json")
+def test_result_table_writes_the_reference_bytes(table, fmt):
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "out"
+        table.write(path, fmt)
+        assert path.read_bytes() == reference_bytes(table, fmt)
+
+
 # ---------------------------------------------------------------------------
 # command-line interface
 
@@ -1009,6 +1112,17 @@ def test_cli_simulate_rejects_threads_below_one(tmp_path, threads):
     assert result.returncode == 2
     assert result.stderr.splitlines() == [
         f"error: validation: parallelism must be at least 1, got {threads}"]
+    assert not out.exists()
+
+
+def test_cli_simulate_rejects_a_single_replication(tmp_path):
+    out = tmp_path / "x.csv"
+    result = run_cli("simulate", "--dag", "1", "--setup", "1",
+                     "--replications", "1", "--population-size", "4000",
+                     "--out", str(out))
+    assert result.returncode == 2
+    assert result.stderr.splitlines() == [
+        "error: validation: replications must be at least 2"]
     assert not out.exists()
 
 

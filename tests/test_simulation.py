@@ -44,8 +44,10 @@ def test_config_validation():
         sw.SimulationConfig(dag=5, setup=1)
     with pytest.raises(sw.ValidationError):
         sw.SimulationConfig(dag=1, setup=0)
-    with pytest.raises(sw.ValidationError):
-        sw.SimulationConfig(dag=1, setup=1, replications=0)
+    for replications in (0, 1):
+        with pytest.raises(sw.ValidationError,
+                           match="^replications must be at least 2$"):
+            sw.SimulationConfig(dag=1, setup=1, replications=replications)
     with pytest.raises(sw.ValidationError):
         sw.SimulationConfig(dag=1, setup=1, seed=-1)
 

@@ -248,6 +248,18 @@ def test_ps_rejects_non_integer_cells(bad):
         assert ws.pi_hat.tobytes() == reference.pi_hat.tobytes()
 
 
+@pytest.mark.parametrize("cells", [np.zeros((0, 1), dtype=np.int64),
+                                   np.zeros((0, 1)), []])
+def test_ps_rejects_an_empty_internal_sample(cells, recwarn):
+    summary = sw.PopulationSummary("joint_cells", levels=np.array([[0], [1]]),
+                                   probabilities=np.array([0.5, 0.5]),
+                                   population_size=10)
+    with np.errstate(all="raise"), pytest.raises(
+            sw.ValidationError, match="at least one internal unit"):
+        sw.estimate_weights_ps(cells, summary)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_ps_requires_population_size():
     summary = sw.PopulationSummary("joint_cells", levels=np.array([[0]]),
                                    probabilities=np.array([1.0]))
