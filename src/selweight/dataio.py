@@ -9,6 +9,7 @@ significant digits so round-trips preserve every double exactly.
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from itertools import chain
@@ -486,6 +487,18 @@ def _column_cells(values, text_cell):
                   else text_cell(str(value)) for value in values]
 
 
+def _json_column(spec, cells):
+    """A column's conversion and cells (see :func:`_column_cells`) as JSON
+    writes them, where a non-finite number is null.
+
+    A float column that holds a non-finite number and a column of texts go
+    out as texts, each with its ``null`` in place.
+    """
+    if spec == "%d" or (spec == "%.17g" and all(map(math.isfinite, cells))):
+        return spec, cells
+    return "%s", [_JSON_NULLS.get(text, text) for text in map(spec.__mod__, cells)]
+
+
 def _csv_quoter(width):
     """A function that gives a text as ``csv.writer`` writes it in a row of
     ``width`` fields.
@@ -568,17 +581,17 @@ class ResultTable:
 
     def write_json(self, path):
         # Hand-rolled so numeric fields carry the same 17-significant-digit
-        # text as the CSV writer; a non-finite number is null.
-        fields = []
-        for name, (spec, cells) in zip(self.column_names,
-                                       self._cells(json.dumps)):
-            texts = list(map(spec.__mod__, cells))
-            fields.append(map((json.dumps(name) + ": ").__add__,
-                              map(_JSON_NULLS.get, texts, texts)))
-        rows = ["  {" + ", ".join(cells) + "}" for cells in zip(*fields)]
-        lines = ["[", *(row + "," for row in rows[:-1]), *rows[-1:], "]"]
+        # text as the CSV writer, with one row template applied to the whole
+        # table in one ``%`` as there; rows are separated by ",\n".
+        columns = [_json_column(*cells) for cells in self._cells(json.dumps)]
+        rows = len(columns[0][1]) if columns else 0
+        template = "  {" + ", ".join(
+            json.dumps(name).replace("%", "%%") + ": " + spec
+            for name, (spec, _) in zip(self.column_names, columns)) + "},\n"
+        values = chain.from_iterable(zip(*(cells for _, cells in columns)))
+        table = template * rows % tuple(values)
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write("\n".join(lines) + "\n")
+            handle.write("[\n" + table[:-2] + "\n]\n" if rows else "[\n]\n")
 
     def write(self, path, fmt):
         if fmt == "csv":

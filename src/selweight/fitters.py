@@ -29,7 +29,7 @@ SEPARATION_BOUND = 30.0
 MULTINOMIAL_CATEGORIES = 3
 
 
-def expit(x):
+def expit(x, *, out=None):
     """Numerically stable inverse logit, branch-free.
 
     With ``e = exp(-|x|)`` the result is ``maximum(e, x >= 0) / (1 + e)``:
@@ -39,17 +39,22 @@ def expit(x):
     matches it bit for bit.  ``-|x|`` is taken as ``minimum(x, -x)``, which
     keeps a NaN's sign as the two-branch form does.  The shorter
     ``(1 + tanh(x/2))/2`` is not used: it loses relative accuracy for small
-    probabilities, the range ``weights.PI_FLOOR`` guards.
+    probabilities, the range ``weights.PI_FLOOR`` guards.  Given ``out``,
+    an array of ``x``'s shape that may be ``x`` itself, the probabilities
+    are written there and ``out`` is returned.
     """
     x = np.asarray(x, dtype=float)
     # ``out=`` keeps 0-d inputs as arrays, which the in-place steps need.
     e = np.negative(x, out=np.empty_like(x))
     np.minimum(x, e, out=e)
     np.exp(e, out=e)
-    out = np.maximum(e, x >= 0, out=np.empty_like(x))
+    # ``x >= 0`` is taken before ``out``, which may be ``x``, is written.
+    res = np.maximum(e, x >= 0, out=np.empty_like(x) if out is None else out)
     e += 1.0
-    out /= e
-    return out if out.ndim else float(out)
+    res /= e
+    if out is not None:
+        return out
+    return res if res.ndim else float(res)
 
 
 def logit(p):

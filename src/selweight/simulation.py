@@ -162,8 +162,9 @@ class Population:
         return self.z1.size
 
 
-# Rows per block of a population draw.  Blocks of this size keep a draw's
-# temporaries in cache and let the replication's threads share the draw.
+# Rows per block of a population draw.  A block's three scratch buffers
+# (256 KiB each) are made once and reused by all six of its draws, so they
+# stay in cache, and the blocks let the replication's threads share the draw.
 POPULATION_BLOCK_ROWS = 32_768
 
 
@@ -212,8 +213,9 @@ def _run_tasks(tasks, helpers):
     return results
 
 
-def _uniforms(key, start, m):
-    """Uniforms ``start .. start + m - 1`` of the Philox stream keyed by ``key``.
+def _uniforms(key, start, m, out=None):
+    """Uniforms ``start .. start + m - 1`` of the Philox stream keyed by ``key``,
+    written into ``out`` when it is given.
 
     A Philox counter step yields four 64-bit outputs and each uniform takes
     one, so the stream is reached at ``start`` without drawing what comes
@@ -222,12 +224,13 @@ def _uniforms(key, start, m):
     bits = np.random.Philox(key=key)
     bits.advance(start // 4)
     bits.random_raw(start % 4)
-    return np.random.Generator(bits).random(m)
+    return np.random.Generator(bits).random(m, out=out)
 
 
-def _standard_normal(u):
-    # Inverse-CDF sampling keeps draws identical across platforms.
-    return normal_quantile(np.clip(u, 1e-300, 1.0 - 1e-16))
+def _standard_normal(u, out):
+    # Inverse-CDF sampling keeps draws identical across platforms.  ``u`` is
+    # clipped in place.
+    return normal_quantile(np.clip(u, 1e-300, 1.0 - 1e-16, out=u), out=out)
 
 
 def _draw_block(cfg, key, pop, lo, hi):
@@ -237,36 +240,67 @@ def _draw_block(cfg, key, pop, lo, hi):
     selection, external selection) reads uniform ``j`` of the population
     at stream position ``t * n + j``; everything after the uniforms is
     element-wise, so a row's values do not depend on the block it is in.
+    Each draw writes straight into the block's rows of the columns, through
+    one uniform buffer ``u`` and two scratch buffers ``a`` and ``b`` that
+    all six draws reuse.  Every step keeps the operands of the formula in
+    the comment above it (swapping the two operands of ``*`` or ``+`` is
+    exact, regrouping is not), so the bits are the formulas' own.
     """
     n, m = pop.n, hi - lo
+    z1, z2, w, d, s, s_ext, pi_true, pi_ext = (
+        column[lo:hi] for column in (pop.z1, pop.z2, pop.w, pop.d, pop.s,
+                                     pop.s_ext, pop.pi_true, pop.pi_ext))
+    u, a, b = np.empty(m), np.empty(m), np.empty(m)
 
     def uniforms(t):
-        return _uniforms(key, t * n + lo, m)
+        return _uniforms(key, t * n + lo, m, out=u)
 
+    # z1 = N0;  z2 = (rho * z1) + (sqrt(1 - rho**2) * N1)
     rho = cfg.z_correlation
-    z1 = _standard_normal(uniforms(0))
-    z2 = rho * z1 + math.sqrt(1.0 - rho**2) * _standard_normal(uniforms(1))
+    _standard_normal(uniforms(0), z1)
+    np.multiply(rho, z1, out=z2)
+    _standard_normal(uniforms(1), a)
+    a *= math.sqrt(1.0 - rho**2)
+    z2 += a
 
+    # d = U2 < expit((t0 + t1 * z1) + t2 * z2), as 1.0 or 0.0
     t0, t1, t2 = cfg.theta
-    d = (uniforms(2) < expit(t0 + t1 * z1 + t2 * z2)).astype(float)
+    np.multiply(t1, z1, out=a)
+    a += t0
+    a += np.multiply(t2, z2, out=b)
+    np.less(uniforms(2), expit(a, out=a), out=d)
 
+    # w = ((g1 * d + g2 * z1) + g3 * z2) + N3
     g1, g2, g3 = cfg.gamma
-    w = g1 * d + g2 * z1 + g3 * z2 + _standard_normal(uniforms(3))
+    np.multiply(g1, d, out=a)
+    a += np.multiply(g2, z1, out=b)
+    a += np.multiply(g3, z2, out=b)
+    np.add(a, _standard_normal(uniforms(3), w), out=w)
 
+    # pi_true = scale * expit(eta), with eta = alpha0 + alpha1 * z2
+    # + alpha2 * w + alpha3 * d + (a4 * d) * z2 + (a5 * d) * w summed left
+    # to right;  s = U4 < pi_true
     a4, a5 = cfg.interactions
-    eta = (cfg.alpha0 + cfg.alpha1 * z2 + cfg.alpha2 * w + cfg.alpha3 * d
-           + a4 * d * z2 + a5 * d * w)
-    pi_true = cfg.selection_scale * expit(eta)
-    s = (uniforms(4) < pi_true).astype(float)
+    np.multiply(cfg.alpha1, z2, out=a)
+    a += cfg.alpha0
+    a += np.multiply(cfg.alpha2, w, out=b)
+    a += np.multiply(cfg.alpha3, d, out=b)
+    np.multiply(a4, d, out=b)
+    a += np.multiply(b, z2, out=b)
+    np.multiply(a5, d, out=b)
+    a += np.multiply(b, w, out=b)
+    np.multiply(cfg.selection_scale, expit(a, out=pi_true), out=pi_true)
+    np.less(uniforms(4), pi_true, out=s)
 
+    # pi_ext = scale * expit(((v0 + v1 * z2) + v2 * w) + v3 * d);
+    # s_ext = U5 < pi_ext
     v0, v1, v2, v3 = cfg.nu
-    pi_ext = cfg.external_scale * expit(v0 + v1 * z2 + v2 * w + v3 * d)
-    s_ext = (uniforms(5) < pi_ext).astype(float)
-
-    parts = {"z1": z1, "z2": z2, "w": w, "d": d, "s": s, "s_ext": s_ext,
-             "pi_true": pi_true, "pi_ext": pi_ext}
-    for name, part in parts.items():
-        getattr(pop, name)[lo:hi] = part
+    np.multiply(v1, z2, out=a)
+    a += v0
+    a += np.multiply(v2, w, out=b)
+    a += np.multiply(v3, d, out=b)
+    np.multiply(cfg.external_scale, expit(a, out=pi_ext), out=pi_ext)
+    np.less(uniforms(5), pi_ext, out=s_ext)
 
 
 def generate_population(cfg, replication_index=0, *, helpers=0):

@@ -39,18 +39,19 @@ class SandwichComponents:
     e4: Optional[np.ndarray] = None
 
 
-def normal_quantile(p):
+def normal_quantile(p, *, out=None):
     """Standard normal inverse CDF via a rational approximation.
 
     Accurate to well below 1e-9 over the open unit interval; accepts scalars
-    or arrays.
+    or arrays.  Given ``out``, an array of ``p``'s shape that may be ``p``
+    itself, the quantiles are written there and ``out`` is returned.
     """
     p = np.asarray(p, dtype=float)
     scalar = p.ndim == 0
     p = np.atleast_1d(p)
     if not np.all((p > 0.0) & (p < 1.0)):  # also rejects NaN
         raise ValidationError("normal_quantile requires probabilities in (0, 1)")
-    out = np.empty_like(p)
+    res = np.empty_like(p) if out is None else np.atleast_1d(out)
 
     a = [3.3871328727963666080e0, 1.3314166789178437745e2,
          1.9715909503065514427e3, 1.3731693765509461125e4,
@@ -77,35 +78,45 @@ def normal_quantile(p):
          1.84631831751005468180e-5, 1.42151175831644588870e-7,
          2.04426310338993978564e-15]
 
-    def poly(coef, x):
-        # Horner's rule in place: the same multiplies and adds, in the same
-        # order, as acc = acc * x + ck.
-        acc = np.full_like(x, coef[-1])
+    def poly(coef, x, acc=None):
+        # Horner's rule in ``acc`` (a new array if None): the same multiplies
+        # and adds, in the same order, as acc = acc * x + ck.
+        acc = np.empty_like(x) if acc is None else acc
+        acc.fill(coef[-1])
         for ck in coef[-2::-1]:
             acc *= x
             acc += ck
         return acc
 
-    q = p - 0.5
-    central = np.abs(q) <= 0.425
-    at = np.flatnonzero(central)
-    if at.size:
-        qc = q[at]
-        r = 0.180625 - qc ** 2
-        out[at] = qc * poly(a, r) / poly(b, r)
-    at = np.flatnonzero(~central)
-    if at.size:
-        qt, pt = q[at], p[at]
+    # The central formula runs in place over every element, then the tail
+    # elements overwrite theirs.  Off the centre (0.425 < |q| <= 0.5) r lies
+    # in [-0.0694, 0], where poly(b, r) >= 0.00217, so those elements raise
+    # no floating-point flag.
+    q = np.subtract(p, 0.5, out=np.empty_like(p))
+    r = np.abs(q, out=np.empty_like(p))
+    tail = np.flatnonzero(r > 0.425)
+    qt, pt = q[tail], p[tail]  # read before ``res``, which may be ``p``
+    np.square(q, out=r)
+    np.subtract(0.180625, r, out=r)
+    poly(a, r, res)
+    res *= q
+    res /= poly(b, r, q)
+    if tail.size:
         r = np.where(qt < 0.0, pt, 1.0 - pt)
         r = np.sqrt(-np.log(r))
-        near = r <= 5.0
-        val = np.empty_like(r)
-        x = r[near] - 1.6
-        val[near] = poly(c, x) / poly(d, x)
-        x = r[~near] - 5.0
-        val[~near] = poly(e, x) / poly(f, x)
-        out[at] = np.sign(qt) * val
-    return float(out[0]) if scalar else out
+        # Likewise the near-tail formula runs over every tail element (there
+        # 0 < x < 25.7, so both polynomials stay finite and poly(d, x) >= 1),
+        # then the far tail, r > 5, overwrites its own.
+        x = r - 1.6
+        val = poly(c, x) / poly(d, x)
+        far = np.flatnonzero(r > 5.0)
+        if far.size:
+            x = r[far] - 5.0
+            val[far] = poly(e, x) / poly(f, x)
+        res[tail] = np.sign(qt) * val
+    if out is not None:
+        return out
+    return float(res[0]) if scalar else res
 
 
 def _invert(matrix, error_cls, what):

@@ -489,6 +489,28 @@ def reference_bytes(table, fmt):
     return out.getvalue().encode("utf-8")
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_non_finite_and_text_cells_write_the_reference_bytes(
+        tmp_path, fmt):
+    tables = [
+        ResultTable.from_columns(
+            row=np.arange(1, 6),
+            weight=np.array([0.5, np.nan, np.inf, -np.inf, 2.0]),
+            name=["a", "inf", "nan", "-inf", 'say "hi", %s'],
+            **{"100% sure": [1.5, np.nan, "inf", 3, -np.inf]}),
+        ResultTable.from_columns(row=np.arange(3),
+                                 weight=np.array([0.25, 1e308, 5e-324])),
+    ]
+    table = ResultTable(["method", "estimate", "note"])
+    table.append(method="pl", estimate=np.inf, note="inf")
+    table.append(method="cl", estimate=0.1)
+    tables.append(table)
+    for i, table in enumerate(tables):
+        path = tmp_path / f"out{i}.{fmt}"
+        table.write(path, fmt)
+        assert path.read_bytes() == reference_bytes(table, fmt)
+
+
 # Text cells and names: CSV's delimiter, quote and line breaks, spaces and
 # words a number's text could be mistaken for.
 TEXTS = st.one_of(

@@ -337,6 +337,26 @@ def test_expit_scalar_matches_two_branch_form(value):
     assert same_bits(got, reference_expit(value))
 
 
+def check_expit_out(x):
+    expected = reference_expit(x)
+    buf = np.full_like(x, 0.5)
+    assert sw.expit(x, out=buf) is buf
+    assert same_bits(buf, expected)
+    aliased = x.copy()
+    assert sw.expit(aliased, out=aliased) is aliased
+    assert same_bits(aliased, expected)
+
+
+def test_expit_out_matches_two_branch_form_on_specials():
+    check_expit_out(np.array(EXPIT_SPECIALS))
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(float, st.integers(0, 60), elements=st.floats()))
+def test_expit_out_matches_two_branch_form_bit_for_bit(x):
+    check_expit_out(x)
+
+
 @st.composite
 def multinomial_cases(draw):
     k = draw(st.integers(1, 3))

@@ -177,6 +177,15 @@ def test_blocked_draw_matches_the_single_stream_draw_bit_for_bit(
     assert not thread_starts
 
 
+@pytest.mark.parametrize("n", [1, sim_mod.POPULATION_BLOCK_ROWS - 1,
+                               sim_mod.POPULATION_BLOCK_ROWS + 1, 125_000])
+def test_population_draw_raises_no_floating_point_flag(n):
+    cfg = sw.SimulationConfig(dag=4, setup=3, seed=5, n_population=n)
+    with np.errstate(all="raise"):
+        pop = sw.generate_population(cfg, 1, helpers=1)
+    assert population_bits(pop) == population_bits(reference_population(cfg, 1))
+
+
 @pytest.mark.parametrize("n", [1, 7, 1001])
 def test_stream_positions_read_the_single_stream(n):
     key = np.array([2**63 - 7, 12], dtype=np.uint64)

@@ -142,6 +142,27 @@ def test_normal_quantile_matches_reference_bit_for_bit(p):
     assert same_bits(sw.normal_quantile(p), reference_normal_quantile(p))
 
 
+def check_quantile_out(p):
+    expected = reference_normal_quantile(p)
+    buf = np.full_like(p, np.nan)
+    assert sw.normal_quantile(p, out=buf) is buf
+    assert same_bits(buf, expected)
+    aliased = p.copy()
+    assert sw.normal_quantile(aliased, out=aliased) is aliased
+    assert same_bits(aliased, expected)
+
+
+def test_normal_quantile_out_matches_reference_on_specials():
+    check_quantile_out(QUANTILE_SPECIALS.copy())
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(float, st.integers(0, 60),
+              elements=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)))
+def test_normal_quantile_out_matches_reference_bit_for_bit(p):
+    check_quantile_out(p)
+
+
 def test_wald_interval_examples():
     ci = sw.wald_ci(np.array([0.0]), np.array([[1.0]]))
     assert ci[0, 0] == pytest.approx(-1.959964, abs=1e-6)

@@ -742,6 +742,31 @@ def test_coarsen_rejects_non_finite_or_unordered_cutoffs(cutoffs):
         sw.coarsen(np.array([1.0, 2.0]), np.array(cutoffs))
 
 
+@st.composite
+def values_around_cutoffs(draw):
+    """Strictly increasing finite cutoffs, and values that include each
+    cutoff, its neighbouring floats on either side, and the infinities."""
+    cutoffs = sorted(set(draw(st.lists(
+        st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+        max_size=4))))
+    near = [x for c in cutoffs for x in
+            (c, math.nextafter(c, -math.inf), math.nextafter(c, math.inf))]
+    values = draw(st.lists(st.one_of(
+        st.sampled_from(near + [-np.inf, np.inf]), st.floats(allow_nan=False)),
+        max_size=40))
+    return np.array(values, dtype=float), np.array(cutoffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values_around_cutoffs())
+def test_coarsen_labels_match_searchsorted(case):
+    values, cutoffs = case
+    labels = sw.coarsen(values, cutoffs)
+    expected = np.searchsorted(cutoffs, values, side="right").astype(int)
+    assert labels.dtype == expected.dtype
+    assert labels.tolist() == expected.tolist()
+
+
 @pytest.mark.parametrize("cutoffs", [None, [1.5]])
 def test_coarsen_rejects_nan_values(cutoffs):
     with pytest.raises(sw.ValidationError, match="must not be NaN"):
