@@ -421,12 +421,14 @@ class MethodResult:
         return self.error is not None
 
 
-def _selection_design(population, rows):
-    return DesignMatrix(
-        np.column_stack([np.ones(rows.size), population.z2[rows],
-                         population.w[rows], population.d[rows]]),
-        ["intercept", "z2", "w", "d"],
-    )
+def _design(population, names, rows):
+    """The design of an intercept and ``population``'s ``names`` columns at
+    ``rows``, gathered one column at a time into its C-ordered matrix."""
+    m = np.empty((rows.size, len(names) + 1))
+    m[:, 0] = 1.0
+    for j, name in enumerate(names, 1):
+        m[:, j] = getattr(population, name)[rows]
+    return DesignMatrix(m, ["intercept", *names])
 
 
 class PopulationSource:
@@ -446,13 +448,9 @@ class PopulationSource:
         self.internal = np.flatnonzero(pop.s == 1.0)
         self.external = np.flatnonzero(pop.s_ext == 1.0)
         self.n_population = pop.n
-        self.disease_design = DesignMatrix(
-            np.column_stack([np.ones(self.internal.size),
-                             pop.z1[self.internal], pop.z2[self.internal]]),
-            ["intercept", "z1", "z2"],
-        )
-        self.selection_design = _selection_design(pop, self.internal)
-        x_ext = _selection_design(pop, self.external)
+        self.disease_design = _design(pop, ("z1", "z2"), self.internal)
+        self.selection_design = _design(pop, ("z2", "w", "d"), self.internal)
+        x_ext = _design(pop, ("z2", "w", "d"), self.external)
         self.outcome = pop.d[self.internal]
         # (selection design, known design probabilities) of the external sample
         self.external_sample = (x_ext, pop.pi_ext[self.external])
@@ -470,14 +468,18 @@ class PopulationSource:
     def poststratification_inputs(self):
         """(internal cells, summary with N) on (d, z2 bin, w bin) cells."""
         pop = self.population
-        cells_all = np.column_stack([pop.d.astype(int), coarsen(pop.z2),
-                                     coarsen(pop.w)])
+        columns = (pop.d.astype(int), coarsen(pop.z2), coarsen(pop.w))
+        # Filled a column at a time; np.column_stack took twice as long.
+        cells_all = np.empty((pop.n, len(columns)), dtype=int)
+        for j, column in enumerate(columns):
+            cells_all[:, j] = column
         codes = cell_codes(cells_all)
         summary = PopulationSummary("joint_cells",
                                     levels=cells_all[first_occurrence(codes)],
                                     probabilities=np.bincount(codes) / pop.n,
                                     population_size=pop.n)
-        return cells_all[self.internal], summary
+        # A row gather by ``take`` copies each row whole.
+        return np.take(cells_all, self.internal, axis=0), summary
 
     def calibration_summary(self):
         pop = self.population

@@ -5,7 +5,10 @@ smooth residual with an analytic Jacobian supplied by the caller.  The solver
 uses full Newton steps with step-halving whenever a step would increase the
 max-abs residual, and a dense partial-pivoting LU factorization for the inner
 linear solves so that near-singular Jacobians are detected from the pivot
-magnitudes rather than silently amplified.
+magnitudes rather than silently amplified.  The factorization eliminates on
+Python floats, since the systems have a handful of unknowns; the triangular
+solves keep numpy's ``@``, whose dot products the last bits of every
+variance depend on.
 """
 
 from dataclasses import dataclass
@@ -44,28 +47,51 @@ def lu_factor(a):
     Returns ``(lu, perm)`` where ``lu`` packs L (unit lower) and U.  Raises
     :class:`SingularJacobianError` when a pivot falls below
     ``PIVOT_RTOL`` times the largest pivot seen.
+
+    The elimination runs on Python floats: for the 1-by-1 to 8-by-8
+    matrices solved here, a numpy call per row operation costs more than
+    the arithmetic.  It takes the steps of the vectorised form, one
+    element at a time: the pivot is the first row of largest magnitude (or
+    the first NaN, as ``np.argmax`` picks), each multiplier is one
+    division, and each update one multiply then one subtract, so the
+    factors are the same bits.
     """
     lu = np.array(a, dtype=float, copy=True)
     n = lu.shape[0]
     if lu.shape != (n, n):
         raise ValueError("matrix must be square")
-    perm = np.arange(n)
+    rows = lu.tolist()
+    perm = list(range(n))
     max_pivot = 0.0
     for k in range(n):
-        piv = k + int(np.argmax(np.abs(lu[k:, k])))
+        piv, best = k, abs(rows[k][k])
+        if best == best:  # not NaN
+            for i in range(k + 1, n):
+                magnitude = abs(rows[i][k])
+                if magnitude > best:
+                    piv, best = i, magnitude
+                elif magnitude != magnitude:
+                    piv = i
+                    break
         if piv != k:
-            lu[[k, piv]] = lu[[piv, k]]
-            perm[[k, piv]] = perm[[piv, k]]
-        pivot = abs(lu[k, k])
+            rows[k], rows[piv] = rows[piv], rows[k]
+            perm[k], perm[piv] = perm[piv], perm[k]
+        head = rows[k]
+        pivot = abs(head[k])
         max_pivot = max(max_pivot, pivot)
         if pivot <= PIVOT_RTOL * max_pivot or pivot == 0.0:
             raise SingularJacobianError(
                 f"singular factorization: pivot {pivot:.3e} at column {k} "
                 f"(largest pivot {max_pivot:.3e})"
             )
-        lu[k + 1 :, k] /= lu[k, k]
-        lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
-    return lu, perm
+        diagonal, upper = head[k], head[k + 1 :]
+        for row in rows[k + 1 :]:
+            factor = row[k] / diagonal
+            row[k] = factor
+            row[k + 1 :] = [value - factor * u
+                            for value, u in zip(row[k + 1 :], upper)]
+    lu[...] = rows
+    return lu, np.array(perm, dtype=np.intp)
 
 
 def lu_solve(lu, perm, b):

@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import SingularBreadError, SingularHError, ValidationError
-from .fitters import _design_array, expit
+from .fitters import _design_array, expit, weighted_cross
 from .solver import SingularJacobianError, invert_matrix
 from .weights import logistic_selection_pi
 
@@ -134,8 +134,8 @@ def _assemble(g_positive, e_hat, n_population):
 
 def _fixed_weight_blocks(z, d, mu, pi, n):
     """Positive bread and meat of the weighted score at fixed ``pi``."""
-    g_pos = (z.T * (mu * (1.0 - mu) / pi)) @ z / n
-    e1 = (z.T * ((d - mu) ** 2 / pi**2)) @ z / n
+    g_pos = weighted_cross(z, mu * (1.0 - mu) / pi, z) / n
+    e1 = weighted_cross(z, (d - mu) ** 2 / pi**2, z) / n
     return g_pos, e1
 
 
@@ -199,19 +199,21 @@ def pl_components(theta_hat, alpha_hat, design, outcome, selection_design,
     g_pos, e1 = _fixed_weight_blocks(z, d, mu, pi_int, n)
     resid = d - mu
 
-    h_pos = (xe.T * (pi_at_ext * (1.0 - pi_at_ext) / pi_ext)) @ xe / n
-    g_alpha_pos = (z.T * ((1.0 - pi_int) / pi_int * resid)) @ xi / n
-    cross = (xi.T * (resid / pi_int)) @ z / n
+    h_pos = weighted_cross(xe, pi_at_ext * (1.0 - pi_at_ext) / pi_ext, xe) / n
+    g_alpha_pos = weighted_cross(z, (1.0 - pi_int) / pi_int * resid, xi) / n
+    cross = weighted_cross(xi, resid / pi_int, z) / n
     bracket = (xi.T @ xi) / n
     if mask.any():
         rows = np.flatnonzero(mask)
-        xi_both = xi[rows]
+        # ``take`` copies whole rows; xi[rows] gathers a value at a time.
+        xi_both = np.take(xi, rows, axis=0)
         pi_ext_both = internal_pi_ext[rows]
-        cross -= (xi_both.T * (resid[rows] / pi_ext_both)) @ z[rows] / n
+        cross -= weighted_cross(xi_both, resid[rows] / pi_ext_both,
+                                np.take(z, rows, axis=0)) / n
         bracket -= 2.0 * (
-            (xi_both.T * (pi_int[rows] / pi_ext_both)) @ xi_both / n
+            weighted_cross(xi_both, pi_int[rows] / pi_ext_both, xi_both) / n
         )
-    bracket += (xe.T * ((pi_at_ext / pi_ext) ** 2)) @ xe / n
+    bracket += weighted_cross(xe, (pi_at_ext / pi_ext) ** 2, xe) / n
     return _two_step_components(g_pos, e1, g_alpha_pos, h_pos, cross, bracket,
                                 "selection-score Hessian")
 
@@ -242,10 +244,10 @@ def cl_components(theta_hat, alpha_hat, design, outcome, selection_design,
     g_pos, e1 = _fixed_weight_blocks(z, d, mu, pi, n)
     resid = d - mu
 
-    h_pos = (xi.T * ((1.0 - pi) / pi)) @ xi / n
-    g_alpha_pos = (z.T * ((1.0 - pi) / pi * resid)) @ xi / n
-    cross = (xi.T * ((1.0 - pi) / pi**2 * resid)) @ z / n
-    bracket = (xi.T * ((1.0 - pi) / pi**2)) @ xi / n
+    h_pos = weighted_cross(xi, (1.0 - pi) / pi, xi) / n
+    g_alpha_pos = weighted_cross(z, (1.0 - pi) / pi * resid, xi) / n
+    cross = weighted_cross(xi, (1.0 - pi) / pi**2 * resid, z) / n
+    bracket = weighted_cross(xi, (1.0 - pi) / pi**2, xi) / n
     return _two_step_components(g_pos, e1, g_alpha_pos, h_pos, cross, bracket,
                                 "calibration-score Hessian")
 

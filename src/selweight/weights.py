@@ -32,8 +32,10 @@ from .fitters import (
     expit,
     fit_multinomial,
     fit_simplex_regression,
+    in_unit_interval,
     memoize_last,
     multinomial_probabilities,
+    weighted_cross,
 )
 from .solver import solve_estimating_equation
 
@@ -62,7 +64,7 @@ class WeightSet:
 
     def __post_init__(self):
         self.pi_hat = np.asarray(self.pi_hat, dtype=float)
-        if np.any(self.pi_hat <= 0.0) or np.any(self.pi_hat > 1.0):
+        if not in_unit_interval(self.pi_hat):
             raise ValidationError("pi_hat entries must lie in (0, 1]")
         needs_alpha = self.method in ("PL", "CL")
         if needs_alpha != (self.alpha_hat is not None):
@@ -238,7 +240,7 @@ def winsorize_weights(w, lower_q=0.025, upper_q=0.975):
     points of the clipping).
     """
     w = np.asarray(w, dtype=float)
-    if np.any(w <= 0.0):
+    if not np.all(w > 0.0):  # NaN fails too
         raise ValidationError("weights must be positive")
     if not (0.0 <= lower_q < upper_q <= 1.0):
         raise ValidationError("need 0 <= lower_q < upper_q <= 1")
@@ -263,12 +265,12 @@ def augment_weights_with_outcome(w0, outcome, p_pop, p_int):
     p_int = np.asarray(p_int, dtype=float)
     if not (w0.shape == d.shape == p_pop.shape == p_int.shape):
         raise ValidationError("augmentation inputs must share one shape")
-    if np.any(w0 <= 0.0):
+    if not np.all(w0 > 0.0):  # NaN fails too
         raise ValidationError("weights must be positive")
     if not np.all((d == 0.0) | (d == 1.0)):
         raise ValidationError("outcome must be coded 0/1")
     for name, p in (("p_pop", p_pop), ("p_int", p_int)):
-        if np.any(p <= 0.0) or np.any(p >= 1.0):
+        if not np.all((p > 0.0) & (p < 1.0)):  # NaN fails too
             raise ValidationError(f"{name} must lie strictly inside (0, 1)")
     ratio = np.where(d == 1.0, p_pop / p_int, (1.0 - p_pop) / (1.0 - p_int))
     return w0 * ratio
@@ -311,7 +313,7 @@ def _check_pi_ext(pi_ext, n):
     pi_ext = np.asarray(pi_ext, dtype=float).ravel()
     if pi_ext.size != n:
         raise ValidationError("pi_ext length does not match external rows")
-    if np.any(pi_ext <= 0.0) or np.any(pi_ext > 1.0):
+    if not in_unit_interval(pi_ext):
         raise ValidationError("external design probabilities must lie in (0, 1]")
     return pi_ext
 
@@ -364,7 +366,7 @@ def estimate_weights_pl(internal_X, external_X, pi_ext):
 
     def jacobian(alpha):
         p = pi_at_ext(alpha)
-        return -(xe.T * (ext_w * p * (1.0 - p))) @ xe / n_hat
+        return weighted_cross(xe, -(ext_w * p * (1.0 - p)), xe) / n_hat
 
     report = _solve_selection_model(residual, jacobian, xi.shape[1])
     if not report.converged:
@@ -412,9 +414,9 @@ def estimate_weights_sr(internal_X, external_X, pi_ext, overlap):
     if overlap.size != n_int + n_ext:
         raise ValidationError("overlap labels must cover internal plus external rows")
     lab_int, lab_ext = overlap[:n_int], overlap[n_int:]
-    if not np.all(np.isin(lab_int, (BOTH_SAMPLES, INTERNAL_ONLY))):
+    if not np.all((lab_int == BOTH_SAMPLES) | (lab_int == INTERNAL_ONLY)):
         raise ValidationError("internal rows must be labeled BOTH or INTERNAL_ONLY")
-    if not np.all(np.isin(lab_ext, (BOTH_SAMPLES, EXTERNAL_ONLY))):
+    if not np.all((lab_ext == BOTH_SAMPLES) | (lab_ext == EXTERNAL_ONLY)):
         raise ValidationError("external rows must be labeled BOTH or EXTERNAL_ONLY")
     if np.sum(lab_int == BOTH_SAMPLES) != np.sum(lab_ext == BOTH_SAMPLES):
         raise ValidationError("mismatched BOTH_SAMPLES counts between blocks")
@@ -422,7 +424,11 @@ def estimate_weights_sr(internal_X, external_X, pi_ext, overlap):
     simplex = fit_simplex_regression(external_X, pi_ext)
 
     ext_only = np.flatnonzero(lab_ext == EXTERNAL_ONLY)
-    combined = np.vstack([xi, xe[ext_only]])
+    # np.vstack([xi, xe[ext_only]]), with the external rows taken whole
+    # straight into place.
+    combined = np.empty((n_int + ext_only.size, xi.shape[1]))
+    combined[:n_int] = xi
+    np.take(xe, ext_only, axis=0, out=combined[n_int:])
     labels = np.concatenate([lab_int, np.full(ext_only.size, EXTERNAL_ONLY)])
     multinomial = fit_multinomial(
         DesignMatrix(combined, list(internal_X.column_names),
@@ -559,7 +565,7 @@ def estimate_weights_cl(internal_X, summary):
 
     def jacobian(alpha):
         pi = pi_at(alpha)
-        return -(x.T * ((1.0 - pi) / pi)) @ x / n_pop
+        return weighted_cross(x, -((1.0 - pi) / pi), x) / n_pop
 
     report = _solve_selection_model(residual, jacobian, p)
     if not report.converged:

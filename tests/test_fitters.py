@@ -119,6 +119,18 @@ def test_outcome_and_probability_validation():
         sw.fit_weighted_logistic(design, [0, 1, 1, 0], [0.5, 0.5, 0.5, 1.5])
 
 
+def test_nan_selection_probability_is_a_validation_error():
+    design = sw.DesignMatrix(np.ones((4, 1)), ["intercept"])
+    with pytest.raises(sw.ValidationError, match="selection probabilities"):
+        sw.fit_weighted_logistic(design, [0, 1, 1, 0], [0.5, np.nan, 0.5, 1.0])
+
+
+def test_nan_simplex_response_is_outside_the_interval():
+    design = sw.build_design([[0.1, 0.2, 0.3, 0.4]])
+    with pytest.raises(sw.ResponseOnBoundaryError, match="index 1"):
+        sw.fit_simplex_regression(design, [0.2, np.nan, 0.5, 0.7])
+
+
 def test_true_weight_fit_recovers_generative_coefficients():
     cfg = sw.SimulationConfig(dag=1, setup=1, seed=123)
     pop = sw.generate_population(cfg, 0)
@@ -376,6 +388,108 @@ def test_multinomial_probabilities_match_column_stack_form(case):
     coef, x = case
     assert same_bits(sw.multinomial_probabilities(coef, x),
                      reference_multinomial_probabilities(coef, x))
+
+
+def previous_multinomial_probabilities(coef, x):
+    """The running-maximum softmax that broadcast its shift and its division
+    across each row, kept as the bit-for-bit reference."""
+    lin = x @ coef.T
+    top = np.zeros(lin.shape[0])
+    for column in lin.T:
+        np.maximum(top, column, out=top)
+    probs = np.empty((lin.shape[0], lin.shape[1] + 1))
+    np.negative(top, out=probs[:, 0])
+    np.subtract(lin, top[:, None], out=probs[:, 1:])
+    np.exp(probs, out=probs)
+    total = probs[:, 0].copy()
+    for column in probs[:, 1:].T:
+        total += column
+    probs /= total[:, None]
+    return probs
+
+
+@settings(max_examples=200, deadline=None)
+@given(multinomial_cases(), st.sampled_from([1.0, 20.0, 1e-300]))
+def test_multinomial_probabilities_match_row_broadcast_form(case, scale):
+    coef, x = case
+    coef = coef * scale
+    assert same_bits(sw.multinomial_probabilities(coef, x),
+                     previous_multinomial_probabilities(coef, x))
+
+
+# ---------------------------------------------------------------------------
+# weighted cross-products, bit for bit against the broadcast form
+
+
+def reference_weighted_cross(a, v, b):
+    """The broadcast form every Jacobian and sandwich block was written in."""
+    return (a.T * v) @ b
+
+
+# Signed zeros, a negative and a repeated value among ordinary magnitudes.
+CROSS_VALUES = st.one_of(st.sampled_from([0.0, -0.0, -1.0, 2.5]),
+                         st.floats(-1e3, 1e3))
+
+
+def layout(a, kind):
+    """``a`` itself, in F order, or as a strided view of a larger array."""
+    if kind == "F":
+        return np.asfortranarray(a)
+    if kind == "rows":
+        wide = np.zeros((2 * a.shape[0], a.shape[1]))
+        wide[::2] = a
+        return wide[::2]
+    if kind == "columns":
+        wide = np.zeros((a.shape[0], 2 * a.shape[1]))
+        wide[:, ::2] = a
+        return wide[:, ::2]
+    return a
+
+
+@st.composite
+def cross_cases(draw):
+    n = draw(st.integers(1, 40))
+    p = draw(st.integers(1, 5))
+    a = layout(draw(arrays(float, (n, p), elements=CROSS_VALUES)),
+               draw(st.sampled_from(["C", "F", "rows", "columns"])))
+    v = draw(arrays(float, n, elements=CROSS_VALUES))
+    if draw(st.booleans()):
+        b = a  # the Jacobians and most sandwich blocks
+    else:
+        b = draw(arrays(float, (n, draw(st.integers(1, 4))),
+                        elements=CROSS_VALUES))
+    return a, v, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(cross_cases(), st.integers(1, 12))
+def test_weighted_cross_matches_broadcast_form(case, block):
+    a, v, b = case
+    with pytest.MonkeyPatch.context() as patch:
+        # Small blocks, so short inputs span several of them.
+        patch.setattr(fitters, "CROSS_BLOCK_ELEMENTS", block)
+        assert same_bits(fitters.weighted_cross(a, v, b),
+                         reference_weighted_cross(a, v, b))
+        assert same_bits(fitters.weighted_cross(a, -v, b),
+                         -(a.T * v) @ b)
+    assert same_bits(fitters.weighted_cross(a, v, b),
+                     reference_weighted_cross(a, v, b))
+
+
+@pytest.mark.parametrize("n, p", [(38_411, 4), (18_377, 3), (20_000, 1)])
+def test_weighted_cross_matches_broadcast_form_at_design_sizes(n, p):
+    # Sizes of the benchmark designs: many blocks, and a ragged last one.
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(n, p))
+    v = rng.normal(size=n)
+    v[::7] = 0.0
+    v[::11] = -0.0
+    b = rng.normal(size=(n, 3))
+    for other in (a, b):
+        assert same_bits(fitters.weighted_cross(a, v, other),
+                         reference_weighted_cross(a, v, other))
+        assert same_bits(fitters.weighted_cross(a, -v, other),
+                         -(a.T * v) @ other)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import selweight as sw
 from selweight import solver
@@ -148,6 +149,85 @@ def test_lu_factor_solves_and_flags_pivots():
     singular = np.array([[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(sw.SingularJacobianError):
         lu_factor(singular)
+
+
+def reference_lu_factor(a):
+    """The vectorised elimination lu_factor replaced, kept as the bit-for-bit
+    reference."""
+    lu = np.array(a, dtype=float, copy=True)
+    n = lu.shape[0]
+    perm = np.arange(n)
+    max_pivot = 0.0
+    for k in range(n):
+        piv = k + int(np.argmax(np.abs(lu[k:, k])))
+        if piv != k:
+            lu[[k, piv]] = lu[[piv, k]]
+            perm[[k, piv]] = perm[[piv, k]]
+        pivot = abs(lu[k, k])
+        max_pivot = max(max_pivot, pivot)
+        if pivot <= solver.PIVOT_RTOL * max_pivot or pivot == 0.0:
+            raise sw.SingularJacobianError(
+                f"singular factorization: pivot {pivot:.3e} at column {k} "
+                f"(largest pivot {max_pivot:.3e})"
+            )
+        lu[k + 1 :, k] /= lu[k, k]
+        lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
+    return lu, perm
+
+
+def factor_outcome(factor, a):
+    """(lu bytes, perm) of a factorization, or the singularity message."""
+    try:
+        with np.errstate(all="ignore"):  # the reference warns on inf and NaN
+            lu, perm = factor(a)
+    except sw.SingularJacobianError as exc:
+        return str(exc)
+    assert lu.dtype == np.float64 and lu.shape == a.shape
+    assert perm.dtype == np.intp
+    return lu.tobytes(), perm.tolist()
+
+
+# Ties in magnitude (1 and -1, 2 and -2), zeros of both signs, NaN, ±inf.
+LU_VALUES = st.one_of(
+    st.sampled_from([1.0, -1.0, 2.0, -2.0, 0.0, -0.0, 1e-13,
+                     np.nan, np.inf, -np.inf]),
+    st.floats(-10.0, 10.0))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(1, 8).flatmap(
+    lambda n: arrays(float, (n, n), elements=LU_VALUES)))
+def test_lu_factor_matches_vectorised_form(a):
+    assert factor_outcome(lu_factor, a) == factor_outcome(reference_lu_factor, a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(
+    lambda n: arrays(float, (n, n), elements=st.floats(-1e3, 1e3))))
+def test_lu_factor_matches_vectorised_form_on_finite_matrices(a):
+    assert factor_outcome(lu_factor, a) == factor_outcome(reference_lu_factor, a)
+
+
+@pytest.mark.parametrize("a", [
+    [[1.0, 2.0], [2.0, 4.0]],
+    [[0.0, 0.0], [0.0, 0.0]],
+    [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [2.0, 3.0, 4.0]],
+    [[1.0, 2.0], [-1.0, 3.0]],  # tied pivot magnitudes: the first row wins
+    [[np.nan, 1.0], [2.0, 1.0]],
+    [[1.0, np.inf], [3.0, 1.0]],
+], ids=["rank-1", "zero", "repeated-row", "tie", "nan", "inf"])
+def test_lu_factor_special_matrices_match_vectorised_form(a):
+    a = np.array(a)
+    assert factor_outcome(lu_factor, a) == factor_outcome(reference_lu_factor, a)
+
+
+def test_lu_factor_singular_messages_match_vectorised_form():
+    rng = np.random.default_rng(5)
+    for rank in range(1, 8):
+        a = rng.normal(size=(8, rank)) @ rng.normal(size=(rank, 8))
+        message = factor_outcome(reference_lu_factor, a)
+        assert isinstance(message, str)
+        assert factor_outcome(lu_factor, a) == message
 
 
 def test_finite_difference_jacobian_matches_analytic():

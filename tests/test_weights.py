@@ -694,6 +694,46 @@ def test_augmentation_validation():
 
 
 # ---------------------------------------------------------------------------
+# NaN probabilities and weights
+
+
+def test_pl_and_sr_reject_nan_external_probabilities():
+    internal = sw.DesignMatrix(np.ones((4, 1)), ["intercept"])
+    external = sw.DesignMatrix(np.ones((10, 1)), ["intercept"])
+    pi_ext = np.ones(10)
+    pi_ext[3] = np.nan
+    message = "external design probabilities"
+    with pytest.raises(sw.ValidationError, match=message):
+        sw.estimate_weights_pl(internal, external, pi_ext)
+    overlap = sw.overlap_labels(np.zeros(4, bool), np.zeros(10, bool))
+    with pytest.raises(sw.ValidationError, match=message):
+        sw.estimate_weights_sr(internal, external, pi_ext, overlap)
+
+
+def test_weight_set_rejects_nan_probabilities():
+    with pytest.raises(sw.ValidationError, match="pi_hat"):
+        sw.WeightSet(np.array([0.5, np.nan]), "PS")
+
+
+def test_winsorize_rejects_nan_weights():
+    with pytest.raises(sw.ValidationError, match="positive"):
+        sw.winsorize_weights(np.array([1.0, np.nan, 2.0]))
+
+
+@pytest.mark.parametrize("position, message", [
+    (0, "weights must be positive"),
+    (2, "p_pop must lie"),
+    (3, "p_int must lie"),
+])
+def test_augmentation_rejects_nan_inputs(position, message):
+    inputs = [np.array([2.0, 3.0]), np.array([1.0, 0.0]),
+              np.array([0.3, 0.6]), np.array([0.4, 0.5])]
+    inputs[position][1] = np.nan
+    with pytest.raises(sw.ValidationError, match=message):
+        sw.augment_weights_with_outcome(*inputs)
+
+
+# ---------------------------------------------------------------------------
 # coarsening
 
 
