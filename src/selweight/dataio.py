@@ -95,7 +95,7 @@ def read_key_values(path, parsers):
     and values the parser rejects are errors naming the line.
     """
     values = {}
-    with open(path, encoding="utf-8") as handle:
+    with _open_text(path) as handle:
         for lineno, raw in enumerate(_checked(handle, path), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -151,24 +151,17 @@ class AnalysisSample:
     def outcome(self):
         return self.columns[self.roles.outcome]
 
+    def _design(self, names):
+        """An intercept column, then the named columns."""
+        cols = [np.ones(self.n_rows)] + [self.columns[c] for c in names]
+        return DesignMatrix(np.column_stack(cols), ["intercept", *names])
+
     def disease_design(self):
-        cols = [np.ones(self.n_rows)]
-        names = ["intercept"]
-        for name in self.roles.disease_covariates:
-            cols.append(self.columns[name])
-            names.append(name)
-        return DesignMatrix(np.column_stack(cols), names)
+        return self._design(self.roles.disease_covariates)
 
     def selection_design(self, include_outcome=False):
-        cols = [np.ones(self.n_rows)]
-        names = ["intercept"]
-        for name in self.roles.selection_covariates:
-            cols.append(self.columns[name])
-            names.append(name)
-        if include_outcome:
-            cols.append(self.outcome)
-            names.append(self.roles.outcome)
-        return DesignMatrix(np.column_stack(cols), names)
+        outcome = [self.roles.outcome] if include_outcome else []
+        return self._design([*self.roles.selection_covariates, *outcome])
 
     def external_probabilities(self):
         if not self.roles.external_prob:
@@ -225,6 +218,12 @@ def _checked(items, path):
         ) from None
 
 
+def _open_text(path):
+    """``path`` opened to read as UTF-8 text.  A leading byte-order mark,
+    which Excel's "CSV UTF-8" export writes, is not part of the text."""
+    return open(path, encoding="utf-8-sig", newline="")
+
+
 def _csv_rows(handle, path):
     """The rows of a CSV file, as ``csv.reader`` yields them (see
     :func:`_checked` for the errors)."""
@@ -255,9 +254,16 @@ def _read_header(reader, path):
         raise ValidationError(f"{path}: empty file") from None
 
 
+def _check_unique(header, names, path):
+    """Raise :class:`ValidationError` if a name in ``names`` heads two columns."""
+    for name in names:
+        if header.count(name) > 1:
+            raise ValidationError(f"{path}: header repeats column {name!r}")
+
+
 def read_header(path):
     """The stripped header fields of a delimited file."""
-    with open(path, encoding="utf-8", newline="") as handle:
+    with _open_text(path) as handle:
         return _read_header(_csv_rows(handle, path), path)
 
 
@@ -266,37 +272,32 @@ def load_dataset(path, roles, extra_columns=()):
 
     Binary roles (outcome, indicators) must be coded 0/1; any missing or
     non-numeric cell in a mapped column is an error naming the 1-based data
-    row and the column.  ``extra_columns`` pulls in additional numeric
-    columns beyond the role map (for example outcome-probability columns
-    used by weight augmentation).
+    row and the column, and so is a header that names a mapped column
+    twice.  ``extra_columns`` pulls in additional numeric columns beyond the
+    role map (for example outcome-probability columns used by weight
+    augmentation).
 
-    The data rows are parsed in one numpy pass over every column.  When
-    that fails and some columns are not wanted (a text column such as a
-    subject ID fails it), a second numpy pass converts only the wanted
-    ones.  Whenever the numpy passes reject the text or yield a NaN in a
+    The data rows are parsed in one typed numpy pass that converts only the
+    wanted columns (:func:`_numeric_table`).  Whenever that pass rejects
+    the text, meets a field that starts with a quote or yields a NaN in a
     wanted column, the row loop (:func:`_columns_by_row`) parses the file
     instead; it gives the same numbers, so it alone decides every error and
     its row number.
     """
     wanted = list(roles.mapped_columns())
     wanted += [c for c in extra_columns if c not in wanted]
-    with open(path, encoding="utf-8", newline="") as handle:
+    with _open_text(path) as handle:
         header = _read_header(_csv_rows(handle, path), path)
         missing = [c for c in wanted if c not in header]
         if missing:
             raise MissingColumnError(f"{path}: missing columns {missing}")
-        positions = [header.index(c) for c in wanted]
-        table = _numeric_table(handle, len(header))
-        skipped = set(range(len(header))) - set(positions)
-        if table is None and skipped:
-            # Converters slow the pass, so only a failed pass takes them.
-            handle.seek(0)
-            _read_header(_csv_rows(handle, path), path)
-            table = _numeric_table(handle, len(header), skipped)
-    if table is None or np.isnan(table[:, positions]).any():
+        _check_unique(header, wanted, path)
+        fields = [f"f{header.index(c)}" for c in wanted]
+        table = _numeric_table(handle, len(header), fields)
+    if table is None or any(np.isnan(table[f]).any() for f in fields):
         columns, n_rows = _columns_by_row(path, wanted)
     else:
-        columns = {c: table[:, j].copy() for c, j in zip(wanted, positions)}
+        columns = {c: table[f].copy() for c, f in zip(wanted, fields)}
         n_rows = len(table)
 
     binary_roles = [roles.outcome, roles.selection_indicator,
@@ -311,38 +312,34 @@ def load_dataset(path, roles, extra_columns=()):
     return AnalysisSample(columns=columns, roles=roles, n_rows=n_rows)
 
 
-def _skipped_cell(text):
-    """0 for a cell of a column that is not read.  A quote may change how
-    ``csv`` splits the row, so it sends the file to the row loop."""
-    if '"' in text:
-        raise ValueError("quoted field")
-    return 0.0
+def _numeric_table(handle, width, wanted):
+    """The rest of ``handle`` as a record array, or None.
 
-
-def _numeric_table(handle, width, skipped=()):
-    """The rest of ``handle`` as a float matrix of ``width`` columns, or None.
-
-    The columns at the positions in ``skipped`` are not converted; they
-    read as 0 (:func:`_skipped_cell`).  ``np.loadtxt`` converts each field
-    with ``PyOS_string_to_double``, the routine ``float`` uses, so an
-    accepted matrix holds the row loop's numbers.  It fails on what the row
-    loop treats specially (a missing or quoted token, a whitespace-only or
-    ``,,,`` row, ``1_0``, a row of the wrong width, a quote in any column)
-    and returns NaN for ``nan``; the caller then runs the row loop.  None
-    also when there are no rows or not ``width`` columns.
+    Field ``f{j}`` holds column j of each row: a float64 when ``wanted``
+    names the field, and the first character of the text otherwise, so
+    only the wanted columns are converted.  ``np.loadtxt`` converts them
+    with ``PyOS_string_to_double``, the routine ``float`` uses, so accepted
+    fields hold the row loop's numbers.  It fails on what the row loop
+    treats specially (a missing token or ``1_0`` in a wanted column, a
+    whitespace-only or ``,,,`` row, a row of other than ``width`` fields)
+    and returns NaN for ``nan``; the caller then runs the row loop.
+    loadtxt does not read quotes, so where a field starts with ``"`` it may
+    split the row otherwise than ``csv``.  Such a field fails the
+    conversion in a wanted column and shows its quote in any other; either
+    way, and when there are no rows, the result is None.
     """
-    # Converters, not ``usecols``, skip columns, so that loadtxt still
-    # checks that every row has the width of the first.
-    converters = dict.fromkeys(skipped, _skipped_cell)
+    dtype = np.dtype([(f"f{j}", "f8" if f"f{j}" in wanted else "U1")
+                      for j in range(width)])
     try:
         with warnings.catch_warnings():
             # A table without rows warns; the row loop reports it instead.
             warnings.simplefilter("ignore", UserWarning)
-            table = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2,
-                               dtype=float, converters=converters)
+            table = np.loadtxt(handle, delimiter=",", comments=None, ndmin=1,
+                               dtype=dtype)
     except ValueError:
         return None
-    if table.shape[0] == 0 or table.shape[1] != width:
+    if len(table) == 0 or any((table[f] == '"').any()
+                              for f in dtype.names if f not in wanted):
         return None
     return table
 
@@ -354,7 +351,7 @@ def _columns_by_row(path, wanted):
     error naming the file, the data row and the column of the first bad
     cell.
     """
-    with open(path, encoding="utf-8", newline="") as handle:
+    with _open_text(path) as handle:
         reader = _csv_rows(handle, path)
         header = _read_header(reader, path)
         index = {c: header.index(c) for c in wanted}
@@ -387,7 +384,7 @@ def load_population_summary(path, kind):
 
 
 def _load_joint_cells(path):
-    with open(path, encoding="utf-8", newline="") as handle:
+    with _open_text(path) as handle:
         reader = _csv_rows(handle, path)
         header = _read_header(reader, path)
         if len(header) < 2 or header[-1] != "probability":
@@ -396,6 +393,7 @@ def _load_joint_cells(path):
                 "'probability' column"
             )
         level_names = header[:-1]
+        _check_unique(header, level_names, path)
         levels, probabilities = [], []
         for row_number, row in _data_rows(reader, path, len(header)):
             levels.append([_parse_cell(cell, path, row_number, name)
@@ -429,7 +427,7 @@ def _load_joint_cells(path):
 def _load_marginal_means(path):
     names, means = [], []
     population_size = None
-    with open(path, encoding="utf-8", newline="") as handle:
+    with _open_text(path) as handle:
         reader = _csv_rows(handle, path)
         header = _read_header(reader, path)
         if [h.lower() for h in header] != ["name", "value"]:

@@ -244,11 +244,12 @@ def winsorize_weights(w, lower_q=0.025, upper_q=0.975):
         raise ValidationError("weights must be positive")
     if not (0.0 <= lower_q < upper_q <= 1.0):
         raise ValidationError("need 0 <= lower_q < upper_q <= 1")
-    ws = np.sort(w)
     n = w.size
     i_lo = int(np.ceil((n - 1) * lower_q))
     i_hi = int(np.floor((n - 1) * upper_q))
     i_lo = min(i_lo, i_hi)
+    # Two order statistics, not a sort: the weights are never NaN.
+    ws = np.partition(w, (i_lo, i_hi))
     return np.clip(w, ws[i_lo], ws[i_hi])
 
 

@@ -170,20 +170,25 @@ CELL_TOKENS = padded(st.one_of(NUMBER_TOKENS, NUMBER_TOKENS, SPECIAL_TOKENS))
 BINARY_DIGITS = st.sampled_from(["0", "1", "1.0", "0e0", "-0"])
 BINARY_TOKENS = padded(st.sampled_from(["0", "1", "1.0", "2", "0.5", "nan",
                                         "NA", ""]))
-# Unmapped text: IDs, and quoted cells that csv and loadtxt split differently.
-TEXT_LABELS = ["S000017", "id 7", '"a,b"', '"q"', 'x"y', '""']
+# Unmapped text: IDs, cells loadtxt's float conversion rejects, a long
+# number, and quoted cells that csv and loadtxt split differently.
+TEXT_LABELS = ["S000017", "id 7", "1_0", "0x10", "1" + "0" * 400, '"a,b"',
+               '"q"', 'x"y', '""']
 LABEL_TOKENS = st.sampled_from(["a", "b c", "1", "", "nan", *TEXT_LABELS])
+# Unmapped columns: none, one or two after W, or an ID before D and many after.
+UNMAPPED = st.sampled_from([([], []), ([], ["label"]), ([], ["label", "note"]),
+                            (["id"], [f"note{k}" for k in range(12)])])
 
 
 @st.composite
 def csv_texts(draw):
-    """A data file with outcome D, covariates X and W and, when drawn, one
-    or two unmapped columns, written from the token grammar above.  Most
-    files draw only numbers, empty lines and padding in D, X and W, some
-    with a 2 in D or NaN tokens in X and W; unmapped columns may hold
-    text."""
-    header = ["D", "X", "W"] + draw(st.sampled_from([[], ["label"],
-                                                     ["label", "note"]]))
+    """A data file with outcome D, covariates X and W and, when drawn,
+    unmapped columns and a byte-order mark, written from the token grammar
+    above.  Most files draw only numbers, empty lines and padding in D, X
+    and W, some with a 2 in D or NaN tokens in X and W; unmapped columns may
+    hold text."""
+    before, after = draw(UNMAPPED)
+    header = before + ["D", "X", "W"] + after
     style = draw(st.sampled_from(["numbers", "numbers", "D in 0, 1, 2",
                                   "NaN", "mixed", "mixed"]))
     if style != "mixed":
@@ -191,20 +196,19 @@ def csv_texts(draw):
                    else BINARY_DIGITS)
         number = padded(NUMBER_TOKENS if style != "NaN" else st.one_of(
             NUMBER_TOKENS, st.sampled_from(["nan", "-nan", "NaN", "+nan"])))
-        tokens = {"D": padded(outcome), "X": number, "W": number,
-                  "label": st.sampled_from(["1", "nan", " -2 ", *TEXT_LABELS])}
-        tokens["note"] = tokens["label"]
+        tokens = {"D": padded(outcome), "X": number, "W": number}
+        text = st.sampled_from(["1", "nan", " -2 ", *TEXT_LABELS])
         kinds = ["row"] * 6 + ["blank"]
         blanks = [""]
     else:
-        tokens = {"D": BINARY_TOKENS, "X": CELL_TOKENS, "W": CELL_TOKENS,
-                  "label": LABEL_TOKENS, "note": LABEL_TOKENS}
+        tokens = {"D": BINARY_TOKENS, "X": CELL_TOKENS, "W": CELL_TOKENS}
+        text = LABEL_TOKENS
         kinds = ["row"] * 6 + ["blank", "narrow", "wide"]
         blanks = ["", "  ", ",,,", " , ,"]
     lines = [",".join(header)]
     for _ in range(draw(st.integers(0, 6))):
         kind = draw(st.sampled_from(kinds))
-        cells = [draw(tokens[name]) for name in header]
+        cells = [draw(tokens.get(name, text)) for name in header]
         if kind == "blank":
             lines.append(draw(st.sampled_from(blanks)))
         elif kind == "narrow":
@@ -213,7 +217,8 @@ def csv_texts(draw):
             lines.append(",".join(cells + ["1"] * (kind == "wide")))
     ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]),
                          min_size=len(lines), max_size=len(lines)))
-    return "".join(line + end for line, end in zip(lines, ends))
+    bom = draw(st.sampled_from(["", "", "\ufeff"]))
+    return bom + "".join(line + end for line, end in zip(lines, ends))
 
 
 def load_outcome(path, roles):
@@ -228,9 +233,19 @@ def load_outcome(path, roles):
 @settings(max_examples=60, deadline=None)
 @given(csv_texts())
 # An ID column; a short row whose quoted comma makes up the missing field
-# for loadtxt, which does not read quotes.
+# for loadtxt, which does not read quotes, in the middle and at the end.
 @example("D,X,W,label\n1,2,3,S000017\n0,4,5,S000018\n")
 @example('D,X,W,label,note\n1,2,3,"a,b"\n')
+@example('D,X,W,label,note\n1,2,3,4,5\n1,2,3,"a,b"\n')
+@example('label,D,X,W\n"a,b",1,2\n')
+# A quoted field as the last column: the row loop reads the file.
+@example('D,X,W,note\n1,2,3,"q"\n0,4,5,"a,b"\n')
+# Unmapped cells loadtxt's float conversion rejects, and a long number.
+@example("id,D,X,W,note\n1_0,1,2,3,0x10\nS000017,0,4,5," + "9" * 400 + "\n")
+# Many unmapped columns around the mapped ones.
+@example("a,b,D,c,X,d,e,W,f,g\n" + "x,,1,y,2,z,w,3,v,u\n" * 3)
+# A byte-order mark before the first name.
+@example("\ufeffD,X,W\n1,2,3\n")
 def test_load_dataset_equals_the_row_loop(text):
     roles = sw.ColumnRoleMap(outcome="D", disease_covariates=["X"],
                              selection_covariates=["W"])
@@ -264,6 +279,36 @@ def test_load_dataset_reads_text_columns_in_the_numpy_pass(tmp_path):
     assert sample.n_rows == 2
     assert sample.columns["Z1"].tolist() == [0.5, -1.0]
     assert sample.columns["W1"].tolist() == [2.0, 3.0]
+
+
+@pytest.mark.parametrize("content", [
+    # Text first and last columns, and a quote inside a field.
+    b'id,D,Z1,W1,site\nS01,1,0.5,2,no"rth\nS02,0,-1,3,a b\n',
+    # One data row, without a line end.
+    b"D,Z1,W1,note\n1,0.5,2,text",
+    # Many unmapped columns, some with repeated names.
+    b"a,a,D,b,Z1,b,W1,c,d,e,f,g,h\n" + b"x,y,1,z,0.5,,2,1_0,0x10,,,q,r\n" * 4,
+    # A byte-order mark before the first name.
+    b"\xef\xbb\xbfD,Z1,W1\n1,0.5,2\n0,-1,3\n",
+])
+def test_load_dataset_reads_in_the_numpy_pass(tmp_path, content):
+    path = tmp_path / "data.csv"
+    path.write_bytes(content)
+    expected = load_outcome(path, simple_roles())
+    assert isinstance(expected[0], dict), expected
+    with mock.patch.object(dataio, "_columns_by_row",
+                           side_effect=AssertionError("row loop ran")):
+        assert load_outcome(path, simple_roles()) == expected
+
+
+@pytest.mark.parametrize("header", ["D,Z1,W1,Z1", "Z1,D,Z1,W1,note"])
+def test_load_dataset_rejects_a_repeated_wanted_column(tmp_path, header):
+    path = tmp_path / "data.csv"
+    width = header.count(",") + 1
+    write_lines(path, [header, ",".join(["1"] * width)])
+    message = rf"^{re.escape(str(path))}: header repeats column 'Z1'$"
+    with pytest.raises(sw.ValidationError, match=message):
+        sw.load_dataset(path, simple_roles())
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +346,21 @@ def test_joint_cells_duplicate_rejected(tmp_path):
     path = tmp_path / "cells.csv"
     write_lines(path, ["d,probability", "0,0.5", "0,0.5"])
     with pytest.raises(sw.DuplicateCellError):
+        sw.load_population_summary(path, "joint_cells")
+
+
+@pytest.mark.parametrize("header, name", [
+    ("d,d,probability", "d"),
+    ("d,w_bin,w_bin,probability", "w_bin"),
+    ("probability,probability", "probability"),
+])
+def test_joint_cells_reject_a_repeated_level_name(tmp_path, header, name):
+    path = tmp_path / "cells.csv"
+    width = header.count(",")
+    write_lines(path, [header] + [",".join(["0"] * width + [p])
+                                  for p in ("0.5", "0.5")])
+    message = rf"^{re.escape(str(path))}: header repeats column {name!r}$"
+    with pytest.raises(sw.ValidationError, match=message):
         sw.load_population_summary(path, "joint_cells")
 
 
@@ -1002,6 +1062,78 @@ def test_cli_non_utf8_byte_is_a_validation_error(replication_files, tmp_path,
         "(byte 0xff: invalid start byte)"]
 
 
+def rename_header(source, path, renames):
+    """Write ``source`` to ``path`` with header names replaced by ``renames``."""
+    lines = source.read_text(encoding="utf-8").splitlines()
+    lines[0] = ",".join(renames.get(name, name) for name in lines[0].split(","))
+    write_lines(path, lines)
+
+
+def run_ps_fit(replication_files, tmp_path, replace):
+    """``fit --method ps`` on the replication files, with each input file
+    named in ``replace`` swapped for the given path."""
+    args = method_args("ps", replication_files)
+    for name, path in replace.items():
+        args[args.index(str(replication_files / name))] = str(path)
+    out = tmp_path / "out.csv"
+    result = run_cli("fit", "--method", "ps", *args, "--population-size",
+                     str(REPLICATION_CFG.population_size), "--out", str(out))
+    return result, out
+
+
+@pytest.mark.parametrize("target, renames, column", [
+    ("internal.csv", {"w": "z1"}, "z1"),  # w is not read by ps
+    ("cells.csv", {"z2_bin": "d"}, "d"),
+])
+def test_cli_repeated_column_is_a_validation_error(replication_files, tmp_path,
+                                                   target, renames, column):
+    bad = tmp_path / target
+    rename_header(replication_files / target, bad, renames)
+    result, out = run_ps_fit(replication_files, tmp_path, {target: bad})
+    assert result.returncode == 2
+    assert result.stderr.splitlines() == [
+        f"error: validation: {bad}: header repeats column {column!r}"]
+    assert not out.exists()
+
+
+def test_cli_repeated_unread_columns_are_allowed(replication_files, tmp_path):
+    data = tmp_path / "internal.csv"
+    rename_header(replication_files / "internal.csv", data,
+                  {"w": "note", "s": "note"})
+    result, out = run_ps_fit(replication_files, tmp_path, {})
+    assert result.returncode == 0, result.stderr
+    expected = out.read_bytes()
+    result, out = run_ps_fit(replication_files, tmp_path, {"internal.csv": data})
+    assert result.returncode == 0, result.stderr
+    assert out.read_bytes() == expected
+
+
+def with_bom(source, path):
+    path.write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
+    return path
+
+
+@pytest.mark.parametrize("target, method", [
+    ("internal.csv", "ps"), ("cells.csv", "ps"), ("means.csv", "cl"),
+    ("roles.cfg", "cl"),
+])
+def test_cli_byte_order_mark_is_not_part_of_the_first_name(
+        replication_files, tmp_path, target, method):
+    outputs = []
+    for bom in (False, True):
+        args = method_args(method, replication_files)
+        if bom:
+            source = replication_files / target
+            args[args.index(str(source))] = str(with_bom(source,
+                                                         tmp_path / target))
+        out = tmp_path / f"out_{bom}.csv"
+        result = run_cli("fit", "--method", method, *args, "--population-size",
+                         str(REPLICATION_CFG.population_size), "--out", str(out))
+        assert result.returncode == 0, result.stderr
+        outputs.append((result.stdout, result.stderr, out.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 def test_cli_method_lists_are_the_data_methods():
     assert sw.DATA_METHODS == ("unweighted", "pl", "sr", "ps", "cl")
     assert sw.DATA_METHODS == tuple(
@@ -1092,6 +1224,20 @@ def test_cli_simulate_config_file(tmp_path):
                      "--method", "unweighted", "--out", str(out_b))
     assert result.returncode == 0, result.stderr
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+def test_cli_simulate_config_file_may_start_with_a_byte_order_mark(tmp_path):
+    cfg_file = tmp_path / "scenario.cfg"
+    write_lines(cfg_file, ["dag=1", "setup=1", "replications=2", "seed=5",
+                           "n_population=4000"])
+    outputs = []
+    for path in (cfg_file, with_bom(cfg_file, tmp_path / "bom.cfg")):
+        out = tmp_path / f"{path.stem}.csv"
+        result = run_cli("simulate", "--config", str(path),
+                         "--method", "unweighted", "--out", str(out))
+        assert result.returncode == 0, result.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_simulate_config_rejects_unknown_key(tmp_path):

@@ -1,11 +1,14 @@
-"""The pinned study workloads still produce their recorded golden digests.
+"""The benchmark workloads still produce their recorded golden digests.
 
 ``perfbench/golden.json`` holds, per benchmark workload, the digest of one
-reference replication (seed 7, replication 0): every method's θ̂, diag(vcov),
-α̂ and clamp count.  Recomputing the two study digests here turns any bit
-change in a replication's results into a Tier-1 failure.  The digest is
-computed by perfbench's own ``workloads`` module, so there is one definition
-of what it covers; this test only reads the golden file.
+reference operation at seed 7: for a study, every method's θ̂, diag(vcov), α̂
+and clamp count of replication 0; for cli-files, the bytes ``fit --method
+pl`` writes.  Per seed it also holds the digest of a run's first block of
+operations; for cli-files that block is all seven commands of the mix.
+Recomputing these digests here turns any bit change in a replication's
+results or in a command's output file into a Tier-1 failure.  The digests
+are computed by perfbench's own ``workloads`` module, so there is one
+definition of what they cover; this test only reads the golden file.
 """
 
 import importlib.util
@@ -25,9 +28,13 @@ def _workloads():
     return module
 
 
+def _golden():
+    return json.loads((PERFBENCH / "golden.json").read_text(encoding="utf-8"))
+
+
 @pytest.mark.parametrize("name", ["study-full", "study-model"])
 def test_study_reference_digest_matches_golden(name):
-    golden = json.loads((PERFBENCH / "golden.json").read_text(encoding="utf-8"))
+    golden = _golden()
     workloads = _workloads()
     assert golden["reference_seed"] == workloads.REFERENCE_SEED
     workload = workloads.WORKLOADS[name]()
@@ -35,3 +42,20 @@ def test_study_reference_digest_matches_golden(name):
     outcome = workload.run_reference()
     assert not outcome.failures, outcome.failures
     assert outcome.digest == golden["reference"][name]
+
+
+def test_cli_files_digests_match_golden(tmp_path):
+    golden = _golden()
+    workloads = _workloads()
+    assert golden["reference_seed"] == workloads.REFERENCE_SEED
+    workload = workloads.WORKLOADS["cli-files"]()
+    workload.prepare_reference(tmp_path)
+    outcome = workload.run_reference()
+    assert not outcome.failures, outcome.exact
+    assert outcome.digest == golden["reference"]["cli-files"]
+
+    workload.prepare(1, tmp_path)
+    outcomes = [workload.run(i) for i in range(workload.count_block)]
+    assert [o.exact for o in outcomes if o.failures] == []
+    assert (workloads.block_digest(outcomes)
+            == golden["blocks"]["cli-files"]["1"])

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import selweight as sw
@@ -656,6 +656,33 @@ def test_winsorize_idempotent(values):
     once = sw.winsorize_weights(w)
     twice = sw.winsorize_weights(once)
     assert np.array_equal(once, twice)
+
+
+def reference_winsorize(w, lower_q, upper_q):
+    """The sort-based band: clip at two entries of the sorted weights."""
+    n = w.size
+    i_hi = int(np.floor((n - 1) * upper_q))
+    i_lo = min(int(np.ceil((n - 1) * lower_q)), i_hi)
+    ws = np.sort(w)
+    return np.clip(w, ws[i_lo], ws[i_hi])
+
+
+@settings(max_examples=200, deadline=None)
+# Up to 400 weights: numpy sorts short arrays whole and selects in longer
+# ones.  Half the weights come from six values, so that ties are common.
+@given(st.integers(1, 400), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0),
+       st.floats(0.0, 1.0))
+@example(1, 0, 0.0, 1.0)
+@example(2, 1, 0.3, 0.7)
+@example(2, 2, 0.0, 0.5)
+def test_winsorize_matches_the_sorted_order_statistics(n, seed, q1, q2):
+    assume(q1 != q2)
+    lower_q, upper_q = min(q1, q2), max(q1, q2)
+    rng = np.random.default_rng(seed)
+    tied = rng.choice([1e-3, 0.5, 1.0, 2.0, 2.0000000000000004, 7e5], n)
+    w = np.where(rng.random(n) < 0.5, tied, rng.uniform(1e-3, 1e6, n))
+    got = sw.winsorize_weights(w, lower_q, upper_q)
+    assert got.tobytes() == reference_winsorize(w, lower_q, upper_q).tobytes()
 
 
 def test_winsorize_validation():
