@@ -76,7 +76,6 @@ from .weights import (
     estimate_weights_ps,
     estimate_weights_sr,
     first_occurrence,
-    overlap_labels,
     winsorize_weights,
 )
 from .simulation import (

@@ -23,6 +23,7 @@ from .dataio import (
     read_key_values,
 )
 from .errors import NonConvergenceError, SelweightError, ValidationError
+from .fitters import in_unit_interval
 from .simulation import (
     DATA_METHODS,
     METHODS,
@@ -33,7 +34,7 @@ from .simulation import (
     run_study,
 )
 from .variance import wald_ci
-from .weights import augment_weights_with_outcome, overlap_labels, winsorize_weights
+from .weights import augment_weights_with_outcome, winsorize_weights
 
 
 def build_parser():
@@ -174,10 +175,8 @@ class FileSource:
                 "sr needs a selection_indicator column on the external data "
                 "to label the overlap"
             )
-        return overlap_labels(
-            sample.column(sample.roles.external_indicator) == 1.0,
-            external.column(external.roles.selection_indicator) == 1.0,
-        )
+        return (sample.column(sample.roles.external_indicator) == 1.0,
+                external.column(external.roles.selection_indicator) == 1.0)
 
     def internal_overlap(self):
         roles = self.sample.roles
@@ -188,8 +187,7 @@ class FileSource:
             )
         overlap_mask = self.sample.column(roles.external_indicator) == 1.0
         overlap_prob = self.sample.column(roles.external_prob)
-        bad = overlap_mask & ((overlap_prob <= 0.0) | (overlap_prob > 1.0))
-        if np.any(bad):
+        if not in_unit_interval(overlap_prob[overlap_mask]):
             raise ValidationError(
                 "external_prob must lie in (0, 1] on rows flagged by "
                 "external_indicator"
@@ -252,7 +250,7 @@ def cli_fit(args):
     theta = model.coefficients
     ci = wald_ci(theta, model.vcov)
     se = np.sqrt(np.diag(model.vcov))
-    table = ResultTable.from_columns(
+    table = ResultTable(
         method=[args.method] * len(theta), parameter=list(model.column_names),
         estimate=theta, std_error=se, ci_lower=ci[:, 0], ci_upper=ci[:, 1])
     table.write(args.out, args.format)
@@ -263,8 +261,8 @@ def cli_weights(args):
     if args.method == "unweighted":
         raise ValidationError("weights requires one of pl, sr, ps, cl")
     _, pi, _ = _weights(args)
-    table = ResultTable.from_columns(row=np.arange(1, len(pi) + 1), pi_hat=pi,
-                                     weight=1.0 / pi)
+    table = ResultTable(row=np.arange(1, len(pi) + 1), pi_hat=pi,
+                        weight=1.0 / pi)
     table.write(args.out, args.format)
     return 0
 
@@ -281,7 +279,7 @@ def cli_simulate(args):
             "dag and setup are required (flags or --config file)")
     cfg = SimulationConfig(**settings)
     study = run_study(cfg, methods, parallelism=args.threads)
-    table = ResultTable.from_columns(**{
+    table = ResultTable(**{
         f.name: [getattr(row, f.name) for row in study.rows]
         for f in dataclasses.fields(StudyMetric)})
     table.write(args.out, args.format)

@@ -28,7 +28,7 @@ from .errors import (
     ProbabilitySumOutOfRangeError,
     ValidationError,
 )
-from .fitters import DesignMatrix
+from .fitters import build_design
 from .weights import PopulationSummary, non_integer
 
 MISSING_TOKENS = {"", "na", "nan", "null", "n/a"}
@@ -152,9 +152,7 @@ class AnalysisSample:
         return self.columns[self.roles.outcome]
 
     def _design(self, names):
-        """An intercept column, then the named columns."""
-        cols = [np.ones(self.n_rows)] + [self.columns[c] for c in names]
-        return DesignMatrix(np.column_stack(cols), ["intercept", *names])
+        return build_design([self.columns[c] for c in names], names)
 
     def disease_design(self):
         return self._design(self.roles.disease_covariates)
@@ -525,38 +523,19 @@ def _check_intervals(columns):
 class ResultTable:
     """Result columns in a fixed order, writable as CSV or JSON.
 
-    Fill a table row by row with :meth:`append`, or make it whole from
-    named columns with :meth:`from_columns`; both write the same bytes for
-    the same values.
+    ``ResultTable(**columns)`` holds the named columns in argument order,
+    each an array or a list of cells with one entry per row.  Every column
+    needs the same length, and every row's confidence interval must
+    bracket its estimate.
     """
 
-    def __init__(self, column_names):
-        self.column_names = list(column_names)
-        self.columns = {c: [] for c in self.column_names}
-
-    @classmethod
-    def from_columns(cls, **columns):
-        """A table of the given columns, in argument order, one entry per row.
-
-        As in :meth:`append`, every row's confidence interval must bracket
-        its estimate, and every column needs the same length.
-        """
+    def __init__(self, **columns):
         lengths = {name: len(values) for name, values in columns.items()}
         if len(set(lengths.values())) > 1:
             raise ValidationError(f"result columns differ in length: {lengths}")
         _check_intervals(columns)
-        table = cls(columns)
-        table.columns = dict(columns)
-        return table
-
-    def append(self, **values):
-        """Add one row; a column it does not name is written empty."""
-        unknown = set(values) - set(self.column_names)
-        if unknown:
-            raise ValidationError(f"unknown result columns {sorted(unknown)}")
-        _check_intervals({name: [value] for name, value in values.items()})
-        for name, column in self.columns.items():
-            column.append(values.get(name, ""))
+        self.columns = columns
+        self.column_names = list(columns)
 
     def _cells(self, text_cell):
         """(conversion, cells) of each column, in column order (see

@@ -135,26 +135,27 @@ class DesignMatrix:
         return self.matrix.shape[1]
 
 
-def build_design(columns, names=None, intercept=True):
-    """Stack 1-d arrays into a :class:`DesignMatrix`, prepending an intercept.
+def build_design(columns, names=None):
+    """The :class:`DesignMatrix` of an intercept followed by ``columns``.
 
-    ``columns`` is a sequence of equal-length arrays; ``names`` labels them
-    (defaults to x1, x2, ...).
+    ``columns`` is a non-empty sequence of equal-length 1-d arrays or
+    sequences; ``names`` labels them (defaults to x1, x2, ...), and the
+    intercept is named ``intercept``.  The C-ordered matrix is filled one
+    column at a time.
     """
     cols = [np.asarray(c, dtype=float).ravel() for c in columns]
+    if not cols:
+        raise ValidationError("at least one design column is required")
+    n = cols[0].size
+    if any(c.size != n for c in cols):
+        raise ValidationError("design columns have unequal lengths")
     if names is None:
         names = [f"x{i + 1}" for i in range(len(cols))]
-    names = list(names)
-    if cols:
-        n = cols[0].size
-        if any(c.size != n for c in cols):
-            raise ValidationError("design columns have unequal lengths")
-    else:
-        raise ValidationError("at least one column or an intercept is required")
-    if intercept:
-        cols = [np.ones(cols[0].size)] + cols
-        names = ["intercept"] + names
-    return DesignMatrix(np.column_stack(cols), names, has_intercept=intercept)
+    matrix = np.empty((n, len(cols) + 1))
+    matrix[:, 0] = 1.0
+    for j, column in enumerate(cols, 1):
+        matrix[:, j] = column
+    return DesignMatrix(matrix, ["intercept", *names])
 
 
 @dataclass

@@ -34,7 +34,7 @@ from .errors import (
     StudyError,
     ValidationError,
 )
-from .fitters import DesignMatrix, FittedModel, expit, fit_weighted_logistic
+from .fitters import FittedModel, build_design, expit, fit_weighted_logistic
 from .variance import normal_quantile, vcov_cl, vcov_known_weights, vcov_pl
 from .weights import (
     PopulationSummary,
@@ -46,7 +46,6 @@ from .weights import (
     estimate_weights_ps,
     estimate_weights_sr,
     first_occurrence,
-    overlap_labels,
 )
 
 # Scenario tables: disease-to-selection coupling per dag, interaction terms
@@ -421,16 +420,6 @@ class MethodResult:
         return self.error is not None
 
 
-def _design(population, names, rows):
-    """The design of an intercept and ``population``'s ``names`` columns at
-    ``rows``, gathered one column at a time into its C-ordered matrix."""
-    m = np.empty((rows.size, len(names) + 1))
-    m[:, 0] = 1.0
-    for j, name in enumerate(names, 1):
-        m[:, j] = getattr(population, name)[rows]
-    return DesignMatrix(m, ["intercept", *names])
-
-
 class PopulationSource:
     """Method inputs read from one simulated population.
 
@@ -448,22 +437,28 @@ class PopulationSource:
         self.internal = np.flatnonzero(pop.s == 1.0)
         self.external = np.flatnonzero(pop.s_ext == 1.0)
         self.n_population = pop.n
-        self.disease_design = _design(pop, ("z1", "z2"), self.internal)
-        self.selection_design = _design(pop, ("z2", "w", "d"), self.internal)
-        x_ext = _design(pop, ("z2", "w", "d"), self.external)
+
+        def design(names, rows):
+            return build_design([getattr(pop, name)[rows] for name in names],
+                                names)
+
+        self.disease_design = design(["z1", "z2"], self.internal)
+        self.selection_design = design(["z2", "w", "d"], self.internal)
+        x_ext = design(["z2", "w", "d"], self.external)
         self.outcome = pop.d[self.internal]
         # (selection design, known design probabilities) of the external sample
         self.external_sample = (x_ext, pop.pi_ext[self.external])
+        self._internal_in_external = pop.s_ext[self.internal] == 1.0
 
     def overlap(self):
-        pop = self.population
-        return overlap_labels(pop.s_ext[self.internal] == 1.0,
-                              pop.s[self.external] == 1.0)
+        """(internal units also in the external sample, external units also
+        in the internal sample), as masks over each sample's rows."""
+        return (self._internal_in_external,
+                self.population.s[self.external] == 1.0)
 
     def internal_overlap(self):
         """(internal units also in the external sample, their design probabilities)."""
-        pop = self.population
-        return pop.s_ext[self.internal] == 1.0, pop.pi_ext[self.internal]
+        return self._internal_in_external, self.population.pi_ext[self.internal]
 
     def poststratification_inputs(self):
         """(internal cells, summary with N) on (d, z2 bin, w bin) cells."""
@@ -494,7 +489,7 @@ def _weights_pl(src):
 
 def _weights_sr(src):
     return estimate_weights_sr(src.selection_design, *src.external_sample,
-                               src.overlap())
+                               *src.overlap())
 
 
 def _weights_ps(src):

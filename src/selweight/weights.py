@@ -43,7 +43,7 @@ from .solver import solve_estimating_equation
 # counted in the WeightSet diagnostics, never applied silently.
 PI_FLOOR = 1e-10
 
-# Overlap labels for the combined internal/external sample.
+# SR's multinomial categories of sample membership.
 BOTH_SAMPLES = 0
 INTERNAL_ONLY = 1
 EXTERNAL_ONLY = 2
@@ -377,23 +377,8 @@ def estimate_weights_pl(internal_X, external_X, pi_ext):
     return _logistic_weight_set("PL", xi, report)
 
 
-def overlap_labels(internal_in_external, external_in_internal):
-    """Build combined-sample membership labels from two overlap masks.
-
-    ``internal_in_external`` flags internal units that also belong to the
-    external sample; ``external_in_internal`` flags external units that also
-    belong to the internal sample.  The result aligns with the rows of the
-    stacked (internal, external) design.
-    """
-    a = np.asarray(internal_in_external, dtype=bool)
-    b = np.asarray(external_in_internal, dtype=bool)
-    return np.concatenate([
-        np.where(a, BOTH_SAMPLES, INTERNAL_ONLY),
-        np.where(b, BOTH_SAMPLES, EXTERNAL_ONLY),
-    ])
-
-
-def estimate_weights_sr(internal_X, external_X, pi_ext, overlap):
+def estimate_weights_sr(internal_X, external_X, pi_ext, internal_in_external,
+                        external_in_internal):
     """Simplex-regression composite estimator of internal selection probabilities.
 
     The external design probabilities are modeled with a simplex-distribution
@@ -401,36 +386,35 @@ def estimate_weights_sr(internal_X, external_X, pi_ext, overlap):
     multinomial regression on the combined sample, and the two are composed
     into P(internal selection | x) via the membership-probability ratio.
 
-    ``overlap`` labels each row of the stacked (internal, external) design
-    as ``BOTH_SAMPLES``, ``INTERNAL_ONLY``, or ``EXTERNAL_ONLY``.  External
-    rows labeled ``BOTH_SAMPLES`` duplicate an internal row and are dropped
-    from the multinomial sample so each unit enters once.
+    ``internal_in_external`` flags the internal rows whose units are also in
+    the external sample, and ``external_in_internal`` the external rows
+    whose units are also in the internal sample; both masks flag the same
+    number of units.  The multinomial sample is the internal rows, in
+    ``BOTH_SAMPLES`` or ``INTERNAL_ONLY``, then the unflagged external rows,
+    in ``EXTERNAL_ONLY``, so each unit enters once.
     """
     internal_X, external_X = _design_pair(internal_X, external_X)
     xi = internal_X.matrix
     xe = external_X.matrix
     n_int, n_ext = xi.shape[0], xe.shape[0]
     pi_ext = _check_pi_ext(pi_ext, n_ext)
-    overlap = np.asarray(overlap)
-    if overlap.size != n_int + n_ext:
-        raise ValidationError("overlap labels must cover internal plus external rows")
-    lab_int, lab_ext = overlap[:n_int], overlap[n_int:]
-    if not np.all((lab_int == BOTH_SAMPLES) | (lab_int == INTERNAL_ONLY)):
-        raise ValidationError("internal rows must be labeled BOTH or INTERNAL_ONLY")
-    if not np.all((lab_ext == BOTH_SAMPLES) | (lab_ext == EXTERNAL_ONLY)):
-        raise ValidationError("external rows must be labeled BOTH or EXTERNAL_ONLY")
-    if np.sum(lab_int == BOTH_SAMPLES) != np.sum(lab_ext == BOTH_SAMPLES):
-        raise ValidationError("mismatched BOTH_SAMPLES counts between blocks")
+    in_ext = np.asarray(internal_in_external, dtype=bool)
+    in_int = np.asarray(external_in_internal, dtype=bool)
+    if in_ext.shape != (n_int,) or in_int.shape != (n_ext,):
+        raise ValidationError("each overlap mask needs one entry per design row")
+    if np.count_nonzero(in_ext) != np.count_nonzero(in_int):
+        raise ValidationError("the overlap masks flag different numbers of units")
 
     simplex = fit_simplex_regression(external_X, pi_ext)
 
-    ext_only = np.flatnonzero(lab_ext == EXTERNAL_ONLY)
+    ext_only = np.flatnonzero(~in_int)
     # np.vstack([xi, xe[ext_only]]), with the external rows taken whole
     # straight into place.
     combined = np.empty((n_int + ext_only.size, xi.shape[1]))
     combined[:n_int] = xi
     np.take(xe, ext_only, axis=0, out=combined[n_int:])
-    labels = np.concatenate([lab_int, np.full(ext_only.size, EXTERNAL_ONLY)])
+    labels = np.concatenate([np.where(in_ext, BOTH_SAMPLES, INTERNAL_ONLY),
+                             np.full(ext_only.size, EXTERNAL_ONLY)])
     multinomial = fit_multinomial(
         DesignMatrix(combined, list(internal_X.column_names),
                      internal_X.has_intercept),

@@ -286,6 +286,24 @@ def test_design_matrix_validation():
     design = sw.build_design([np.array([1.0, 2.0])], ["x"])
     assert design.column_names == ["intercept", "x"]
     assert design.matrix.shape == (2, 2)
+    with pytest.raises(sw.ValidationError, match="at least one"):
+        sw.build_design([])
+    with pytest.raises(sw.ValidationError, match="unequal lengths"):
+        sw.build_design([[1.0, 2.0], [1.0]])
+
+
+@pytest.mark.parametrize("columns", [
+    [np.array([0.5, -0.0, 1e-320, np.pi]), np.array([2.0, 3.0, -1.0, 1e308])],
+    [np.array([3, -7, 0, 2**53 + 1]), np.array([1, 2, 3, 4], dtype=np.int8)],
+    [[0.25, 1, True, -2.5]],
+], ids=["float", "integer", "list"])
+def test_build_design_matches_column_stack(columns):
+    design = sw.build_design(columns)
+    n = len(columns[0])
+    expected = np.column_stack([np.ones(n), *columns]).astype(float)
+    assert design.matrix.tobytes() == expected.tobytes()
+    assert design.column_names == ["intercept",
+                                   *(f"x{j + 1}" for j in range(len(columns)))]
 
 
 # ---------------------------------------------------------------------------
@@ -504,8 +522,12 @@ def newton_source():
 
 def _multinomial(src):
     x_ext = src.external_sample[0].matrix
+    internal_in_external, external_in_internal = src.overlap()
+    labels = np.concatenate([
+        np.where(internal_in_external, w_mod.BOTH_SAMPLES, w_mod.INTERNAL_ONLY),
+        np.where(external_in_internal, w_mod.BOTH_SAMPLES, w_mod.EXTERNAL_ONLY)])
     return sw.fit_multinomial(np.vstack([src.selection_design.matrix, x_ext]),
-                              src.overlap())
+                              labels)
 
 
 # user -> (module and name of its probability kernel, the fit, evaluations

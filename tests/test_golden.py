@@ -4,18 +4,22 @@
 reference operation at seed 7: for a study, every method's θ̂, diag(vcov), α̂
 and clamp count of replication 0; for cli-files, the bytes ``fit --method
 pl`` writes.  Per seed it also holds the digest of a run's first block of
-operations; for cli-files that block is all seven commands of the mix.
+operations; for cli-files that block is all seven commands of the mix.  It
+also holds the SHA-256 of the table one ``selweight simulate`` study writes.
 Recomputing these digests here turns any bit change in a replication's
 results or in a command's output file into a Tier-1 failure.  The digests
 are computed by perfbench's own ``workloads`` module, so there is one
 definition of what they cover; this test only reads the golden file.
 """
 
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
 
 import pytest
+
+from selweight import cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -59,3 +63,10 @@ def test_cli_files_digests_match_golden(tmp_path):
     assert [o.exact for o in outcomes if o.failures] == []
     assert (workloads.block_digest(outcomes)
             == golden["blocks"]["cli-files"]["1"])
+
+
+def test_simulate_output_matches_golden_hash(tmp_path):
+    golden = _golden()["simulate"]
+    out = tmp_path / "study.csv"
+    assert cli.main(golden["argv"] + ["--threads", "1", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == golden["sha256"]

@@ -589,15 +589,27 @@ def test_population_source_gathers_the_masked_rows():
     internal, external = pop.s == 1.0, pop.s_ext == 1.0
     assert np.array_equal(src.internal, np.flatnonzero(internal))
     assert np.array_equal(src.external, np.flatnonzero(external))
+    disease = np.column_stack([np.ones(int(internal.sum())), pop.z1[internal],
+                               pop.z2[internal]])
     selection = np.column_stack([np.ones(int(internal.sum())), pop.z2[internal],
                                  pop.w[internal], pop.d[internal]])
     x_ext, pi_ext = src.external_sample
+    assert src.disease_design.matrix.tobytes() == disease.tobytes()
+    assert src.disease_design.column_names == ["intercept", "z1", "z2"]
     assert src.selection_design.matrix.tobytes() == selection.tobytes()
     assert x_ext.matrix.tobytes() == np.column_stack(
         [np.ones(int(external.sum())), pop.z2[external], pop.w[external],
          pop.d[external]]).tobytes()
+    for design in (src.selection_design, x_ext):
+        assert design.column_names == ["intercept", "z2", "w", "d"]
     assert pi_ext.tobytes() == pop.pi_ext[external].tobytes()
     assert src.outcome.tobytes() == pop.d[internal].tobytes()
+    internal_in_external, external_in_internal = src.overlap()
+    assert np.array_equal(internal_in_external, external[internal])
+    assert np.array_equal(external_in_internal, internal[external])
+    mask, internal_pi_ext = src.internal_overlap()
+    assert mask is internal_in_external
+    assert internal_pi_ext.tobytes() == pop.pi_ext[internal].tobytes()
 
 
 class InProcessPool:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -194,11 +194,34 @@ LU_VALUES = st.one_of(
     st.floats(-10.0, 10.0))
 
 
+def nan_blind_outcome(factor, a):
+    """:func:`factor_outcome` with every NaN of the factors made numpy's NaN.
+
+    When both operands of a multiply are NaN, the result is one of them:
+    CPython's ``x * y`` keeps ``y``, and numpy keeps the first or the second
+    depending on how it splits its loop.  So the sign of a NaN in the
+    reference's factors follows numpy's loop and neither side can fix it;
+    where the NaNs are is compared, with every other entry, byte for byte.
+    """
+    outcome = factor_outcome(factor, a)
+    if isinstance(outcome, str):
+        return outcome
+    lu, perm = outcome
+    lu = np.frombuffer(lu)
+    return np.where(np.isnan(lu), np.nan, lu).tobytes(), perm
+
+
 @settings(max_examples=500, deadline=None)
 @given(st.integers(1, 8).flatmap(
     lambda n: arrays(float, (n, n), elements=LU_VALUES)))
+# The last entry of U is a NaN times a NaN, whose sign the two forms give
+# differently on some hosts.
+@example(np.array([[-1.0, -4.0, 6.0, 0.0, -2.0], [-7.0, np.inf, 0.0, 1.0, 2.0],
+                   [-7.0, -1.0, -0.0, 7.0, -5.0], [0.0, 4.0, 1.0, 4.0, np.nan],
+                   [-7.0, 1.0, 0.0, -1.0, -3.0]]))
 def test_lu_factor_matches_vectorised_form(a):
-    assert factor_outcome(lu_factor, a) == factor_outcome(reference_lu_factor, a)
+    assert (nan_blind_outcome(lu_factor, a)
+            == nan_blind_outcome(reference_lu_factor, a))
 
 
 @settings(max_examples=200, deadline=None)

@@ -96,9 +96,8 @@ def test_sr_symmetric_mechanisms_give_constant_probability():
     s_ext = rng.random(n) < 0.3
     internal = design_from(x[s], names=["x"])
     external = design_from(x[s_ext], names=["x"])
-    labels = sw.overlap_labels(s_ext[s], s[s_ext])
     pi_ext = np.full(int(s_ext.sum()), 0.3)
-    ws = sw.estimate_weights_sr(internal, external, pi_ext, labels)
+    ws = sw.estimate_weights_sr(internal, external, pi_ext, s_ext[s], s[s_ext])
     assert ws.method == "SR"
     assert abs(ws.pi_hat.mean() - 0.3) <= 0.02
     assert ws.pi_hat.std() <= 0.02
@@ -155,18 +154,22 @@ def test_sr_fitters_reproduce_identity_on_saturated_design():
     internal = design_from(x[s], names=["x"])
     external = design_from(x[s_ext], names=["x"])
     pi_ext = np.array([p_ext_by_x[v] for v in x[s_ext]])
-    labels = sw.overlap_labels(s_ext[s], s[s_ext])
-    ws = sw.estimate_weights_sr(internal, external, pi_ext, labels)
+    ws = sw.estimate_weights_sr(internal, external, pi_ext, s_ext[s], s[s_ext])
     expected = np.array([p_s_by_x[v] for v in x[s]])
     assert np.max(np.abs(ws.pi_hat - expected)) <= 1e-6
 
 
-def test_sr_label_validation():
+def test_sr_overlap_mask_validation():
     internal = sw.DesignMatrix(np.ones((3, 1)), ["intercept"])
-    external = sw.DesignMatrix(np.ones((3, 1)), ["intercept"])
-    bad = np.array([0, 1, 2, 0, 2, 2])  # label 2 on an internal row
-    with pytest.raises(sw.ValidationError):
-        sw.estimate_weights_sr(internal, external, np.full(3, 0.5), bad)
+    external = sw.DesignMatrix(np.ones((4, 1)), ["intercept"])
+    pi_ext = np.full(4, 0.5)
+    in_ext, in_int = [True, False, False], [False, True, False, False]
+    for masks in ((in_ext[:2], in_int), (in_ext, in_int + [False])):
+        with pytest.raises(sw.ValidationError, match="one entry per design row"):
+            sw.estimate_weights_sr(internal, external, pi_ext, *masks)
+    with pytest.raises(sw.ValidationError, match="different numbers"):
+        sw.estimate_weights_sr(internal, external, pi_ext,
+                               [True, True, False], in_int)
 
 
 def test_sr_degenerate_denominator_reported(monkeypatch):
@@ -178,9 +181,9 @@ def test_sr_degenerate_denominator_reported(monkeypatch):
 
     monkeypatch.setattr(w_mod, "fit_multinomial",
                         lambda *a, **k: StubModel())
-    labels = sw.overlap_labels(np.zeros(4, bool), np.zeros(4, bool))
     with pytest.raises(sw.DegenerateDenominatorError) as excinfo:
-        sw.estimate_weights_sr(internal, external, np.full(4, 0.5), labels)
+        sw.estimate_weights_sr(internal, external, np.full(4, 0.5),
+                               np.zeros(4, bool), np.zeros(4, bool))
     assert excinfo.value.unit_indices is not None
 
 
@@ -590,8 +593,8 @@ def selection_pi(method, x_int, x_ext, pi_ext, int_in_ext, ext_in_int,
     if method == "pl":
         return sw.estimate_weights_pl(internal, external, pi_ext).pi_hat
     if method == "sr":
-        labels = sw.overlap_labels(int_in_ext, ext_in_int)
-        return sw.estimate_weights_sr(internal, external, pi_ext, labels).pi_hat
+        return sw.estimate_weights_sr(internal, external, pi_ext, int_in_ext,
+                                      ext_in_int).pi_hat
     summary = sw.PopulationSummary("marginal_means", means=population_means,
                                    names=["x1", "x2"], population_size=n_pop)
     return sw.estimate_weights_cl(internal, summary).pi_hat
@@ -732,9 +735,9 @@ def test_pl_and_sr_reject_nan_external_probabilities():
     message = "external design probabilities"
     with pytest.raises(sw.ValidationError, match=message):
         sw.estimate_weights_pl(internal, external, pi_ext)
-    overlap = sw.overlap_labels(np.zeros(4, bool), np.zeros(10, bool))
     with pytest.raises(sw.ValidationError, match=message):
-        sw.estimate_weights_sr(internal, external, pi_ext, overlap)
+        sw.estimate_weights_sr(internal, external, pi_ext, np.zeros(4, bool),
+                               np.zeros(10, bool))
 
 
 def test_weight_set_rejects_nan_probabilities():
