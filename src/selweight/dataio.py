@@ -28,7 +28,7 @@ from .errors import (
     ProbabilitySumOutOfRangeError,
     ValidationError,
 )
-from .fitters import build_design
+from .fitters import DesignMatrix, build_design
 from .weights import PopulationSummary, non_integer
 
 MISSING_TOKENS = {"", "na", "nan", "null", "n/a"}
@@ -152,6 +152,9 @@ class AnalysisSample:
         return self.columns[self.roles.outcome]
 
     def _design(self, names):
+        if not names:
+            # An intercept-only model: a roles file without selection_covariates.
+            return DesignMatrix(np.ones((self.n_rows, 1)), ["intercept"])
         return build_design([self.columns[c] for c in names], names)
 
     def disease_design(self):
@@ -529,7 +532,7 @@ class ResultTable:
     bracket its estimate.
     """
 
-    def __init__(self, **columns):
+    def __init__(self, /, **columns):
         lengths = {name: len(values) for name, values in columns.items()}
         if len(set(lengths.values())) > 1:
             raise ValidationError(f"result columns differ in length: {lengths}")

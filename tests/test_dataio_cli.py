@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import selweight as sw
 from selweight import dataio
-from selweight.cli import build_parser
+from selweight.cli import FileSource, build_parser
 from selweight.dataio import ResultTable, format_number
 
 from conftest import cli_env
@@ -120,6 +120,11 @@ def test_sample_designs_equal_their_column_stack(tmp_path):
         (sample.selection_design(), ["W1", "W2", "Z1"]),
         (sample.selection_design(include_outcome=True), ["W1", "W2", "Z1", "D"]),
     ]
+    # A roles file without selection_covariates gives an intercept-only
+    # selection model.
+    roles = sw.ColumnRoleMap(outcome="D", disease_covariates=["Z1"],
+                             selection_covariates=[])
+    cases.append((sw.load_dataset(path, roles).selection_design(), []))
     for design, names in cases:
         expected = np.column_stack([ones, *(sample.column(c) for c in names)])
         assert design.matrix.tobytes() == expected.tobytes()
@@ -629,6 +634,8 @@ def result_tables(draw):
 @example(ResultTable(a=[""]), "csv")
 @example(ResultTable(**{"": []}), "csv")
 @example(ResultTable(), "json")
+# Every name is a column name, the constructor's own parameter's included.
+@example(ResultTable(self=[1.5]), "json")
 def test_result_table_writes_the_reference_bytes(table, fmt):
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "out"
@@ -1182,6 +1189,36 @@ def test_cli_fit_matches_run_replication_exactly(replication_files, method):
     estimate, std_error = read_fit(out)
     assert np.array_equal(estimate, result.model.coefficients)
     assert np.array_equal(std_error, np.sqrt(np.diag(result.model.vcov)))
+
+
+@pytest.mark.parametrize("method", ["pl", "sr", "cl"])
+def test_cli_fit_without_selection_covariates_is_intercept_only(
+        replication_files, tmp_path, method):
+    roles = tmp_path / "roles.cfg"
+    write_lines(roles, [line for line in ROLES_LINES
+                        if not line.startswith("selection_covariates=")])
+    args = method_args(method, replication_files)
+    args[args.index("--roles") + 1] = str(roles)
+    args.remove("--include-outcome-in-selection")
+    argv = ["fit", "--method", method, *args, "--out", str(tmp_path / "fit.csv")]
+    proc = run_cli(*argv)
+    assert proc.returncode == 0, proc.stderr
+    # The same fit with intercept-only selection designs built by hand.
+    src = FileSource(build_parser().parse_args(argv))
+
+    def intercept_only(sample):
+        return sw.DesignMatrix(np.column_stack([np.ones(sample.n_rows)]),
+                               ["intercept"])
+
+    src.selection_design = intercept_only(src.sample)
+    if method != "cl":
+        src.external_sample = (intercept_only(src.external),
+                               src.external.external_probabilities())
+    pi, weight_set = sw.simulation.estimate_pi(method, src)
+    model = sw.simulation.fit_method(method, src, pi, weight_set)
+    estimate, std_error = read_fit(tmp_path / "fit.csv")
+    assert np.array_equal(estimate, model.coefficients)
+    assert np.array_equal(std_error, np.sqrt(np.diag(model.vcov)))
 
 
 @pytest.mark.parametrize("method", ["pl", "cl"])
