@@ -23,7 +23,7 @@ from .dataio import (
     read_key_values,
 )
 from .errors import NonConvergenceError, SelweightError, ValidationError
-from .fitters import in_unit_interval
+from .fitters import probability_vector
 from .simulation import (
     DATA_METHODS,
     METHODS,
@@ -187,11 +187,8 @@ class FileSource:
             )
         overlap_mask = self.sample.column(roles.external_indicator) == 1.0
         overlap_prob = self.sample.column(roles.external_prob)
-        if not in_unit_interval(overlap_prob[overlap_mask]):
-            raise ValidationError(
-                "external_prob must lie in (0, 1] on rows flagged by "
-                "external_indicator"
-            )
+        probability_vector(overlap_prob, overlap_mask.size, "external_prob",
+                           overlap_mask)
         return overlap_mask, overlap_prob
 
     def _summary(self, kind):

@@ -33,8 +33,8 @@ class ResponseOnBoundaryError(ValidationError):
     """A proportion response sits on 0 or 1 where (0, 1) is required."""
 
 
-class RankDeficientDesignError(ValidationError):
-    """Design matrix columns are linearly dependent."""
+class RankDeficientDesignError(ValidationError, SingularJacobianError):
+    """Design matrix columns are linearly dependent (a singular Jacobian)."""
 
 
 class DegenerateDenominatorError(SelweightError):

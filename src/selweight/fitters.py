@@ -18,8 +18,10 @@ from .errors import (
     DegenerateOutcomeError,
     EmptyCategoryError,
     NonConvergenceError,
+    RankDeficientDesignError,
     ResponseOnBoundaryError,
     SeparationError,
+    SingularJacobianError,
     ValidationError,
 )
 from .solver import SolveReport, solve_estimating_equation
@@ -92,10 +94,19 @@ def weighted_cross(a, v, b):
     return weighted.T @ b
 
 
-def in_unit_interval(p):
-    """Whether every entry of ``p`` lies in (0, 1]; a NaN entry does not."""
-    p = np.asarray(p)
-    return bool(np.all((p > 0.0) & (p <= 1.0)))
+def probability_vector(p, n, what, rows=None):
+    """The entries at ``rows`` (an index array or mask; all by default) of
+    ``what``, a vector of ``n`` probabilities; each must lie in (0, 1]."""
+    p = np.asarray(p, dtype=float).ravel()
+    if p.size != n:
+        raise ValidationError(f"{what} have {p.size} entries for {n} design rows")
+    if rows is not None:
+        p = p[rows]
+    # Two reductions and no temporaries; a NaN makes the minimum NaN.
+    if not (p.min(initial=1.0) > 0.0 and p.max(initial=0.0) <= 1.0):
+        flagged = "" if rows is None else " on the flagged rows"
+        raise ValidationError(f"{what} must lie in (0, 1]{flagged}")
+    return p
 
 
 def logit(p):
@@ -176,7 +187,7 @@ class FittedModel:
     dispersion: Optional[float] = None
 
     def linear_predictor(self, design):
-        x = _design_array(design)
+        x = coerce_design(design).matrix
         return x @ np.asarray(self.coefficients, dtype=float).ravel()
 
     def probabilities(self, design):
@@ -186,27 +197,18 @@ class FittedModel:
         return expit(self.linear_predictor(design))
 
 
-def _design_array(design):
+def coerce_design(design, names=None):
+    """``design`` as a :class:`DesignMatrix`: itself if it is one, else the
+    2-d array, copied to C order if it is not, validated as a design without
+    an asserted intercept, its columns named ``names`` (default x0, x1, ...)."""
     if isinstance(design, DesignMatrix):
-        return design.matrix
-    arr = np.asarray(design, dtype=float)
-    if arr.ndim != 2:
+        return design
+    matrix = np.asarray(design, dtype=float)
+    if matrix.ndim != 2:
         raise ValidationError("design must be a 2-d array or DesignMatrix")
-    return arr
-
-
-def _column_names(design, p):
-    if isinstance(design, DesignMatrix):
-        return list(design.column_names)
-    return [f"x{i}" for i in range(p)]
-
-
-def _check_converged(report, what):
-    if not report.converged:
-        raise NonConvergenceError(
-            f"{what} did not converge: {report.message} "
-            f"(residual {report.final_residual_norm:.3e} after {report.iterations} iterations)"
-        )
+    if names is None:
+        names = [f"x{i}" for i in range(matrix.shape[1])]
+    return DesignMatrix(matrix, list(names), has_intercept=False)
 
 
 def memoize_last(fn):
@@ -231,8 +233,19 @@ def memoize_last(fn):
     return memo
 
 
-def _guarded(residual):
-    """Wrap a logistic-family residual with a coefficient-magnitude guard."""
+def solve_fit(what, residual, jacobian, init):
+    """Newton-solve the fit ``what``; a singular Jacobian is raised as a
+    :class:`RankDeficientDesignError` naming the fit."""
+    try:
+        return solve_estimating_equation(residual, jacobian, init)
+    except SingularJacobianError as exc:
+        raise RankDeficientDesignError(
+            f"{what}: design is rank deficient: {exc}") from exc
+
+
+def _solve_guarded(what, residual, jacobian, init):
+    """:func:`solve_fit` of a logistic-family fit, which must converge, with
+    a coefficient-magnitude guard on its residual."""
 
     def guarded(theta):
         if np.max(np.abs(theta)) > SEPARATION_BOUND:
@@ -242,7 +255,13 @@ def _guarded(residual):
             )
         return residual(theta)
 
-    return guarded
+    report = solve_fit(what, guarded, jacobian, init)
+    if not report.converged:
+        raise NonConvergenceError(
+            f"{what} did not converge: {report.message} "
+            f"(residual {report.final_residual_norm:.3e} after {report.iterations} iterations)"
+        )
+    return report
 
 
 def fit_weighted_logistic(design, outcome, pi=None):
@@ -253,7 +272,8 @@ def fit_weighted_logistic(design, outcome, pi=None):
     variance slot of the returned model is left empty; the variance module
     fills it with the appropriate sandwich estimator.
     """
-    x = _design_array(design)
+    design = coerce_design(design)
+    x = design.matrix
     n, p = x.shape
     d = np.asarray(outcome, dtype=float).ravel()
     if d.size != n:
@@ -267,12 +287,7 @@ def fit_weighted_logistic(design, outcome, pi=None):
     if pi is None:
         w = np.ones(n)
     else:
-        pi = np.asarray(pi, dtype=float).ravel()
-        if pi.size != n:
-            raise ValidationError("pi length does not match design rows")
-        if not in_unit_interval(pi):
-            raise ValidationError("selection probabilities must lie in (0, 1]")
-        w = 1.0 / pi
+        w = 1.0 / probability_vector(pi, n, "selection probabilities")
 
     mean = memoize_last(lambda theta: expit(x @ theta))
 
@@ -284,9 +299,10 @@ def fit_weighted_logistic(design, outcome, pi=None):
         mu = mean(theta)
         return weighted_cross(x, -(w * mu * (1.0 - mu)), x) / n
 
-    report = solve_estimating_equation(_guarded(residual), jacobian, np.zeros(p))
-    _check_converged(report, "weighted logistic fit")
-    return FittedModel(report.solution, report, "logistic", _column_names(design, p))
+    report = _solve_guarded("weighted logistic fit", residual, jacobian,
+                            np.zeros(p))
+    return FittedModel(report.solution, report, "logistic",
+                       list(design.column_names))
 
 
 def multinomial_probabilities(coef, design):
@@ -298,7 +314,7 @@ def multinomial_probabilities(coef, design):
     reference's 0) before exponentiating; row sums add the columns left to
     right.  Every step runs one column at a time, along the rows.
     """
-    x = _design_array(design)
+    x = coerce_design(design).matrix
     b = np.asarray(coef, dtype=float)
     if b.ndim != 2:
         raise ValidationError("multinomial coefficients must be a 2-d array")
@@ -325,7 +341,8 @@ def fit_multinomial(design, category):
     Category 0 is the reference level.  Every level in
     ``range(MULTINOMIAL_CATEGORIES)`` must be observed at least once.
     """
-    x = _design_array(design)
+    design = coerce_design(design)
+    x = design.matrix
     n, p = x.shape
     c = np.asarray(category)
     if c.size != n:
@@ -347,7 +364,7 @@ def fit_multinomial(design, category):
         np.equal(c, j + 1, out=row)
 
     probabilities = memoize_last(
-        lambda beta: multinomial_probabilities(beta.reshape(k, p), x))
+        lambda beta: multinomial_probabilities(beta.reshape(k, p), design))
 
     def residual(beta):
         probs = probabilities(beta)
@@ -373,12 +390,10 @@ def fit_multinomial(design, category):
                 jac[b * p : (b + 1) * p, a * p : (a + 1) * p] = block
         return jac
 
-    report = solve_estimating_equation(_guarded(residual), jacobian,
-                                       np.zeros(k * p))
-    _check_converged(report, "multinomial fit")
-    model = FittedModel(report.solution.reshape(k, p), report, "multinomial",
-                        _column_names(design, p))
-    return model
+    report = _solve_guarded("multinomial fit", residual, jacobian,
+                            np.zeros(k * p))
+    return FittedModel(report.solution.reshape(k, p), report, "multinomial",
+                       list(design.column_names))
 
 
 def simplex_unit_deviance(y, mu):
@@ -424,7 +439,8 @@ def fit_simplex_regression(design, response):
     free of the dispersion, which is then profiled as the mean unit deviance
     at the solution and stored in ``dispersion``.
     """
-    x = _design_array(design)
+    design = coerce_design(design)
+    x = design.matrix
     n, p = x.shape
     y = np.asarray(response, dtype=float).ravel()
     if y.size != n:
@@ -449,9 +465,8 @@ def fit_simplex_regression(design, response):
         mu = mean(delta)
         return weighted_cross(x, -(mu * (1.0 - mu)), x) / n
 
-    init_report = solve_estimating_equation(_guarded(ql_residual), ql_jacobian,
-                                            np.zeros(p))
-    _check_converged(init_report, "quasi-likelihood initialization")
+    init_report = _solve_guarded("quasi-likelihood initialization",
+                                 ql_residual, ql_jacobian, np.zeros(p))
 
     def residual(delta):
         mu = mean(delta)
@@ -462,10 +477,9 @@ def fit_simplex_regression(design, response):
         wgt = _simplex_score_slopes(y, mu) * mu * (1.0 - mu) / ylogit
         return weighted_cross(x, wgt, x) / n
 
-    report = solve_estimating_equation(_guarded(residual), jacobian,
-                                       init_report.solution)
-    _check_converged(report, "simplex regression")
+    report = _solve_guarded("simplex regression", residual, jacobian,
+                            init_report.solution)
     mu_hat = mean(report.solution)
     sigma2 = float(np.mean(simplex_unit_deviance(y, mu_hat)))
     return FittedModel(report.solution, report, "simplex",
-                       _column_names(design, p), dispersion=sigma2)
+                       list(design.column_names), dispersion=sigma2)

@@ -17,6 +17,7 @@ any thread, process or block count.
 """
 
 import math
+import numbers
 import os
 import threading
 from collections import deque
@@ -77,6 +78,12 @@ class SimulationConfig:
     z_correlation: float = 0.5
 
     def __post_init__(self):
+        for name in ("dag", "setup", "n_population", "replications", "seed"):
+            value = getattr(self, name)
+            integral = (isinstance(value, numbers.Integral)
+                        and not isinstance(value, bool))
+            if not (integral or (name == "n_population" and value is None)):
+                raise ValidationError(f"{name} must be an integer")
         if self.dag not in (1, 2, 3, 4):
             raise ValidationError("dag must be 1, 2, 3, or 4")
         if self.setup not in (1, 2, 3):

@@ -5,6 +5,14 @@ probabilities as fixed (used for the plug-in SR weights, post-stratification
 weights, true weights, and the unweighted fit).  ``vcov_pl`` and ``vcov_cl``
 add the correction terms that propagate the uncertainty of the estimated
 selection-model coefficients through their respective estimating equations.
+
+All three are one stacked (theta, alpha) estimating equation (Stefanski &
+Boos 2002), whose blocks one function forms: the theta score's bread and
+meat and, for the two-step forms, g_alpha, all at the selection
+probabilities.  PL and CL supply only their selection score's blocks, and
+:meth:`SandwichComponents.vcov` is the one assembly.  Designs are read by
+``fitters.coerce_design`` and given probabilities checked by
+``fitters.probability_vector``, so a bad input raises a ValidationError.
 """
 
 from dataclasses import dataclass
@@ -13,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import SingularBreadError, SingularHError, ValidationError
-from .fitters import _design_array, expit, weighted_cross
+from .fitters import coerce_design, expit, probability_vector, weighted_cross
 from .solver import SingularJacobianError, invert_matrix
 from .weights import logistic_selection_pi
 
@@ -22,9 +30,11 @@ from .weights import logistic_selection_pi
 class SandwichComponents:
     """Bread, meat, and nuisance blocks of one sandwich assembly.
 
-    ``g_theta`` (bread) and ``h_hat`` follow the negative-definite sign
-    convention of the underlying score derivatives; the assembled variance
-    is invariant to that sign.  ``e1``..``e4`` are the meat pieces of the
+    One function fills them for all three forms, and :meth:`vcov` assembles
+    them.  ``g_theta`` (bread) and ``h_hat`` follow the negative-definite
+    sign convention of the underlying score derivatives; the assembled
+    variance is invariant to that sign.  ``g_alpha`` is the theta score's
+    derivative in alpha and ``e1``..``e4`` are the meat pieces of the
     two-step estimators (``e_hat = e1 - e2 - e3 + e4``); for the
     known-weights form only ``e1`` is present and equals ``e_hat``.
     """
@@ -37,6 +47,13 @@ class SandwichComponents:
     e2: Optional[np.ndarray] = None
     e3: Optional[np.ndarray] = None
     e4: Optional[np.ndarray] = None
+
+    def vcov(self, n_population):
+        """The symmetrised sandwich ``G^-1 e_hat G^-T / N`` of these blocks,
+        with ``G`` the bread of positive sign."""
+        g_inv = _invert(-self.g_theta, SingularBreadError, "bread matrix")
+        v = g_inv @ self.e_hat @ g_inv.T / n_population
+        return 0.5 * (v + v.T)
 
 
 def normal_quantile(p, *, out=None):
@@ -126,96 +143,93 @@ def _invert(matrix, error_cls, what):
         raise error_cls(f"{what} is singular: {exc}") from exc
 
 
-def _assemble(g_positive, e_hat, n_population):
-    g_inv = _invert(g_positive, SingularBreadError, "bread matrix")
-    v = g_inv @ e_hat @ g_inv.T / n_population
-    return 0.5 * (v + v.T)
+def _stacked_components(theta_hat, design, outcome, pi, n_population,
+                        selection=None):
+    """The blocks of the stacked (theta, alpha) sandwich at ``pi``.
 
-
-def _fixed_weight_blocks(z, d, mu, pi, n):
-    """Positive bread and meat of the weighted score at fixed ``pi``."""
+    With ``selection`` None, the theta score's bread and meat at fixed
+    ``pi``.  Otherwise ``selection`` is ``(xi, blocks, what)``: the selection
+    design, a function ``blocks(z, d - mu, n)`` giving the selection score's
+    Hessian ``h``, its covariance ``cross`` with the theta score and its
+    variance ``bracket``, and the name of ``h`` in a SingularHError.
+    ``k = g_alpha h^-1`` carries both into the theta meat:
+    ``e_hat = e1 - k cross - (k cross)' + k bracket k'``.
+    """
+    z = coerce_design(design).matrix
+    d = np.asarray(outcome, dtype=float).ravel()
+    if not d.size == pi.size == z.shape[0]:
+        raise ValidationError("outcome and selection design rows must match "
+                              "the design's")
+    mu = expit(z @ np.asarray(theta_hat, dtype=float))
+    n = float(n_population)
     g_pos = weighted_cross(z, mu * (1.0 - mu) / pi, z) / n
     e1 = weighted_cross(z, (d - mu) ** 2 / pi**2, z) / n
-    return g_pos, e1
-
-
-def _two_step_components(g_pos, e1, g_alpha_pos, h_pos, cross, bracket, what):
-    """Stack the theta score on the selection score (Stefanski & Boos 2002).
-
-    ``cross`` is the covariance of the selection score with the theta score
-    and ``bracket`` the variance of the selection score; ``k`` carries both
-    into the theta meat: ``e_hat = e1 - k cross - (k cross)' + k bracket k'``.
-    """
+    if selection is None:
+        return SandwichComponents(g_theta=-g_pos, e_hat=e1, e1=e1)
+    xi, blocks, what = selection
+    resid = d - mu
+    h_pos, cross, bracket = blocks(z, resid, n)
+    g_alpha_pos = weighted_cross(z, (1.0 - pi) / pi * resid, xi) / n
     k = g_alpha_pos @ _invert(h_pos, SingularHError, what)
     e2 = k @ cross
-    e3 = e2.T
     e4 = k @ bracket @ k.T
-    e_hat = e1 - e2 - e3 + e4
-    return SandwichComponents(g_theta=-g_pos, e_hat=e_hat,
+    return SandwichComponents(g_theta=-g_pos, e_hat=e1 - e2 - e2.T + e4,
                               g_alpha=-g_alpha_pos, h_hat=-h_pos,
-                              e1=e1, e2=e2, e3=e3, e4=e4)
+                              e1=e1, e2=e2, e3=e2.T, e4=e4)
 
 
 def known_weights_components(theta_hat, design, outcome, pi, n_population):
-    z = _design_array(design)
-    d = np.asarray(outcome, dtype=float).ravel()
-    pi = np.asarray(pi, dtype=float).ravel()
-    mu = expit(z @ np.asarray(theta_hat, dtype=float))
-    g_pos, e1 = _fixed_weight_blocks(z, d, mu, pi, n_population)
-    return SandwichComponents(g_theta=-g_pos, e_hat=e1, e1=e1)
+    design = coerce_design(design)
+    pi = probability_vector(pi, design.n, "selection probabilities")
+    return _stacked_components(theta_hat, design, outcome, pi, n_population)
 
 
 def vcov_known_weights(theta_hat, design, outcome, pi, n_population):
     """Sandwich variance treating the selection probabilities as known."""
-    comp = known_weights_components(theta_hat, design, outcome, pi, n_population)
-    return _assemble(-comp.g_theta, comp.e_hat, n_population)
+    return known_weights_components(theta_hat, design, outcome, pi,
+                                    n_population).vcov(n_population)
 
 
 def pl_components(theta_hat, alpha_hat, design, outcome, selection_design,
                   external_design, pi_ext, n_population,
                   internal_in_external, internal_pi_ext=None):
-    z = _design_array(design)
-    d = np.asarray(outcome, dtype=float).ravel()
-    xi = _design_array(selection_design)
-    xe = _design_array(external_design)
-    pi_ext = np.asarray(pi_ext, dtype=float).ravel()
+    xi = coerce_design(selection_design).matrix
+    xe = coerce_design(external_design).matrix
+    pi_ext = probability_vector(pi_ext, xe.shape[0],
+                                "external design probabilities")
     mask = np.asarray(internal_in_external, dtype=bool).ravel()
-    if mask.size != z.shape[0]:
+    if mask.size != xi.shape[0]:
         raise ValidationError("internal_in_external mask length mismatch")
-    if mask.any():
+    rows = np.flatnonzero(mask)
+    if rows.size:
         if internal_pi_ext is None:
             raise ValidationError(
                 "internal_pi_ext is required when internal units overlap "
                 "the external sample"
             )
-        internal_pi_ext = np.asarray(internal_pi_ext, dtype=float).ravel()
-        if internal_pi_ext.size != z.shape[0]:
-            raise ValidationError("internal_pi_ext length mismatch")
-
-    mu = expit(z @ np.asarray(theta_hat, dtype=float))
+        pi_ext_both = probability_vector(internal_pi_ext, mask.size,
+                                         "internal_pi_ext", rows)
     pi_int = logistic_selection_pi(xi, alpha_hat)
     pi_at_ext = logistic_selection_pi(xe, alpha_hat)
-    n = float(n_population)
-    g_pos, e1 = _fixed_weight_blocks(z, d, mu, pi_int, n)
-    resid = d - mu
 
-    h_pos = weighted_cross(xe, pi_at_ext * (1.0 - pi_at_ext) / pi_ext, xe) / n
-    g_alpha_pos = weighted_cross(z, (1.0 - pi_int) / pi_int * resid, xi) / n
-    cross = weighted_cross(xi, resid / pi_int, z) / n
-    bracket = (xi.T @ xi) / n
-    if mask.any():
-        rows = np.flatnonzero(mask)
-        # ``take`` copies whole rows; xi[rows] gathers a value at a time.
-        xi_both = np.take(xi, rows, axis=0)
-        pi_ext_both = internal_pi_ext[rows]
-        cross -= weighted_cross(xi_both, resid[rows] / pi_ext_both,
-                                np.take(z, rows, axis=0)) / n
-        bracket -= 2.0 * (
-            weighted_cross(xi_both, pi_int[rows] / pi_ext_both, xi_both) / n
-        )
-    bracket += weighted_cross(xe, (pi_at_ext / pi_ext) ** 2, xe) / n
-    return _two_step_components(g_pos, e1, g_alpha_pos, h_pos, cross, bracket,
-                                "selection-score Hessian")
+    def blocks(z, resid, n):
+        h_pos = weighted_cross(xe, pi_at_ext * (1.0 - pi_at_ext) / pi_ext,
+                               xe) / n
+        cross = weighted_cross(xi, resid / pi_int, z) / n
+        bracket = (xi.T @ xi) / n
+        if rows.size:
+            # ``take`` copies whole rows; xi[rows] gathers a value at a time.
+            xi_both = np.take(xi, rows, axis=0)
+            cross -= weighted_cross(xi_both, resid[rows] / pi_ext_both,
+                                    np.take(z, rows, axis=0)) / n
+            bracket -= 2.0 * (
+                weighted_cross(xi_both, pi_int[rows] / pi_ext_both, xi_both) / n
+            )
+        bracket += weighted_cross(xe, (pi_at_ext / pi_ext) ** 2, xe) / n
+        return h_pos, cross, bracket
+
+    return _stacked_components(theta_hat, design, outcome, pi_int, n_population,
+                               (xi, blocks, "selection-score Hessian"))
 
 
 def vcov_pl(theta_hat, alpha_hat, design, outcome, selection_design,
@@ -227,37 +241,32 @@ def vcov_pl(theta_hat, alpha_hat, design, outcome, selection_design,
     external sample; their known external probabilities go in
     ``internal_pi_ext`` (entries outside the mask are ignored).
     """
-    comp = pl_components(theta_hat, alpha_hat, design, outcome,
+    return pl_components(theta_hat, alpha_hat, design, outcome,
                          selection_design, external_design, pi_ext,
-                         n_population, internal_in_external, internal_pi_ext)
-    return _assemble(-comp.g_theta, comp.e_hat, n_population)
+                         n_population, internal_in_external,
+                         internal_pi_ext).vcov(n_population)
 
 
 def cl_components(theta_hat, alpha_hat, design, outcome, selection_design,
                   n_population):
-    z = _design_array(design)
-    d = np.asarray(outcome, dtype=float).ravel()
-    xi = _design_array(selection_design)
-    mu = expit(z @ np.asarray(theta_hat, dtype=float))
+    xi = coerce_design(selection_design).matrix
     pi = logistic_selection_pi(xi, alpha_hat)
-    n = float(n_population)
-    g_pos, e1 = _fixed_weight_blocks(z, d, mu, pi, n)
-    resid = d - mu
 
-    h_pos = weighted_cross(xi, (1.0 - pi) / pi, xi) / n
-    g_alpha_pos = weighted_cross(z, (1.0 - pi) / pi * resid, xi) / n
-    cross = weighted_cross(xi, (1.0 - pi) / pi**2 * resid, z) / n
-    bracket = weighted_cross(xi, (1.0 - pi) / pi**2, xi) / n
-    return _two_step_components(g_pos, e1, g_alpha_pos, h_pos, cross, bracket,
-                                "calibration-score Hessian")
+    def blocks(z, resid, n):
+        h_pos = weighted_cross(xi, (1.0 - pi) / pi, xi) / n
+        cross = weighted_cross(xi, (1.0 - pi) / pi**2 * resid, z) / n
+        bracket = weighted_cross(xi, (1.0 - pi) / pi**2, xi) / n
+        return h_pos, cross, bracket
+
+    return _stacked_components(theta_hat, design, outcome, pi, n_population,
+                               (xi, blocks, "calibration-score Hessian"))
 
 
 def vcov_cl(theta_hat, alpha_hat, design, outcome, selection_design,
             n_population):
     """Two-step sandwich variance for the calibration estimator."""
-    comp = cl_components(theta_hat, alpha_hat, design, outcome,
-                         selection_design, n_population)
-    return _assemble(-comp.g_theta, comp.e_hat, n_population)
+    return cl_components(theta_hat, alpha_hat, design, outcome,
+                         selection_design, n_population).vcov(n_population)
 
 
 def wald_ci(theta_hat, vcov, level=0.95):

@@ -22,22 +22,21 @@ from .errors import (
     InfeasibleTotalsError,
     NonConvergenceError,
     NonIntegerCellError,
-    RankDeficientDesignError,
-    SingularJacobianError,
     UnmatchedCellError,
     ValidationError,
 )
 from .fitters import (
     DesignMatrix,
+    coerce_design,
     expit,
     fit_multinomial,
     fit_simplex_regression,
-    in_unit_interval,
     memoize_last,
     multinomial_probabilities,
+    probability_vector,
+    solve_fit,
     weighted_cross,
 )
-from .solver import solve_estimating_equation
 
 # Estimated probabilities are clamped into [PI_FLOOR, 1]; every clamp is
 # counted in the WeightSet diagnostics, never applied silently.
@@ -63,9 +62,8 @@ class WeightSet:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.pi_hat = np.asarray(self.pi_hat, dtype=float)
-        if not in_unit_interval(self.pi_hat):
-            raise ValidationError("pi_hat entries must lie in (0, 1]")
+        self.pi_hat = probability_vector(self.pi_hat, np.size(self.pi_hat),
+                                         "pi_hat entries")
         needs_alpha = self.method in ("PL", "CL")
         if needs_alpha != (self.alpha_hat is not None):
             raise ValidationError(
@@ -277,19 +275,9 @@ def augment_weights_with_outcome(w0, outcome, p_pop, p_int):
     return w0 * ratio
 
 
-def _as_design(x, names=None):
-    """Wrap a bare array as a DesignMatrix without an asserted intercept."""
-    if isinstance(x, DesignMatrix):
-        return x
-    x = np.asarray(x, dtype=float)
-    if names is None:
-        names = [f"x{i}" for i in range(x.shape[1])]
-    return DesignMatrix(x, list(names), has_intercept=False)
-
-
 def _design_pair(internal_X, external_X):
-    internal_X = _as_design(internal_X)
-    external_X = _as_design(external_X, internal_X.column_names)
+    internal_X = coerce_design(internal_X)
+    external_X = coerce_design(external_X, internal_X.column_names)
     if internal_X.p != external_X.p:
         raise ValidationError("internal and external designs have different widths")
     if internal_X.column_names != external_X.column_names:
@@ -308,25 +296,6 @@ def _clamp_pi(pi):
     n_low = int(np.sum(pi < PI_FLOOR))
     n_high = int(np.sum(pi > 1.0))
     return clamped, n_low, n_high
-
-
-def _check_pi_ext(pi_ext, n):
-    pi_ext = np.asarray(pi_ext, dtype=float).ravel()
-    if pi_ext.size != n:
-        raise ValidationError("pi_ext length does not match external rows")
-    if not in_unit_interval(pi_ext):
-        raise ValidationError("external design probabilities must lie in (0, 1]")
-    return pi_ext
-
-
-def _solve_selection_model(residual, jacobian, p):
-    """Newton-solve a logistic selection model's equation from alpha = 0."""
-    try:
-        return solve_estimating_equation(residual, jacobian, np.zeros(p))
-    except SingularJacobianError as exc:
-        raise RankDeficientDesignError(
-            f"selection design is rank deficient: {exc}"
-        ) from exc
 
 
 def _logistic_weight_set(method, x, report):
@@ -356,7 +325,8 @@ def estimate_weights_pl(internal_X, external_X, pi_ext):
     internal_X, external_X = _design_pair(internal_X, external_X)
     xi = internal_X.matrix
     xe = external_X.matrix
-    pi_ext = _check_pi_ext(pi_ext, xe.shape[0])
+    pi_ext = probability_vector(pi_ext, xe.shape[0],
+                                "external design probabilities")
     ext_w = 1.0 / pi_ext
     n_hat = float(np.sum(ext_w))
     internal_total = xi.sum(axis=0)
@@ -369,7 +339,8 @@ def estimate_weights_pl(internal_X, external_X, pi_ext):
         p = pi_at_ext(alpha)
         return weighted_cross(xe, -(ext_w * p * (1.0 - p)), xe) / n_hat
 
-    report = _solve_selection_model(residual, jacobian, xi.shape[1])
+    report = solve_fit("pseudolikelihood selection fit", residual, jacobian,
+                       np.zeros(xi.shape[1]))
     if not report.converged:
         raise NonConvergenceError(
             f"pseudolikelihood selection fit did not converge: {report.message}"
@@ -397,7 +368,7 @@ def estimate_weights_sr(internal_X, external_X, pi_ext, internal_in_external,
     xi = internal_X.matrix
     xe = external_X.matrix
     n_int, n_ext = xi.shape[0], xe.shape[0]
-    pi_ext = _check_pi_ext(pi_ext, n_ext)
+    pi_ext = probability_vector(pi_ext, n_ext, "external design probabilities")
     in_ext = np.asarray(internal_in_external, dtype=bool)
     in_int = np.asarray(external_in_internal, dtype=bool)
     if in_ext.shape != (n_int,) or in_int.shape != (n_ext,):
@@ -420,7 +391,7 @@ def estimate_weights_sr(internal_X, external_X, pi_ext, internal_in_external,
                      internal_X.has_intercept),
         labels)
 
-    probs = multinomial_probabilities(multinomial.coefficients, xi)
+    probs = multinomial_probabilities(multinomial.coefficients, internal_X)
     p_both = probs[:, BOTH_SAMPLES]
     p_int_only = probs[:, INTERNAL_ONLY]
     p_ext_only = probs[:, EXTERNAL_ONLY]
@@ -521,7 +492,7 @@ def estimate_weights_cl(internal_X, summary):
     """
     if summary.kind != "marginal_means":
         raise ValidationError("calibration requires a marginal_means summary")
-    internal_X = _as_design(internal_X)
+    internal_X = coerce_design(internal_X)
     x = internal_X.matrix
     n, p = x.shape
     n_pop = float(summary.population_size)
@@ -552,7 +523,7 @@ def estimate_weights_cl(internal_X, summary):
         pi = pi_at(alpha)
         return weighted_cross(x, -((1.0 - pi) / pi), x) / n_pop
 
-    report = _solve_selection_model(residual, jacobian, p)
+    report = solve_fit("calibration fit", residual, jacobian, np.zeros(p))
     if not report.converged:
         if report.final_residual_norm > INFEASIBLE_RESIDUAL_FRACTION:
             raise InfeasibleTotalsError(

@@ -852,6 +852,20 @@ def test_cli_empty_summary_is_a_validation_error(replication_files, tmp_path,
     assert result.stderr.splitlines() == [f"error: validation: {empty}: empty file"]
 
 
+def test_cli_fit_names_the_fit_of_a_collinear_disease_design(replication_files,
+                                                            tmp_path):
+    roles = tmp_path / "roles.cfg"
+    # Every internal row has s = 1, so s repeats the intercept.
+    write_lines(roles, ["outcome=d", "disease_covariates=z1,s"])
+    result = run_cli("fit", "--method", "unweighted",
+                     "--data", str(replication_files / "internal.csv"),
+                     "--roles", str(roles), "--out", str(tmp_path / "out.csv"))
+    assert result.returncode == 2
+    assert result.stderr.startswith(
+        "error: validation: weighted logistic fit: design is rank deficient: "
+        "singular factorization: pivot")
+
+
 def test_cli_simulate_rejects_a_repeated_method(tmp_path):
     out = tmp_path / "study.csv"
     result = run_cli("simulate", "--dag", "1", "--setup", "1",

@@ -111,6 +111,38 @@ def test_separated_data_raises():
         sw.fit_weighted_logistic(design, d)
 
 
+def _collinear_design(n=40):
+    """An intercept, a covariate and its double: a rank-deficient design."""
+    a = np.random.default_rng(5).normal(size=n)
+    return sw.DesignMatrix(np.column_stack([np.ones(n), a, 2.0 * a]),
+                           ["intercept", "a", "a2"])
+
+
+COLLINEAR_FITS = {
+    "weighted logistic fit": lambda x: sw.fit_weighted_logistic(
+        x, np.arange(x.n) % 2),
+    "multinomial fit": lambda x: sw.fit_multinomial(x, np.arange(x.n) % 3),
+    "quasi-likelihood initialization": lambda x: sw.fit_simplex_regression(
+        x, np.linspace(0.1, 0.9, x.n)),
+    "pseudolikelihood selection fit": lambda x: sw.estimate_weights_pl(
+        x, x, np.full(x.n, 0.25)),
+    "calibration fit": lambda x: sw.estimate_weights_cl(
+        x, sw.PopulationSummary("marginal_means", means=[0.0, 0.0],
+                                names=["a", "a2"], population_size=4 * x.n)),
+}
+
+
+@pytest.mark.parametrize("what", COLLINEAR_FITS)
+def test_singular_jacobian_is_a_rank_deficient_design_naming_the_fit(what):
+    with pytest.raises(sw.RankDeficientDesignError,
+                       match=f"^{what}: design is rank deficient: singular "
+                             "factorization: pivot") as info:
+        COLLINEAR_FITS[what](_collinear_design())
+    # Code catching the solver's own error still catches it.
+    assert isinstance(info.value, sw.SingularJacobianError)
+    assert isinstance(info.value, sw.ValidationError)
+
+
 def test_outcome_and_probability_validation():
     design = sw.DesignMatrix(np.ones((4, 1)), ["intercept"])
     with pytest.raises(sw.ValidationError):
@@ -555,8 +587,8 @@ def record_solves(monkeypatch):
         solves.append((residual, jacobian, report))
         return report
 
+    # Every fit, PL's and CL's included, solves through fitters.solve_fit.
     monkeypatch.setattr(fitters, "solve_estimating_equation", solve)
-    monkeypatch.setattr(w_mod, "solve_estimating_equation", solve)
     return solves
 
 

@@ -4,8 +4,10 @@
 reference operation at seed 7: for a study, every method's θ̂, diag(vcov), α̂
 and clamp count of replication 0; for cli-files, the bytes ``fit --method
 pl`` writes.  Per seed it also holds the digest of a run's first block of
-operations; for cli-files that block is all seven commands of the mix.  It
-also holds the SHA-256 of the table one ``selweight simulate`` study writes.
+operations: replications 0-3 of a study, all seven commands of the cli-files
+mix; seed 1's blocks, which a default benchmark run compares, are checked
+here.  It also holds the SHA-256 of the table one ``selweight simulate``
+study writes.
 Recomputing these digests here turns any bit change in a replication's
 results or in a command's output file into a Tier-1 failure.  The digests
 are computed by perfbench's own ``workloads`` module, so there is one
@@ -46,6 +48,18 @@ def test_study_reference_digest_matches_golden(name):
     outcome = workload.run_reference()
     assert not outcome.failures, outcome.failures
     assert outcome.digest == golden["reference"][name]
+
+
+@pytest.mark.parametrize("name", ["study-full", "study-model"])
+def test_study_block_digest_matches_golden(name):
+    """Replications 0-3 at seed 1, the block every default run compares."""
+    golden = _golden()
+    workloads = _workloads()
+    workload = workloads.WORKLOADS[name]()
+    workload.prepare(1, None)
+    outcomes = [workload.run(i) for i in range(workload.count_block)]
+    assert (workloads.block_digest(outcomes)
+            == golden["blocks"][name]["1"])
 
 
 def test_cli_files_digests_match_golden(tmp_path):

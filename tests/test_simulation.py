@@ -67,6 +67,23 @@ def test_config_rejects_values_the_draw_cannot_use(field, value):
         sw.SimulationConfig(dag=1, setup=2, **{field: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed", 1.5), ("seed", True), ("replications", 2.5),
+    ("n_population", 5000.0), ("dag", 3.0), ("setup", True),
+    ("replications", np.float64(3.0)), ("seed", "1"),
+])
+def test_config_integer_fields_take_only_integers(field, value):
+    with pytest.raises(sw.ValidationError, match=f"^{field} must be an integer$"):
+        sw.SimulationConfig(**{"dag": 3, "setup": 1, field: value})
+
+
+def test_config_integer_fields_take_numpy_integers():
+    cfg = sw.SimulationConfig(dag=np.int64(3), setup=np.int32(1),
+                              n_population=np.int64(40), replications=np.int8(2),
+                              seed=np.uint64(5))
+    assert cfg.population_size == 40
+
+
 def test_config_accepts_the_ends_of_its_ranges():
     cfg = sw.SimulationConfig(dag=1, setup=2, n_population=50,
                               z_correlation=-0.999, external_scale=1.0,

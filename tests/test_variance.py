@@ -420,3 +420,80 @@ def test_two_step_sandwiches_symmetric():
     vcov = sw.vcov_cl(theta, alpha, z, d, xi, n_pop)
     assert np.max(np.abs(vcov - vcov.T)) <= 1e-10
     assert np.all(np.diag(vcov) >= 0.0)
+
+
+# ---------------------------------------------------------------------------
+# inputs every sandwich rejects
+
+
+def _known_args(**changes):
+    theta, alpha, z, d, xi, xe, pi_ext, n_pop, mask, pi_ext_int = _pl_toy()
+    args = dict(theta_hat=theta, design=z, outcome=d,
+                pi=np.linspace(0.3, 0.9, z.shape[0]), n_population=n_pop)
+    args.update(changes)
+    return args
+
+
+def _pl_args(**changes):
+    theta, alpha, z, d, xi, xe, pi_ext, n_pop, mask, pi_ext_int = _pl_toy()
+    args = dict(theta_hat=theta, alpha_hat=alpha, design=z, outcome=d,
+                selection_design=xi, external_design=xe, pi_ext=pi_ext,
+                n_population=n_pop, internal_in_external=mask,
+                internal_pi_ext=pi_ext_int)
+    args.update(changes)
+    return args
+
+
+def _cl_args(**changes):
+    theta, alpha, z, d, xi, n_pop = _cl_toy()
+    args = dict(theta_hat=theta, alpha_hat=alpha, design=z, outcome=d,
+                selection_design=xi, n_population=n_pop)
+    args.update(changes)
+    return args
+
+
+def _with(values, index, value):
+    values = np.array(values, dtype=float)
+    values[index] = value
+    return values
+
+
+PI = _known_args()["pi"]
+PI_EXT = _pl_args()["pi_ext"]
+PI_EXT_INT = _pl_args()["internal_pi_ext"]
+OUTCOME = _known_args()["outcome"]
+REJECTED = {
+    "known-pi-nan": (sw.vcov_known_weights, _known_args(pi=_with(PI, 2, np.nan))),
+    "known-pi-zero": (sw.vcov_known_weights, _known_args(pi=_with(PI, 2, 0.0))),
+    "known-pi-above-one": (sw.vcov_known_weights,
+                           _known_args(pi=_with(PI, 2, 1.5))),
+    "known-pi-short": (sw.vcov_known_weights, _known_args(pi=PI[:-1])),
+    "known-outcome-short": (sw.vcov_known_weights,
+                            _known_args(outcome=OUTCOME[:-1])),
+    "pl-pi-ext-nan": (sw.vcov_pl, _pl_args(pi_ext=_with(PI_EXT, 0, np.nan))),
+    "pl-pi-ext-zero": (sw.vcov_pl, _pl_args(pi_ext=_with(PI_EXT, 0, 0.0))),
+    "pl-pi-ext-above-one": (sw.vcov_pl, _pl_args(pi_ext=_with(PI_EXT, 0, 1.5))),
+    "pl-pi-ext-short": (sw.vcov_pl, _pl_args(pi_ext=PI_EXT[:-1])),
+    "pl-outcome-short": (sw.vcov_pl, _pl_args(outcome=OUTCOME[:-1])),
+    "pl-flagged-pi-nan": (sw.vcov_pl,
+                          _pl_args(internal_pi_ext=_with(PI_EXT_INT, 4, np.nan))),
+    "pl-flagged-pi-zero": (sw.vcov_pl,
+                           _pl_args(internal_pi_ext=_with(PI_EXT_INT, 4, 0.0))),
+    "pl-flagged-pi-above-one": (sw.vcov_pl, _pl_args(
+        internal_pi_ext=_with(PI_EXT_INT, 4, 1.5))),
+    "cl-outcome-short": (sw.vcov_cl, _cl_args(outcome=OUTCOME[:-1])),
+}
+
+
+@pytest.mark.parametrize("case", REJECTED)
+def test_sandwiches_reject_bad_probabilities_and_lengths(case):
+    vcov, args = REJECTED[case]
+    with pytest.raises(sw.ValidationError):
+        vcov(**args)
+
+
+def test_pl_ignores_unflagged_overlap_probabilities():
+    # _pl_toy leaves the unflagged entries of internal_pi_ext NaN.
+    args = _pl_args()
+    assert np.isnan(args["internal_pi_ext"][~args["internal_in_external"]]).all()
+    assert np.all(np.isfinite(sw.vcov_pl(**args)))
