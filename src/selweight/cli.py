@@ -2,8 +2,8 @@
 
 Exit codes: 0 on success, 2 on validation errors, 3 on convergence
 failures.  Every failure prints one machine-parsable line to stderr of the
-form ``error: <kind>: <message>``; each warning a loaded summary carries is
-printed as ``warning: <text>``.
+form ``error: <kind>: <message>``; a loaded summary's warnings and a count
+of clamped probabilities are printed as ``warning: <text>`` lines.
 """
 
 import argparse
@@ -34,7 +34,12 @@ from .simulation import (
     run_study,
 )
 from .variance import wald_ci
-from .weights import augment_weights_with_outcome, winsorize_weights
+from .weights import (
+    PI_FLOOR,
+    augment_weights_with_outcome,
+    estimated_weight_set,
+    winsorize_weights,
+)
 
 
 def build_parser():
@@ -225,6 +230,7 @@ def _weights(args):
     """Return (source, pi, weight set) for the command's method.
 
     Augmenting or winsorizing pi drops the weight set; see ``fit_method``.
+    Post-processed pi is clamped as estimated pi is, with one warning line.
     """
     src = FileSource(args)
     pi, weight_set = estimate_pi(args.method, src)
@@ -238,7 +244,11 @@ def _weights(args):
                                          src.sample.column(p_int_col))
     if args.winsorize:
         w = winsorize_weights(w, *args.winsorize)
-    return src, np.clip(1.0 / w, None, 1.0), None
+    post = estimated_weight_set(1.0 / w, "post-processed")
+    if post.clamped:
+        print(f"warning: clamped {post.clamped} post-processed selection "
+              f"probabilities into [{PI_FLOOR:g}, 1]", file=sys.stderr)
+    return src, post.pi_hat, None
 
 
 def cli_fit(args):

@@ -109,6 +109,28 @@ def probability_vector(p, n, what, rows=None):
     return p
 
 
+def binary_outcome(outcome):
+    """``outcome`` as a float array of its own shape; each entry must be 0
+    or 1 (NaN is neither)."""
+    d = np.asarray(outcome, dtype=float)
+    if not np.all((d == 0.0) | (d == 1.0)):
+        raise ValidationError("outcome must be coded 0/1")
+    return d
+
+
+def coefficients_for(x, coef, what, ndim=1):
+    """``coef`` as a float array of ``ndim`` axes whose last axis has one
+    entry per column of the design matrix ``x``; otherwise a
+    ValidationError names ``what``.  Only the shapes are compared."""
+    coef = np.asarray(coef, dtype=float)
+    p = x.shape[1]
+    if coef.ndim != ndim or coef.shape[-1] != p:
+        expected = f"(k, {p})" if ndim == 2 else f"({p},)"
+        raise ValidationError(f"{what} have shape {coef.shape}, not "
+                              f"{expected} for a design of {p} columns")
+    return coef
+
+
 def logit(p):
     p = np.asarray(p, dtype=float)
     out = np.log(p) - np.log1p(-p)
@@ -188,7 +210,8 @@ class FittedModel:
 
     def linear_predictor(self, design):
         x = coerce_design(design).matrix
-        return x @ np.asarray(self.coefficients, dtype=float).ravel()
+        return x @ coefficients_for(x, np.ravel(self.coefficients),
+                                    "coefficients")
 
     def probabilities(self, design):
         """Fitted success probabilities (logistic/simplex mean model)."""
@@ -275,13 +298,11 @@ def fit_weighted_logistic(design, outcome, pi=None):
     design = coerce_design(design)
     x = design.matrix
     n, p = x.shape
-    d = np.asarray(outcome, dtype=float).ravel()
+    d = binary_outcome(outcome).ravel()
     if d.size != n:
         raise ValidationError("outcome length does not match design rows")
     if n < p:
         raise ValidationError(f"need at least {p} rows, got {n}")
-    if not np.all((d == 0.0) | (d == 1.0)):
-        raise ValidationError("outcome must be coded 0/1")
     if d.min() == d.max():
         raise DegenerateOutcomeError("outcome is constant; no model is identified")
     if pi is None:
@@ -315,9 +336,7 @@ def multinomial_probabilities(coef, design):
     right.  Every step runs one column at a time, along the rows.
     """
     x = coerce_design(design).matrix
-    b = np.asarray(coef, dtype=float)
-    if b.ndim != 2:
-        raise ValidationError("multinomial coefficients must be a 2-d array")
+    b = coefficients_for(x, coef, "multinomial coefficients", ndim=2)
     lin = x @ b.T
     top = np.zeros(lin.shape[0])
     for column in lin.T:

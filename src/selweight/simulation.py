@@ -689,9 +689,7 @@ def _run_replication_task(cfg, methods, helpers, index):
             ws = res.weight_set
             alpha, clamps = None, 0
             if ws is not None:
-                alpha = ws.alpha_hat
-                clamps = (ws.diagnostics.get("clamped_low", 0)
-                          + ws.diagnostics.get("clamped_high", 0))
+                alpha, clamps = ws.alpha_hat, ws.clamped
             compact[method] = (res.model.coefficients,
                                np.diag(res.model.vcov).copy(), alpha, clamps)
     return compact

@@ -11,8 +11,10 @@ Boos 2002), whose blocks one function forms: the theta score's bread and
 meat and, for the two-step forms, g_alpha, all at the selection
 probabilities.  PL and CL supply only their selection score's blocks, and
 :meth:`SandwichComponents.vcov` is the one assembly.  Designs are read by
-``fitters.coerce_design`` and given probabilities checked by
-``fitters.probability_vector``, so a bad input raises a ValidationError.
+``fitters.coerce_design``, given probabilities checked by
+``fitters.probability_vector``, the outcome by ``fitters.binary_outcome``
+and the width of theta_hat and alpha_hat by ``fitters.coefficients_for``,
+so a bad input raises a ValidationError.
 """
 
 from dataclasses import dataclass
@@ -21,7 +23,14 @@ from typing import Optional
 import numpy as np
 
 from .errors import SingularBreadError, SingularHError, ValidationError
-from .fitters import coerce_design, expit, probability_vector, weighted_cross
+from .fitters import (
+    binary_outcome,
+    coefficients_for,
+    coerce_design,
+    expit,
+    probability_vector,
+    weighted_cross,
+)
 from .solver import SingularJacobianError, invert_matrix
 from .weights import logistic_selection_pi
 
@@ -156,11 +165,11 @@ def _stacked_components(theta_hat, design, outcome, pi, n_population,
     ``e_hat = e1 - k cross - (k cross)' + k bracket k'``.
     """
     z = coerce_design(design).matrix
-    d = np.asarray(outcome, dtype=float).ravel()
+    d = binary_outcome(outcome).ravel()
     if not d.size == pi.size == z.shape[0]:
         raise ValidationError("outcome and selection design rows must match "
                               "the design's")
-    mu = expit(z @ np.asarray(theta_hat, dtype=float))
+    mu = expit(z @ coefficients_for(z, theta_hat, "theta_hat"))
     n = float(n_population)
     g_pos = weighted_cross(z, mu * (1.0 - mu) / pi, z) / n
     e1 = weighted_cross(z, (d - mu) ** 2 / pi**2, z) / n

@@ -27,6 +27,8 @@ from .errors import (
 )
 from .fitters import (
     DesignMatrix,
+    binary_outcome,
+    coefficients_for,
     coerce_design,
     expit,
     fit_multinomial,
@@ -38,8 +40,8 @@ from .fitters import (
     weighted_cross,
 )
 
-# Estimated probabilities are clamped into [PI_FLOOR, 1]; every clamp is
-# counted in the WeightSet diagnostics, never applied silently.
+# Estimated probabilities are clamped into [PI_FLOOR, 1] by clamp_pi, and
+# every clamp is counted, never applied silently.
 PI_FLOOR = 1e-10
 
 # SR's multinomial categories of sample membership.
@@ -74,6 +76,12 @@ class WeightSet:
     def weights(self):
         """Inverse-probability weights, one per internal unit."""
         return 1.0 / self.pi_hat
+
+    @property
+    def clamped(self):
+        """How many probabilities the clamp into [PI_FLOOR, 1] moved."""
+        d = self.diagnostics
+        return d.get("clamped_low", 0) + d.get("clamped_high", 0)
 
 
 @dataclass
@@ -207,13 +215,15 @@ def coarsen(values, cutoffs=None):
 
     ``values`` must not be NaN.  ``cutoffs`` must be finite and strictly
     increasing; None places them at the type-7 ``COARSEN_QUANTILES`` of
-    ``values``.  Label k covers the half-open interval [cutoff_k,
-    cutoff_{k+1}).
+    ``values``, which must then be non-empty.  Label k covers the half-open
+    interval [cutoff_k, cutoff_{k+1}).
     """
     values = np.asarray(values, dtype=float)
     if np.isnan(values).any():
         raise ValidationError("values to coarsen must not be NaN")
     if cutoffs is None:
+        if values.size == 0:
+            raise ValidationError("quantile cutoffs need at least one value")
         cutoffs = np.quantile(values, COARSEN_QUANTILES)
     cutoffs = np.asarray(cutoffs, dtype=float).ravel()
     if (cutoffs.size == 0 or not np.isfinite(cutoffs).all()
@@ -238,6 +248,8 @@ def winsorize_weights(w, lower_q=0.025, upper_q=0.975):
     points of the clipping).
     """
     w = np.asarray(w, dtype=float)
+    if w.size == 0:
+        raise ValidationError("weights to winsorize must not be empty")
     if not np.all(w > 0.0):  # NaN fails too
         raise ValidationError("weights must be positive")
     if not (0.0 <= lower_q < upper_q <= 1.0):
@@ -259,15 +271,13 @@ def augment_weights_with_outcome(w0, outcome, p_pop, p_int):
     realized outcome.
     """
     w0 = np.asarray(w0, dtype=float)
-    d = np.asarray(outcome, dtype=float)
+    d = binary_outcome(outcome)
     p_pop = np.asarray(p_pop, dtype=float)
     p_int = np.asarray(p_int, dtype=float)
     if not (w0.shape == d.shape == p_pop.shape == p_int.shape):
         raise ValidationError("augmentation inputs must share one shape")
     if not np.all(w0 > 0.0):  # NaN fails too
         raise ValidationError("weights must be positive")
-    if not np.all((d == 0.0) | (d == 1.0)):
-        raise ValidationError("outcome must be coded 0/1")
     for name, p in (("p_pop", p_pop), ("p_int", p_int)):
         if not np.all((p > 0.0) & (p < 1.0)):  # NaN fails too
             raise ValidationError(f"{name} must lie strictly inside (0, 1)")
@@ -285,31 +295,24 @@ def _design_pair(internal_X, external_X):
     return internal_X, external_X
 
 
+def clamp_pi(pi):
+    """Estimated selection probabilities ``pi`` clipped into [PI_FLOOR, 1]."""
+    return np.clip(pi, PI_FLOOR, 1.0)
+
+
+def estimated_weight_set(pi, method, alpha_hat=None, **diagnostics):
+    """The WeightSet of estimated probabilities ``pi`` after :func:`clamp_pi`:
+    the estimator's ``diagnostics``, then the counts of entries below
+    PI_FLOOR (``clamped_low``) and above 1 (``clamped_high``)."""
+    diagnostics.update(clamped_low=int(np.count_nonzero(pi < PI_FLOOR)),
+                       clamped_high=int(np.count_nonzero(pi > 1.0)))
+    return WeightSet(clamp_pi(pi), method, alpha_hat, diagnostics)
+
+
 def logistic_selection_pi(x, alpha):
-    """Logistic selection probabilities ``expit(x @ alpha)`` clamped into
-    [PI_FLOOR, 1]: the CL solve's and the PL/CL sandwiches' pi."""
-    return np.clip(expit(x @ np.asarray(alpha, dtype=float)), PI_FLOOR, 1.0)
-
-
-def _clamp_pi(pi):
-    clamped = np.clip(pi, PI_FLOOR, 1.0)
-    n_low = int(np.sum(pi < PI_FLOOR))
-    n_high = int(np.sum(pi > 1.0))
-    return clamped, n_low, n_high
-
-
-def _logistic_weight_set(method, x, report):
-    """Clamped probabilities of a solved logistic selection model at rows ``x``."""
-    pi_hat, n_low, n_high = _clamp_pi(expit(x @ report.solution))
-    return WeightSet(
-        pi_hat, method, alpha_hat=report.solution,
-        diagnostics={
-            "iterations": report.iterations,
-            "residual_norm": report.final_residual_norm,
-            "clamped_low": n_low,
-            "clamped_high": n_high,
-        },
-    )
+    """Logistic selection probabilities ``expit(x @ alpha)`` clamped by
+    :func:`clamp_pi`: the CL solve's and the PL/CL sandwiches' pi."""
+    return clamp_pi(expit(x @ coefficients_for(x, alpha, "alpha_hat")))
 
 
 def estimate_weights_pl(internal_X, external_X, pi_ext):
@@ -345,7 +348,9 @@ def estimate_weights_pl(internal_X, external_X, pi_ext):
         raise NonConvergenceError(
             f"pseudolikelihood selection fit did not converge: {report.message}"
         )
-    return _logistic_weight_set("PL", xi, report)
+    return estimated_weight_set(expit(xi @ report.solution), "PL",
+                                report.solution, iterations=report.iterations,
+                                residual_norm=report.final_residual_norm)
 
 
 def estimate_weights_sr(internal_X, external_X, pi_ext, internal_in_external,
@@ -403,18 +408,12 @@ def estimate_weights_sr(internal_X, external_X, pi_ext, internal_in_external,
             unit_indices=bad,
         )
     pi_raw = expit(xi @ simplex.coefficients) * (p_both + p_int_only) / denom
-    pi_hat, n_low, n_high = _clamp_pi(pi_raw)
-    return WeightSet(
-        pi_hat, "SR",
-        diagnostics={
-            "simplex_coefficients": simplex.coefficients,
-            "simplex_dispersion": simplex.dispersion,
-            "multinomial_coefficients": multinomial.coefficients,
-            "iterations": simplex.report.iterations + multinomial.report.iterations,
-            "clamped_low": n_low,
-            "clamped_high": n_high,
-        },
-    )
+    return estimated_weight_set(
+        pi_raw, "SR",
+        simplex_coefficients=simplex.coefficients,
+        simplex_dispersion=simplex.dispersion,
+        multinomial_coefficients=multinomial.coefficients,
+        iterations=simplex.report.iterations + multinomial.report.iterations)
 
 
 def estimate_weights_ps(internal_cells, summary):
@@ -470,15 +469,8 @@ def estimate_weights_ps(internal_cells, summary):
 
     ratio = pop_prob / (counts[unit_codes] / n)
     w = ratio * (n_pop / ratio.sum())
-    pi_hat, n_low, n_high = _clamp_pi(1.0 / w)
-    return WeightSet(
-        pi_hat, "PS",
-        diagnostics={
-            "n_cells": int(np.count_nonzero(counts)),
-            "clamped_low": n_low,
-            "clamped_high": n_high,
-        },
-    )
+    return estimated_weight_set(1.0 / w, "PS",
+                                n_cells=int(np.count_nonzero(counts)))
 
 
 def estimate_weights_cl(internal_X, summary):
@@ -533,4 +525,6 @@ def estimate_weights_cl(internal_X, summary):
         raise NonConvergenceError(
             f"calibration fit did not converge: {report.message}"
         )
-    return _logistic_weight_set("CL", x, report)
+    return estimated_weight_set(expit(x @ report.solution), "CL",
+                                report.solution, iterations=report.iterations,
+                                residual_norm=report.final_residual_norm)

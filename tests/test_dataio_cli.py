@@ -1203,6 +1203,51 @@ def test_cli_fit_matches_run_replication_exactly(replication_files, method):
     estimate, std_error = read_fit(out)
     assert np.array_equal(estimate, result.model.coefficients)
     assert np.array_equal(std_error, np.sqrt(np.diag(result.model.vcov)))
+    # The weights command writes the replication's clamped pi_hat.
+    out = replication_files / f"weights_{method}.csv"
+    proc = run_cli("weights", "--method", method,
+                   *method_args(method, replication_files),
+                   "--population-size", str(REPLICATION_CFG.population_size),
+                   "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    pi = np.array([float(line.split(",")[1])
+                   for line in out.read_text().strip().splitlines()[1:]])
+    assert pi.tobytes() == result.weight_set.pi_hat.tobytes()
+
+
+def test_cli_augmented_weights_below_one_are_clamped_with_one_warning(
+        replication_files, tmp_path):
+    # p_pop / p_int = 0.05 / 0.9 divides each case's (d = 1) weight by 18,
+    # which takes many of them below 1; each control's is multiplied by 9.5.
+    lines = (replication_files / "internal.csv").read_text().splitlines()
+    data = tmp_path / "internal.csv"
+    write_lines(data, [lines[0] + ",p_pop,p_int"]
+                + [line + ",0.05,0.9" for line in lines[1:]])
+    args = method_args("pl", replication_files)
+    args[args.index(str(replication_files / "internal.csv"))] = str(data)
+    out = tmp_path / "weights.csv"
+    argv = ["weights", "--method", "pl", *args,
+            "--augment-outcome", "p_pop", "p_int", "--out", str(out)]
+    proc = run_cli(*argv)
+    assert proc.returncode == 0, proc.stderr
+
+    # The bytes written before post-processed clamps were counted: pi was
+    # 1 / w clipped at 1 only.
+    src = FileSource(build_parser().parse_args(argv))
+    pi, _ = sw.simulation.estimate_pi("pl", src)
+    w = sw.augment_weights_with_outcome(1.0 / pi, src.outcome,
+                                        src.sample.column("p_pop"),
+                                        src.sample.column("p_int"))
+    above = int(np.count_nonzero(1.0 / w > 1.0))
+    assert 0 < above < w.size
+    pi_parent = np.clip(1.0 / w, None, 1.0)
+    expected = tmp_path / "expected.csv"
+    ResultTable(row=np.arange(1, w.size + 1), pi_hat=pi_parent,
+                weight=1.0 / pi_parent).write(expected, "csv")
+    assert out.read_bytes() == expected.read_bytes()
+    assert proc.stderr.splitlines() == [
+        f"warning: clamped {above} post-processed selection probabilities "
+        "into [1e-10, 1]"]
 
 
 @pytest.mark.parametrize("method", ["pl", "sr", "cl"])

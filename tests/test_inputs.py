@@ -142,6 +142,21 @@ def test_nan_in_a_bare_design_is_a_validation_error(case):
         call(x)
 
 
+# The fits take their width from the design.  In every other case another
+# input fixes it: fitted or given coefficients, the other sample's design or
+# the summary's means.
+FITS = ("fit_weighted_logistic", "fit_multinomial", "fit_simplex_regression")
+
+
+@pytest.mark.parametrize("case", [case for case in CASES if case not in FITS])
+def test_a_design_of_the_wrong_width_is_a_validation_error(case):
+    key, call = CASES[case]
+    x = INPUTS[key]
+    wide = np.column_stack([x, np.linspace(-1.0, 1.0, x.shape[0])])
+    with pytest.raises(sw.ValidationError):
+        call(wide)
+
+
 def test_a_design_matrix_passes_through_and_a_bare_array_is_named():
     design = sw.build_design([[0.5, 1.5, 2.5]], ["a"])
     assert coerce_design(design) is design

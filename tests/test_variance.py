@@ -482,6 +482,12 @@ REJECTED = {
     "pl-flagged-pi-above-one": (sw.vcov_pl, _pl_args(
         internal_pi_ext=_with(PI_EXT_INT, 4, 1.5))),
     "cl-outcome-short": (sw.vcov_cl, _cl_args(outcome=OUTCOME[:-1])),
+    "known-outcome-two": (sw.vcov_known_weights,
+                          _known_args(outcome=_with(OUTCOME, 3, 2.0))),
+    "pl-alpha-short": (sw.vcov_pl, _pl_args(
+        alpha_hat=_pl_args()["alpha_hat"][:-1])),
+    "cl-alpha-long": (sw.vcov_cl, _cl_args(
+        alpha_hat=np.append(_cl_args()["alpha_hat"], 0.1))),
 }
 
 
@@ -490,6 +496,24 @@ def test_sandwiches_reject_bad_probabilities_and_lengths(case):
     vcov, args = REJECTED[case]
     with pytest.raises(sw.ValidationError):
         vcov(**args)
+
+
+@pytest.mark.parametrize("vcov, args", [
+    (sw.vcov_known_weights, _known_args), (sw.vcov_pl, _pl_args),
+    (sw.vcov_cl, _cl_args)])
+def test_sandwiches_reject_a_nan_outcome_as_not_binary(vcov, args):
+    with pytest.raises(sw.ValidationError, match="^outcome must be coded 0/1$"):
+        vcov(**args(outcome=_with(OUTCOME, 0, np.nan)))
+
+
+def test_coefficient_widths_are_named():
+    with pytest.raises(sw.ValidationError,
+                       match=r"^theta_hat have shape \(3,\), not \(2,\) "
+                             "for a design of 2 columns$"):
+        sw.vcov_known_weights(**_known_args(
+            theta_hat=np.append(_known_args()["theta_hat"], 0.1)))
+    with pytest.raises(sw.ValidationError, match="^alpha_hat have shape"):
+        sw.vcov_cl(**_cl_args(alpha_hat=_cl_args()["alpha_hat"][:-1]))
 
 
 def test_pl_ignores_unflagged_overlap_probabilities():

@@ -693,6 +693,8 @@ def test_winsorize_validation():
         sw.winsorize_weights(np.array([1.0, -2.0]))
     with pytest.raises(sw.ValidationError):
         sw.winsorize_weights(np.array([1.0, 2.0]), 0.9, 0.1)
+    with pytest.raises(sw.ValidationError, match="must not be empty"):
+        sw.winsorize_weights([])
 
 
 # ---------------------------------------------------------------------------
@@ -801,6 +803,10 @@ def test_coarsen_is_order_preserving(values):
 def test_coarsening_rule_validation():
     with pytest.raises(sw.DegenerateCutoffsError):
         sw.coarsen(np.array([0.5]), np.array([1.0, 1.0]))
+    # Quantile cutoffs need a value; given cutoffs, no value gets no label.
+    with pytest.raises(sw.ValidationError, match="at least one value"):
+        sw.coarsen([])
+    assert sw.coarsen([], [0.0]).size == 0
 
 
 @pytest.mark.parametrize("cutoffs", [[np.nan, 1.0], [1.0, np.nan], [np.nan],
@@ -856,3 +862,30 @@ def test_weight_set_alpha_presence_rule():
         sw.WeightSet(np.array([1.5]), "known")
     ws = sw.WeightSet(np.array([0.5]), "CL", alpha_hat=np.zeros(2))
     assert ws.weights[0] == pytest.approx(2.0)
+
+
+def test_estimated_weight_set_counts_exactly_the_clamped_entries():
+    floor = w_mod.PI_FLOOR
+    below = [-1.0, 0.0, 5e-11, math.nextafter(floor, 0.0)]
+    inside = [floor, 0.5, 1.0]
+    above = [math.nextafter(1.0, 2.0), 1.5, 3.0]
+    pi = np.array(below + inside + above)
+    ws = w_mod.estimated_weight_set(pi, "CL", np.zeros(2), iterations=4)
+    assert list(ws.diagnostics) == ["iterations", "clamped_low", "clamped_high"]
+    assert ws.diagnostics["clamped_low"] == len(below)
+    assert ws.diagnostics["clamped_high"] == len(above)
+    assert ws.clamped == len(below) + len(above)
+    assert ws.pi_hat.tolist() == [floor] * len(below) + inside + [1.0] * len(above)
+    assert ws.alpha_hat.tolist() == [0.0, 0.0]
+    # Inside the interval nothing moves and nothing is counted.
+    ws = w_mod.estimated_weight_set(np.array(inside), "PS")
+    assert ws.diagnostics == {"clamped_low": 0, "clamped_high": 0}
+    assert ws.pi_hat.tolist() == inside
+    assert sw.WeightSet(np.array(inside), "known").clamped == 0
+
+
+def test_logistic_selection_pi_takes_the_same_clamp():
+    x = np.array([[1.0, -40.0], [1.0, 0.0], [1.0, 40.0]])
+    pi = w_mod.logistic_selection_pi(x, [0.0, 1.0])
+    assert pi.tobytes() == w_mod.clamp_pi(sw.expit(x @ [0.0, 1.0])).tobytes()
+    assert pi[0] == w_mod.PI_FLOOR
