@@ -94,12 +94,19 @@ def weighted_cross(a, v, b):
     return weighted.T @ b
 
 
+def row_vector(values, n, what, dtype=float):
+    """``values`` flattened to a vector of ``dtype`` (None keeps its own),
+    which must hold one entry per design row, ``n`` in all."""
+    v = np.asarray(values, dtype=dtype).ravel()
+    if v.size != n:
+        raise ValidationError(f"{what} have {v.size} entries for {n} design rows")
+    return v
+
+
 def probability_vector(p, n, what, rows=None):
     """The entries at ``rows`` (an index array or mask; all by default) of
-    ``what``, a vector of ``n`` probabilities; each must lie in (0, 1]."""
-    p = np.asarray(p, dtype=float).ravel()
-    if p.size != n:
-        raise ValidationError(f"{what} have {p.size} entries for {n} design rows")
+    the :func:`row_vector` ``what`` of ``n`` probabilities, each in (0, 1]."""
+    p = row_vector(p, n, what)
     if rows is not None:
         p = p[rows]
     # Two reductions and no temporaries; a NaN makes the minimum NaN.
@@ -109,10 +116,10 @@ def probability_vector(p, n, what, rows=None):
     return p
 
 
-def binary_outcome(outcome):
-    """``outcome`` as a float array of its own shape; each entry must be 0
-    or 1 (NaN is neither)."""
-    d = np.asarray(outcome, dtype=float)
+def binary_outcome(outcome, n):
+    """The :func:`row_vector` of ``n`` outcomes; each must be 0 or 1 (NaN is
+    neither)."""
+    d = row_vector(outcome, n, "outcomes")
     if not np.all((d == 0.0) | (d == 1.0)):
         raise ValidationError("outcome must be coded 0/1")
     return d
@@ -120,14 +127,16 @@ def binary_outcome(outcome):
 
 def coefficients_for(x, coef, what, ndim=1):
     """``coef`` as a float array of ``ndim`` axes whose last axis has one
-    entry per column of the design matrix ``x``; otherwise a
-    ValidationError names ``what``.  Only the shapes are compared."""
+    entry per column of the design matrix ``x``, each finite; otherwise a
+    ValidationError names ``what``.  Public calls check here, never a trial."""
     coef = np.asarray(coef, dtype=float)
     p = x.shape[1]
     if coef.ndim != ndim or coef.shape[-1] != p:
         expected = f"(k, {p})" if ndim == 2 else f"({p},)"
         raise ValidationError(f"{what} have shape {coef.shape}, not "
                               f"{expected} for a design of {p} columns")
+    if not np.all(np.isfinite(coef)):
+        raise ValidationError(f"{what} must be finite")
     return coef
 
 
@@ -298,9 +307,7 @@ def fit_weighted_logistic(design, outcome, pi=None):
     design = coerce_design(design)
     x = design.matrix
     n, p = x.shape
-    d = binary_outcome(outcome).ravel()
-    if d.size != n:
-        raise ValidationError("outcome length does not match design rows")
+    d = binary_outcome(outcome, n)
     if n < p:
         raise ValidationError(f"need at least {p} rows, got {n}")
     if d.min() == d.max():
@@ -331,12 +338,19 @@ def multinomial_probabilities(coef, design):
 
     ``coef`` has one row per non-reference category; the reference category
     (index 0) has implicit zero coefficients.  Rows of the result sum to 1.
+    """
+    x = coerce_design(design).matrix
+    return category_probabilities(
+        x, coefficients_for(x, coef, "multinomial coefficients", ndim=2))
+
+
+def category_probabilities(x, b):
+    """:func:`multinomial_probabilities` of a design matrix, unchecked.
+
     Each row is shifted by its largest linear predictor (at least the
     reference's 0) before exponentiating; row sums add the columns left to
     right.  Every step runs one column at a time, along the rows.
     """
-    x = coerce_design(design).matrix
-    b = coefficients_for(x, coef, "multinomial coefficients", ndim=2)
     lin = x @ b.T
     top = np.zeros(lin.shape[0])
     for column in lin.T:
@@ -363,9 +377,7 @@ def fit_multinomial(design, category):
     design = coerce_design(design)
     x = design.matrix
     n, p = x.shape
-    c = np.asarray(category)
-    if c.size != n:
-        raise ValidationError("category length does not match design rows")
+    c = row_vector(category, n, "categories", dtype=None)
     k = MULTINOMIAL_CATEGORIES - 1
     # One comparison per category: np.isin takes ten times as long here.
     known = np.zeros(c.shape, dtype=bool)
@@ -383,7 +395,7 @@ def fit_multinomial(design, category):
         np.equal(c, j + 1, out=row)
 
     probabilities = memoize_last(
-        lambda beta: multinomial_probabilities(beta.reshape(k, p), design))
+        lambda beta: category_probabilities(x, beta.reshape(k, p)))
 
     def residual(beta):
         probs = probabilities(beta)
@@ -461,9 +473,7 @@ def fit_simplex_regression(design, response):
     design = coerce_design(design)
     x = design.matrix
     n, p = x.shape
-    y = np.asarray(response, dtype=float).ravel()
-    if y.size != n:
-        raise ValidationError("response length does not match design rows")
+    y = row_vector(response, n, "responses")
     inside = (y > 0.0) & (y < 1.0)  # NaN is not
     if not np.all(inside):
         bad = int(np.flatnonzero(~inside)[0])

@@ -137,15 +137,14 @@ def solve_estimating_equation(residual, jacobian, init):
     -------
     SolveReport
         ``converged`` is False when the iteration budget or the halving
-        budget ran out; the report then carries the best iterate seen.
+        budget ran out; the report then carries the last iterate, whose
+        residual norm is the least seen: no accepted step raises it.
     """
     x = np.array(init, dtype=float, copy=True).ravel()
     f = np.asarray(residual(x), dtype=float).ravel()
     if f.shape != x.shape:
         raise ValueError(f"residual has length {f.size}, expected {x.size}")
     norm = float(np.max(np.abs(f))) if f.size else 0.0
-
-    best_x, best_norm = x.copy(), norm
     total_halvings = 0
 
     for iteration in range(1, MAX_ITER + 1):
@@ -168,19 +167,15 @@ def solve_estimating_equation(residual, jacobian, init):
             scale *= 0.5
             total_halvings += 1
         else:
-            return SolveReport(best_x, iteration, best_norm, False,
+            return SolveReport(x, iteration, norm, False,
                                total_halvings, "step halvings exhausted")
 
         step_size = float(np.max(np.abs(scale * step))) if step.size else 0.0
         x, f, norm = x_new, f_new, norm_new
-        if norm < best_norm:
-            best_x, best_norm = x.copy(), norm
         if step_size <= TOL_STEP:
             return SolveReport(x, iteration, norm, True,
                                total_halvings, "step tolerance met")
 
     converged = norm <= TOL_SCORE
-    return SolveReport(x if converged else best_x, MAX_ITER,
-                       norm if converged else best_norm, converged,
-                       total_halvings,
+    return SolveReport(x, MAX_ITER, norm, converged, total_halvings,
                        "" if converged else "max iterations exceeded")

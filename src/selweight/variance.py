@@ -10,13 +10,18 @@ All three are one stacked (theta, alpha) estimating equation (Stefanski &
 Boos 2002), whose blocks one function forms: the theta score's bread and
 meat and, for the two-step forms, g_alpha, all at the selection
 probabilities.  PL and CL supply only their selection score's blocks, and
-:meth:`SandwichComponents.vcov` is the one assembly.  Designs are read by
-``fitters.coerce_design``, given probabilities checked by
-``fitters.probability_vector``, the outcome by ``fitters.binary_outcome``
-and the width of theta_hat and alpha_hat by ``fitters.coefficients_for``,
-so a bad input raises a ValidationError.
+:meth:`SandwichComponents.vcov` is the one assembly.  Each input is checked
+once, where a sandwich is entered, so a bad input raises a ValidationError:
+designs by ``fitters.coerce_design``; per-row vectors (the outcome, PL's
+mask and every probability vector) by ``fitters.row_vector``, through
+``binary_outcome`` and ``probability_vector`` where 0/1 or (0, 1] applies;
+the width and finiteness of theta_hat, and of alpha_hat against each of its
+designs, by ``fitters.coefficients_for``; and ``n_population`` as a
+positive finite number.
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,6 +34,7 @@ from .fitters import (
     coerce_design,
     expit,
     probability_vector,
+    row_vector,
     weighted_cross,
 )
 from .solver import SingularJacobianError, invert_matrix
@@ -59,9 +65,11 @@ class SandwichComponents:
 
     def vcov(self, n_population):
         """The symmetrised sandwich ``G^-1 e_hat G^-T / N`` of these blocks,
-        with ``G`` the bread of positive sign."""
+        with ``G`` the bread of positive sign and ``N`` the positive finite
+        number ``n_population``."""
+        n = _population_size(n_population)
         g_inv = _invert(-self.g_theta, SingularBreadError, "bread matrix")
-        v = g_inv @ self.e_hat @ g_inv.T / n_population
+        v = g_inv @ self.e_hat @ g_inv.T / n
         return 0.5 * (v + v.T)
 
 
@@ -145,6 +153,15 @@ def normal_quantile(p, *, out=None):
     return float(res[0]) if scalar else res
 
 
+def _population_size(n_population):
+    """``n_population`` as a float; it must be a positive finite number."""
+    if not (isinstance(n_population, numbers.Real)
+            and 0 < n_population < math.inf):
+        raise ValidationError("n_population must be a positive finite "
+                              f"number, got {n_population!r}")
+    return float(n_population)
+
+
 def _invert(matrix, error_cls, what):
     try:
         return invert_matrix(matrix)
@@ -165,12 +182,10 @@ def _stacked_components(theta_hat, design, outcome, pi, n_population,
     ``e_hat = e1 - k cross - (k cross)' + k bracket k'``.
     """
     z = coerce_design(design).matrix
-    d = binary_outcome(outcome).ravel()
-    if not d.size == pi.size == z.shape[0]:
-        raise ValidationError("outcome and selection design rows must match "
-                              "the design's")
+    d = binary_outcome(outcome, z.shape[0])
+    pi = row_vector(pi, z.shape[0], "selection probabilities")
     mu = expit(z @ coefficients_for(z, theta_hat, "theta_hat"))
-    n = float(n_population)
+    n = _population_size(n_population)
     g_pos = weighted_cross(z, mu * (1.0 - mu) / pi, z) / n
     e1 = weighted_cross(z, (d - mu) ** 2 / pi**2, z) / n
     if selection is None:
@@ -204,11 +219,11 @@ def pl_components(theta_hat, alpha_hat, design, outcome, selection_design,
                   internal_in_external, internal_pi_ext=None):
     xi = coerce_design(selection_design).matrix
     xe = coerce_design(external_design).matrix
+    alpha_hat = coefficients_for(xi, alpha_hat, "alpha_hat")
+    coefficients_for(xe, alpha_hat, "alpha_hat")
     pi_ext = probability_vector(pi_ext, xe.shape[0],
                                 "external design probabilities")
-    mask = np.asarray(internal_in_external, dtype=bool).ravel()
-    if mask.size != xi.shape[0]:
-        raise ValidationError("internal_in_external mask length mismatch")
+    mask = row_vector(internal_in_external, xi.shape[0], "internal_in_external", dtype=bool)
     rows = np.flatnonzero(mask)
     if rows.size:
         if internal_pi_ext is None:
@@ -259,7 +274,7 @@ def vcov_pl(theta_hat, alpha_hat, design, outcome, selection_design,
 def cl_components(theta_hat, alpha_hat, design, outcome, selection_design,
                   n_population):
     xi = coerce_design(selection_design).matrix
-    pi = logistic_selection_pi(xi, alpha_hat)
+    pi = logistic_selection_pi(xi, coefficients_for(xi, alpha_hat, "alpha_hat"))
 
     def blocks(z, resid, n):
         h_pos = weighted_cross(xi, (1.0 - pi) / pi, xi) / n
@@ -285,6 +300,8 @@ def wald_ci(theta_hat, vcov, level=0.95):
     diag = np.diag(vcov) if vcov.ndim == 2 else vcov
     if diag.size != theta_hat.size:
         raise ValidationError("vcov dimension does not match theta_hat")
+    if not (np.all(np.isfinite(theta_hat)) and np.all(np.isfinite(diag))):
+        raise ValidationError("theta_hat and the vcov diagonal must be finite")
     if np.any(diag < 0.0):
         raise ValidationError("vcov has negative diagonal entries")
     if not (0.0 < level < 1.0):

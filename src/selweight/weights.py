@@ -28,14 +28,14 @@ from .errors import (
 from .fitters import (
     DesignMatrix,
     binary_outcome,
-    coefficients_for,
+    category_probabilities,
     coerce_design,
     expit,
     fit_multinomial,
     fit_simplex_regression,
     memoize_last,
-    multinomial_probabilities,
     probability_vector,
+    row_vector,
     solve_fit,
     weighted_cross,
 )
@@ -227,7 +227,7 @@ def coarsen(values, cutoffs=None):
         cutoffs = np.quantile(values, COARSEN_QUANTILES)
     cutoffs = np.asarray(cutoffs, dtype=float).ravel()
     if (cutoffs.size == 0 or not np.isfinite(cutoffs).all()
-            or np.any(np.diff(cutoffs) <= 0.0)):
+            or np.any(cutoffs[1:] <= cutoffs[:-1])):
         raise DegenerateCutoffsError(
             f"cutoffs {cutoffs.tolist()} are not finite and strictly increasing")
     # A value's label is the number of cutoffs at or below it, counted one
@@ -270,14 +270,13 @@ def augment_weights_with_outcome(w0, outcome, p_pop, p_int):
     probability to the sample-conditional one, evaluated at the unit's
     realized outcome.
     """
-    w0 = np.asarray(w0, dtype=float)
-    d = binary_outcome(outcome)
-    p_pop = np.asarray(p_pop, dtype=float)
-    p_int = np.asarray(p_int, dtype=float)
-    if not (w0.shape == d.shape == p_pop.shape == p_int.shape):
-        raise ValidationError("augmentation inputs must share one shape")
-    if not np.all(w0 > 0.0):  # NaN fails too
-        raise ValidationError("weights must be positive")
+    w0 = np.asarray(w0, dtype=float).ravel()
+    n = w0.size
+    d = binary_outcome(outcome, n)
+    p_pop = row_vector(p_pop, n, "p_pop")
+    p_int = row_vector(p_int, n, "p_int")
+    if not np.all((w0 > 0.0) & (w0 < np.inf)):  # NaN fails too
+        raise ValidationError("weights must be positive and finite")
     for name, p in (("p_pop", p_pop), ("p_int", p_int)):
         if not np.all((p > 0.0) & (p < 1.0)):  # NaN fails too
             raise ValidationError(f"{name} must lie strictly inside (0, 1)")
@@ -310,9 +309,9 @@ def estimated_weight_set(pi, method, alpha_hat=None, **diagnostics):
 
 
 def logistic_selection_pi(x, alpha):
-    """Logistic selection probabilities ``expit(x @ alpha)`` clamped by
-    :func:`clamp_pi`: the CL solve's and the PL/CL sandwiches' pi."""
-    return clamp_pi(expit(x @ coefficients_for(x, alpha, "alpha_hat")))
+    """Unchecked logistic selection probabilities ``expit(x @ alpha)``,
+    clamped by :func:`clamp_pi`: the CL solve's and the sandwiches' pi."""
+    return clamp_pi(expit(x @ alpha))
 
 
 def estimate_weights_pl(internal_X, external_X, pi_ext):
@@ -374,10 +373,8 @@ def estimate_weights_sr(internal_X, external_X, pi_ext, internal_in_external,
     xe = external_X.matrix
     n_int, n_ext = xi.shape[0], xe.shape[0]
     pi_ext = probability_vector(pi_ext, n_ext, "external design probabilities")
-    in_ext = np.asarray(internal_in_external, dtype=bool)
-    in_int = np.asarray(external_in_internal, dtype=bool)
-    if in_ext.shape != (n_int,) or in_int.shape != (n_ext,):
-        raise ValidationError("each overlap mask needs one entry per design row")
+    in_ext = row_vector(internal_in_external, n_int, "internal_in_external", dtype=bool)
+    in_int = row_vector(external_in_internal, n_ext, "external_in_internal", dtype=bool)
     if np.count_nonzero(in_ext) != np.count_nonzero(in_int):
         raise ValidationError("the overlap masks flag different numbers of units")
 
@@ -396,7 +393,7 @@ def estimate_weights_sr(internal_X, external_X, pi_ext, internal_in_external,
                      internal_X.has_intercept),
         labels)
 
-    probs = multinomial_probabilities(multinomial.coefficients, internal_X)
+    probs = category_probabilities(xi, multinomial.coefficients)
     p_both = probs[:, BOTH_SAMPLES]
     p_int_only = probs[:, INTERNAL_ONLY]
     p_ext_only = probs[:, EXTERNAL_ONLY]

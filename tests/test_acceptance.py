@@ -9,6 +9,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 from scipy.stats import chi2
 
 import selweight as sw
@@ -16,6 +17,8 @@ import selweight as sw
 from conftest import ACCEPTANCE_SEED, cli_env, grid_search_logistic
 from test_weights import DISCRETE_CELLS, exact_identity_reconstruction
 
+
+pytestmark = pytest.mark.acceptance
 
 # One line per criterion, echoed in the terminal summary by the conftest
 # hook so the report survives pytest's output capture.

@@ -568,7 +568,7 @@ def _multinomial(src):
 NEWTON_USERS = {
     "logistic": (fitters, "expit", lambda src: sw.fit_weighted_logistic(
         src.disease_design, src.outcome, src.population.pi_true[src.internal]), 0),
-    "multinomial": (fitters, "multinomial_probabilities", _multinomial, 0),
+    "multinomial": (fitters, "category_probabilities", _multinomial, 0),
     "simplex": (fitters, "expit",
                 lambda src: sw.fit_simplex_regression(*src.external_sample), 0),
     "pl": (w_mod, "expit", lambda src: sw.estimate_weights_pl(

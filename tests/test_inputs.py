@@ -1,15 +1,20 @@
-"""Every public function that takes a design reads it one way.
+"""Every public function reads each kind of input one way.
 
 A bare 2-d array is validated as a design without an asserted intercept,
 its columns named x0, x1, ..., and copied to C order.  So a NaN in it is a
 ValidationError, and a C-ordered array, its F-ordered copy and the
-DesignMatrix it becomes give the same bytes.
+DesignMatrix it becomes give the same bytes.  A per-row vector is
+flattened and needs one entry per design row; given coefficients must fit
+their design and be finite.  These checks run once, where a public call
+enters, and never in a Newton trial.
 """
 
 import numpy as np
 import pytest
 
 import selweight as sw
+from selweight import fitters, variance
+from selweight import weights as w_mod
 from selweight.fitters import coerce_design
 from selweight.variance import cl_components, known_weights_components, pl_components
 
@@ -29,9 +34,9 @@ def _inputs():
     in_ext[:20] = True
     in_int = np.zeros(N_EXT, dtype=bool)
     in_int[:20] = True
+    pi = rng.uniform(0.2, 0.9, N_INT)
     return {
-        "z": z, "xi": xi, "xe": xe, "d": d,
-        "pi": rng.uniform(0.2, 0.9, N_INT),
+        "z": z, "xi": xi, "xe": xe, "d": d, "pi": pi, "w": 1.0 / pi,
         "pi_ext": rng.uniform(0.2, 0.9, N_EXT),
         "internal_pi_ext": rng.uniform(0.2, 0.9, N_INT),
         "in_ext": in_ext, "in_int": in_int,
@@ -39,6 +44,9 @@ def _inputs():
         "response": rng.uniform(0.1, 0.9, N_EXT),
         "theta": np.array([-0.3, 0.8, -0.5]),
         "alpha": np.array([-1.2, 0.3, 0.2]),
+        "beta": np.array([[0.2, -0.1, 0.3], [-0.4, 0.5, 0.1]]),
+        "vcov": np.diag([0.04, 0.01, 0.02]),
+        "n_pop": N_POP,
     }
 
 
@@ -172,3 +180,204 @@ def test_fitted_column_names_are_the_models_own_list():
     model = sw.fit_weighted_logistic(design, INPUTS["d"])
     assert model.column_names == design.column_names
     assert model.column_names is not design.column_names
+
+
+# ---------------------------------------------------------------------------
+# argument roles: per-row vectors, coefficients and population sizes
+
+
+def _linear_predictor(coefficients, design):
+    return sw.FittedModel(coefficients, None, "logistic").linear_predictor(design)
+
+
+def _weights(estimate):
+    return lambda **args: estimate(**args).pi_hat
+
+
+def _coefficients(fit):
+    return lambda **args: fit(**args).coefficients
+
+
+# name -> (a public call returning an array, its valid keyword arguments as
+# INPUTS keys).
+CALLS = {
+    "fit_weighted_logistic": (_coefficients(sw.fit_weighted_logistic),
+                              dict(design="z", outcome="d", pi="pi")),
+    "fit_multinomial": (_coefficients(sw.fit_multinomial),
+                        dict(design="z", category="category")),
+    "fit_simplex_regression": (_coefficients(sw.fit_simplex_regression),
+                               dict(design="xe", response="response")),
+    "multinomial_probabilities": (sw.multinomial_probabilities,
+                                  dict(coef="beta", design="z")),
+    "linear_predictor": (_linear_predictor,
+                         dict(coefficients="theta", design="z")),
+    "estimate_weights_pl": (_weights(sw.estimate_weights_pl),
+                            dict(internal_X="xi", external_X="xe",
+                                 pi_ext="pi_ext")),
+    "estimate_weights_sr": (_weights(sw.estimate_weights_sr),
+                            dict(internal_X="xi", external_X="xe",
+                                 pi_ext="pi_ext", internal_in_external="in_ext",
+                                 external_in_internal="in_int")),
+    "augment_weights_with_outcome": (sw.augment_weights_with_outcome,
+                                     dict(w0="w", outcome="d", p_pop="pi",
+                                          p_int="internal_pi_ext")),
+    "vcov_known_weights": (sw.vcov_known_weights,
+                           dict(theta_hat="theta", design="z", outcome="d",
+                                pi="pi", n_population="n_pop")),
+    "vcov_pl": (sw.vcov_pl,
+                dict(theta_hat="theta", alpha_hat="alpha", design="z",
+                     outcome="d", selection_design="xi", external_design="xe",
+                     pi_ext="pi_ext", n_population="n_pop",
+                     internal_in_external="in_ext",
+                     internal_pi_ext="internal_pi_ext")),
+    "vcov_cl": (sw.vcov_cl,
+                dict(theta_hat="theta", alpha_hat="alpha", design="z",
+                     outcome="d", selection_design="xi", n_population="n_pop")),
+    "wald_ci": (sw.wald_ci, dict(theta_hat="theta", vcov="vcov")),
+    "SandwichComponents.vcov": (
+        lambda n_population: known_weights_components(
+            INPUTS["theta"], INPUTS["z"], INPUTS["d"], INPUTS["pi"],
+            N_POP).vcov(n_population),
+        dict(n_population="n_pop")),
+}
+
+# The argument-role table: (call, argument) -> the argument's role.  A
+# per-row vector is flattened and needs one entry per design row; a
+# coefficient array must fit its design and be finite; a population size
+# must be a positive finite number.
+ROLES = {
+    ("fit_weighted_logistic", "outcome"): "per-row",
+    ("fit_weighted_logistic", "pi"): "per-row",
+    ("fit_multinomial", "category"): "per-row",
+    ("fit_simplex_regression", "response"): "per-row",
+    ("estimate_weights_pl", "pi_ext"): "per-row",
+    ("estimate_weights_sr", "pi_ext"): "per-row",
+    ("estimate_weights_sr", "internal_in_external"): "per-row",
+    ("estimate_weights_sr", "external_in_internal"): "per-row",
+    ("augment_weights_with_outcome", "outcome"): "per-row",
+    ("augment_weights_with_outcome", "p_pop"): "per-row",
+    ("augment_weights_with_outcome", "p_int"): "per-row",
+    ("vcov_known_weights", "outcome"): "per-row",
+    ("vcov_known_weights", "pi"): "per-row",
+    ("vcov_pl", "outcome"): "per-row",
+    ("vcov_pl", "pi_ext"): "per-row",
+    ("vcov_pl", "internal_in_external"): "per-row",
+    ("vcov_pl", "internal_pi_ext"): "per-row",
+    ("vcov_cl", "outcome"): "per-row",
+    ("multinomial_probabilities", "coef"): "coefficients",
+    ("linear_predictor", "coefficients"): "coefficients",
+    ("vcov_known_weights", "theta_hat"): "coefficients",
+    ("vcov_pl", "theta_hat"): "coefficients",
+    ("vcov_pl", "alpha_hat"): "coefficients",
+    ("vcov_cl", "theta_hat"): "coefficients",
+    ("vcov_cl", "alpha_hat"): "coefficients",
+    ("wald_ci", "theta_hat"): "coefficients",
+    ("vcov_known_weights", "n_population"): "population size",
+    ("vcov_pl", "n_population"): "population size",
+    ("vcov_cl", "n_population"): "population size",
+    ("SandwichComponents.vcov", "n_population"): "population size",
+}
+
+
+def _cases(role):
+    return [pytest.param(name, argument, id=f"{name}[{argument}]")
+            for (name, argument), r in ROLES.items() if r == role]
+
+
+def _call(name, argument, value=None):
+    """Run ``name`` on the valid inputs, with ``argument`` replaced by
+    ``value`` unless it is None; return the argument's valid value and the
+    result."""
+    call, keys = CALLS[name]
+    args = {key: INPUTS[source] for key, source in keys.items()}
+    valid = args[argument]
+    if value is not None:
+        args[argument] = value
+    return valid, call(**args)
+
+
+@pytest.mark.parametrize("name, argument", _cases("per-row"))
+def test_a_per_row_vector_of_the_wrong_length_is_a_validation_error(
+        name, argument):
+    valid, _ = _call(name, argument)
+    for wrong in (valid[:-1], np.concatenate([valid, valid[:1]])):
+        with pytest.raises(sw.ValidationError,
+                           match=r" have \d+ entries for \d+ design rows$"):
+            _call(name, argument, wrong)
+
+
+@pytest.mark.parametrize("name, argument", _cases("per-row"))
+def test_a_per_row_column_gives_the_bytes_of_its_flat_form(name, argument):
+    # Among them an (n, 1) category array.
+    valid, flat = _call(name, argument)
+    assert valid.ndim == 1
+    _, column = _call(name, argument, valid.reshape(-1, 1))
+    assert np.asarray(column).tobytes() == np.asarray(flat).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name, argument", _cases("coefficients"))
+def test_a_non_finite_coefficient_is_a_validation_error(name, argument, bad):
+    valid, _ = _call(name, argument)
+    coefficients = np.array(valid, dtype=float)
+    coefficients.flat[1] = bad
+    with pytest.raises(sw.ValidationError, match="must be finite$"):
+        _call(name, argument, coefficients)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0, -600.0, "600"])
+@pytest.mark.parametrize("name, argument", _cases("population size"))
+def test_a_population_size_must_be_a_positive_finite_number(name, argument,
+                                                             bad):
+    with pytest.raises(sw.ValidationError,
+                       match="^n_population must be a positive finite number"):
+        _call(name, argument, bad)
+
+
+def _count_coefficient_checks(monkeypatch):
+    """Record the ``what`` of every coefficients_for call, in any module."""
+    checks = []
+    original = fitters.coefficients_for
+
+    def counted(x, coef, what, ndim=1):
+        checks.append(what)
+        return original(x, coef, what, ndim)
+
+    for module in (fitters, w_mod, variance):
+        monkeypatch.setattr(module, "coefficients_for", counted, raising=False)
+    return checks
+
+
+def test_no_newton_trial_checks_coefficients(monkeypatch):
+    checks = _count_coefficient_checks(monkeypatch)
+    cl = sw.estimate_weights_cl(INPUTS["xi"], _cl_summary())
+    sr = sw.estimate_weights_sr(INPUTS["xi"], INPUTS["xe"], INPUTS["pi_ext"],
+                                INPUTS["in_ext"], INPUTS["in_int"])
+    assert cl.diagnostics["iterations"] > 0 and sr.diagnostics["iterations"] > 0
+    assert checks == []
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("vcov_known_weights", ["theta_hat"]),
+    ("vcov_pl", ["alpha_hat", "alpha_hat", "theta_hat"]),
+    ("vcov_cl", ["alpha_hat", "theta_hat"]),
+])
+def test_each_sandwich_checks_its_coefficients_once_per_design(
+        monkeypatch, name, expected):
+    checks = _count_coefficient_checks(monkeypatch)
+    _call(name, "theta_hat")
+    assert checks == expected
+
+
+@pytest.mark.parametrize("vcov", [[[np.nan]], [np.inf]])
+def test_wald_ci_rejects_a_non_finite_variance(vcov):
+    with pytest.raises(sw.ValidationError,
+                       match="^theta_hat and the vcov diagonal must be finite$"):
+        sw.wald_ci([0.5], vcov)
+
+
+def test_augmentation_rejects_an_infinite_weight():
+    with pytest.raises(sw.ValidationError,
+                       match="^weights must be positive and finite$"):
+        sw.augment_weights_with_outcome([np.inf, 2.0], [1.0, 0.0],
+                                        [0.3, 0.6], [0.4, 0.5])

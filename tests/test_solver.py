@@ -137,6 +137,9 @@ def test_max_iterations_returns_best_iterate_unconverged(monkeypatch):
     assert not report.converged
     assert report.iterations <= 3
     assert np.isfinite(report.final_residual_norm)
+    # The report's norm is the residual's at its solution.
+    assert report.final_residual_norm == np.max(
+        np.abs(np.arctan(50.0 * report.solution) + 0.5))
 
 
 def test_lu_factor_solves_and_flags_pivots():
