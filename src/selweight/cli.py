@@ -212,7 +212,8 @@ class FileSource:
         summary = self.joint_summary
         if self.args.population_size is None:
             raise ValidationError("--population-size is required for ps")
-        summary.population_size = self.args.population_size
+        summary = dataclasses.replace(
+            summary, population_size=self.args.population_size)
         try:
             levels = np.column_stack([self.sample.column(name)
                                       for name in summary.names])

@@ -1,7 +1,9 @@
 """Regression fitters: weighted binary logistic, multinomial, and simplex.
 
 All three solve their score equations with the shared Newton kernel and
-analytic Jacobians.  The weighted logistic fitter covers the unweighted fit
+analytic Jacobians.  Each fit's score evaluates its probabilities once per
+trial point and returns the residual with a closure that forms the
+Jacobian from them.  The weighted logistic fitter covers the unweighted fit
 as the special case of unit selection probabilities.  Every Jacobian, and
 every sandwich block in the variance module, is a weighted cross-product
 ``a' diag(v) b`` of n-by-p designs, formed by :func:`weighted_cross`; like
@@ -9,6 +11,8 @@ the other kernels here, it runs its element-wise loops along the n rows,
 never along the few columns.
 """
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -140,6 +144,14 @@ def coefficients_for(x, coef, what, ndim=1):
     return coef
 
 
+def population_size(value, what):
+    """``value`` as a float; it must be a positive finite real number."""
+    if not (isinstance(value, numbers.Real) and 0 < value < math.inf):
+        raise ValidationError(f"{what} must be a positive finite number, "
+                              f"got {value!r}")
+    return float(value)
+
+
 def logit(p):
     p = np.asarray(p, dtype=float)
     out = np.log(p) - np.log1p(-p)
@@ -243,41 +255,19 @@ def coerce_design(design, names=None):
     return DesignMatrix(matrix, list(names), has_intercept=False)
 
 
-def memoize_last(fn):
-    """Memoize ``fn(theta)`` on its most recent argument.
-
-    A Newton solve evaluates the residual at each trial point and the
-    Jacobian at the accepted one, which is the last trial point.  Building
-    both from one memoized mean therefore evaluates the probabilities once
-    per trial point.  The argument is compared with ``np.array_equal`` and
-    stored as a copy, so a caller mutating its array cannot make the memo
-    stale; callers must not mutate the returned value.
-    """
-    last_theta, last_value = None, None
-
-    def memo(theta):
-        nonlocal last_theta, last_value
-        if last_theta is None or not np.array_equal(theta, last_theta):
-            last_value = fn(theta)
-            last_theta = np.array(theta, dtype=float, copy=True)
-        return last_value
-
-    return memo
-
-
-def solve_fit(what, residual, jacobian, init):
-    """Newton-solve the fit ``what``; a singular Jacobian is raised as a
-    :class:`RankDeficientDesignError` naming the fit."""
+def solve_fit(what, score, init):
+    """Newton-solve the ``score`` of the fit ``what``; a singular Jacobian is
+    raised as a :class:`RankDeficientDesignError` naming the fit."""
     try:
-        return solve_estimating_equation(residual, jacobian, init)
+        return solve_estimating_equation(score, init)
     except SingularJacobianError as exc:
         raise RankDeficientDesignError(
             f"{what}: design is rank deficient: {exc}") from exc
 
 
-def _solve_guarded(what, residual, jacobian, init):
+def _solve_guarded(what, score, init):
     """:func:`solve_fit` of a logistic-family fit, which must converge, with
-    a coefficient-magnitude guard on its residual."""
+    a coefficient-magnitude guard on its score."""
 
     def guarded(theta):
         if np.max(np.abs(theta)) > SEPARATION_BOUND:
@@ -285,9 +275,9 @@ def _solve_guarded(what, residual, jacobian, init):
                 f"coefficient magnitude exceeded {SEPARATION_BOUND:g}; "
                 "data appear separated"
             )
-        return residual(theta)
+        return score(theta)
 
-    report = solve_fit(what, guarded, jacobian, init)
+    report = solve_fit(what, guarded, init)
     if not report.converged:
         raise NonConvergenceError(
             f"{what} did not converge: {report.message} "
@@ -317,18 +307,12 @@ def fit_weighted_logistic(design, outcome, pi=None):
     else:
         w = 1.0 / probability_vector(pi, n, "selection probabilities")
 
-    mean = memoize_last(lambda theta: expit(x @ theta))
+    def score(theta):
+        mu = expit(x @ theta)
+        return ((x.T @ (w * (d - mu))) / n,
+                lambda: weighted_cross(x, -(w * mu * (1.0 - mu)), x) / n)
 
-    def residual(theta):
-        r = w * (d - mean(theta))
-        return (x.T @ r) / n
-
-    def jacobian(theta):
-        mu = mean(theta)
-        return weighted_cross(x, -(w * mu * (1.0 - mu)), x) / n
-
-    report = _solve_guarded("weighted logistic fit", residual, jacobian,
-                            np.zeros(p))
+    report = _solve_guarded("weighted logistic fit", score, np.zeros(p))
     return FittedModel(report.solution, report, "logistic",
                        list(design.column_names))
 
@@ -394,20 +378,16 @@ def fit_multinomial(design, category):
     for j, row in enumerate(indicators):
         np.equal(c, j + 1, out=row)
 
-    probabilities = memoize_last(
-        lambda beta: category_probabilities(x, beta.reshape(k, p)))
-
-    def residual(beta):
-        probs = probabilities(beta)
+    def score(beta):
+        probs = category_probabilities(x, beta.reshape(k, p))
         # indicators - probs[:, 1:], as the C-ordered n-by-k array that
         # difference is, filled one column at a time.
         diff = np.empty((n, k))
         for j in range(k):
             np.subtract(indicators[j], probs[:, j + 1], out=diff[:, j])
-        return (diff.T @ x).ravel() / n
+        return (diff.T @ x).ravel() / n, lambda: jacobian(probs)
 
-    def jacobian(beta):
-        probs = probabilities(beta)
+    def jacobian(probs):
         jac = np.empty((k * p, k * p))
         for a in range(k):
             pa = probs[:, a + 1]
@@ -421,8 +401,7 @@ def fit_multinomial(design, category):
                 jac[b * p : (b + 1) * p, a * p : (a + 1) * p] = block
         return jac
 
-    report = _solve_guarded("multinomial fit", residual, jacobian,
-                            np.zeros(k * p))
+    report = _solve_guarded("multinomial fit", score, np.zeros(k * p))
     return FittedModel(report.solution.reshape(k, p), report, "multinomial",
                        list(design.column_names))
 
@@ -483,32 +462,24 @@ def fit_simplex_regression(design, response):
     if n < p:
         raise ValidationError(f"need at least {p} rows, got {n}")
     ylogit = y * (1.0 - y)
-    # Both stages share the mean, so the second starts from the first's
-    # last evaluation and the profiled dispersion reuses the second's.
-    mean = memoize_last(lambda delta: expit(x @ delta))
 
-    def ql_residual(delta):
-        return (x.T @ (y - mean(delta))) / n
+    def ql_score(delta):
+        mu = expit(x @ delta)
+        return ((x.T @ (y - mu)) / n,
+                lambda: weighted_cross(x, -(mu * (1.0 - mu)), x) / n)
 
-    def ql_jacobian(delta):
-        mu = mean(delta)
-        return weighted_cross(x, -(mu * (1.0 - mu)), x) / n
+    init_report = _solve_guarded("quasi-likelihood initialization", ql_score,
+                                 np.zeros(p))
 
-    init_report = _solve_guarded("quasi-likelihood initialization",
-                                 ql_residual, ql_jacobian, np.zeros(p))
+    def score(delta):
+        mu = expit(x @ delta)
+        return ((x.T @ (_simplex_score_weights(y, mu) / ylogit)) / n,
+                lambda: weighted_cross(
+                    x, _simplex_score_slopes(y, mu) * mu * (1.0 - mu) / ylogit,
+                    x) / n)
 
-    def residual(delta):
-        mu = mean(delta)
-        return (x.T @ (_simplex_score_weights(y, mu) / ylogit)) / n
-
-    def jacobian(delta):
-        mu = mean(delta)
-        wgt = _simplex_score_slopes(y, mu) * mu * (1.0 - mu) / ylogit
-        return weighted_cross(x, wgt, x) / n
-
-    report = _solve_guarded("simplex regression", residual, jacobian,
-                            init_report.solution)
-    mu_hat = mean(report.solution)
+    report = _solve_guarded("simplex regression", score, init_report.solution)
+    mu_hat = expit(x @ report.solution)
     sigma2 = float(np.mean(simplex_unit_deviance(y, mu_hat)))
     return FittedModel(report.solution, report, "simplex",
                        list(design.column_names), dispersion=sigma2)

@@ -1,8 +1,10 @@
 """Newton-Raphson kernel for vector-valued estimating equations.
 
 Every fitter in this package reduces to solving ``residual(x) = 0`` for a
-smooth residual with an analytic Jacobian supplied by the caller.  The solver
-uses full Newton steps with step-halving whenever a step would increase the
+smooth residual with an analytic Jacobian, passed as one score: ``score(x)``
+returns the residual at ``x`` and a callable forming the Jacobian there,
+which the solver calls only at accepted points.  The solver uses full
+Newton steps with step-halving whenever a step would increase the
 max-abs residual, and a dense partial-pivoting LU factorization for the inner
 linear solves so that near-singular Jacobians are detected from the pivot
 magnitudes rather than silently amplified.  The factorization eliminates on
@@ -118,7 +120,7 @@ def invert_matrix(a):
     return lu_solve(lu, perm, np.eye(a.shape[0]))
 
 
-def solve_estimating_equation(residual, jacobian, init):
+def solve_estimating_equation(score, init):
     """Solve ``residual(x) = 0`` by damped Newton-Raphson.
 
     The stopping rule is this module's ``TOL_SCORE``, ``TOL_STEP``,
@@ -126,10 +128,11 @@ def solve_estimating_equation(residual, jacobian, init):
 
     Parameters
     ----------
-    residual : callable
-        Maps a parameter vector to the stacked estimating-equation values.
-    jacobian : callable
-        Maps a parameter vector to the square Jacobian of ``residual``.
+    score : callable
+        Maps a parameter vector ``x`` to ``(residual, jacobian)``: the
+        stacked estimating-equation values at ``x`` and a zero-argument
+        callable returning their square Jacobian at ``x``, which the
+        solver calls only for points it accepts, at most once each.
     init : array_like
         Starting point; the residual and Jacobian must be defined here.
 
@@ -141,7 +144,8 @@ def solve_estimating_equation(residual, jacobian, init):
         residual norm is the least seen: no accepted step raises it.
     """
     x = np.array(init, dtype=float, copy=True).ravel()
-    f = np.asarray(residual(x), dtype=float).ravel()
+    f, jacobian = score(x)
+    f = np.asarray(f, dtype=float).ravel()
     if f.shape != x.shape:
         raise ValueError(f"residual has length {f.size}, expected {x.size}")
     norm = float(np.max(np.abs(f))) if f.size else 0.0
@@ -151,7 +155,7 @@ def solve_estimating_equation(residual, jacobian, init):
         if norm <= TOL_SCORE:
             return SolveReport(x, iteration - 1, norm, True,
                                total_halvings, "score tolerance met")
-        jac = np.asarray(jacobian(x), dtype=float)
+        jac = np.asarray(jacobian(), dtype=float)
         if jac.shape != (x.size, x.size):
             raise ValueError(f"jacobian has shape {jac.shape}, expected square of {x.size}")
         step = -solve_linear(jac, f)
@@ -160,7 +164,8 @@ def solve_estimating_equation(residual, jacobian, init):
         scale = 1.0
         for halving in range(MAX_HALVINGS + 1):
             x_new = x + scale * step
-            f_new = np.asarray(residual(x_new), dtype=float).ravel()
+            f_new, jacobian_new = score(x_new)
+            f_new = np.asarray(f_new, dtype=float).ravel()
             norm_new = float(np.max(np.abs(f_new)))
             if np.isfinite(norm_new) and norm_new <= norm:
                 break
@@ -171,7 +176,7 @@ def solve_estimating_equation(residual, jacobian, init):
                                total_halvings, "step halvings exhausted")
 
         step_size = float(np.max(np.abs(scale * step))) if step.size else 0.0
-        x, f, norm = x_new, f_new, norm_new
+        x, f, norm, jacobian = x_new, f_new, norm_new, jacobian_new
         if step_size <= TOL_STEP:
             return SolveReport(x, iteration, norm, True,
                                total_halvings, "step tolerance met")

@@ -20,8 +20,6 @@ designs, by ``fitters.coefficients_for``; and ``n_population`` as a
 positive finite number.
 """
 
-import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -33,6 +31,7 @@ from .fitters import (
     coefficients_for,
     coerce_design,
     expit,
+    population_size,
     probability_vector,
     row_vector,
     weighted_cross,
@@ -67,7 +66,7 @@ class SandwichComponents:
         """The symmetrised sandwich ``G^-1 e_hat G^-T / N`` of these blocks,
         with ``G`` the bread of positive sign and ``N`` the positive finite
         number ``n_population``."""
-        n = _population_size(n_population)
+        n = population_size(n_population, "n_population")
         g_inv = _invert(-self.g_theta, SingularBreadError, "bread matrix")
         v = g_inv @ self.e_hat @ g_inv.T / n
         return 0.5 * (v + v.T)
@@ -153,15 +152,6 @@ def normal_quantile(p, *, out=None):
     return float(res[0]) if scalar else res
 
 
-def _population_size(n_population):
-    """``n_population`` as a float; it must be a positive finite number."""
-    if not (isinstance(n_population, numbers.Real)
-            and 0 < n_population < math.inf):
-        raise ValidationError("n_population must be a positive finite "
-                              f"number, got {n_population!r}")
-    return float(n_population)
-
-
 def _invert(matrix, error_cls, what):
     try:
         return invert_matrix(matrix)
@@ -185,7 +175,7 @@ def _stacked_components(theta_hat, design, outcome, pi, n_population,
     d = binary_outcome(outcome, z.shape[0])
     pi = row_vector(pi, z.shape[0], "selection probabilities")
     mu = expit(z @ coefficients_for(z, theta_hat, "theta_hat"))
-    n = _population_size(n_population)
+    n = population_size(n_population, "n_population")
     g_pos = weighted_cross(z, mu * (1.0 - mu) / pi, z) / n
     e1 = weighted_cross(z, (d - mu) ** 2 / pi**2, z) / n
     if selection is None:

@@ -33,7 +33,7 @@ from .fitters import (
     expit,
     fit_multinomial,
     fit_simplex_regression,
-    memoize_last,
+    population_size,
     probability_vector,
     row_vector,
     solve_fit,
@@ -92,6 +92,7 @@ class PopulationSummary:
     ``probabilities`` summing to one.  ``means`` holds marginal means aligned
     with ``names``; ``population_size`` is required for marginal summaries
     and optional (but needed by post-stratification scaling) for joint ones.
+    When given, it must be a positive finite number.
     """
 
     kind: str
@@ -103,6 +104,8 @@ class PopulationSummary:
     warnings: list = field(default_factory=list)
 
     def __post_init__(self):
+        if self.population_size is not None:
+            population_size(self.population_size, "population_size")
         if self.kind == "joint_cells":
             self.levels = np.asarray(self.levels)
             self.probabilities = np.asarray(self.probabilities, dtype=float)
@@ -250,8 +253,8 @@ def winsorize_weights(w, lower_q=0.025, upper_q=0.975):
     w = np.asarray(w, dtype=float)
     if w.size == 0:
         raise ValidationError("weights to winsorize must not be empty")
-    if not np.all(w > 0.0):  # NaN fails too
-        raise ValidationError("weights must be positive")
+    if not np.all((w > 0.0) & (w < np.inf)):  # NaN fails too
+        raise ValidationError("weights must be positive and finite")
     if not (0.0 <= lower_q < upper_q <= 1.0):
         raise ValidationError("need 0 <= lower_q < upper_q <= 1")
     n = w.size
@@ -332,16 +335,13 @@ def estimate_weights_pl(internal_X, external_X, pi_ext):
     ext_w = 1.0 / pi_ext
     n_hat = float(np.sum(ext_w))
     internal_total = xi.sum(axis=0)
-    pi_at_ext = memoize_last(lambda alpha: expit(xe @ alpha))
 
-    def residual(alpha):
-        return (internal_total - xe.T @ (ext_w * pi_at_ext(alpha))) / n_hat
+    def score(alpha):
+        p = expit(xe @ alpha)
+        return ((internal_total - xe.T @ (ext_w * p)) / n_hat,
+                lambda: weighted_cross(xe, -(ext_w * p * (1.0 - p)), xe) / n_hat)
 
-    def jacobian(alpha):
-        p = pi_at_ext(alpha)
-        return weighted_cross(xe, -(ext_w * p * (1.0 - p)), xe) / n_hat
-
-    report = solve_fit("pseudolikelihood selection fit", residual, jacobian,
+    report = solve_fit("pseudolikelihood selection fit", score,
                        np.zeros(xi.shape[1]))
     if not report.converged:
         raise NonConvergenceError(
@@ -503,16 +503,12 @@ def estimate_weights_cl(internal_X, summary):
         )
     totals = np.concatenate([[n_pop] if offset else [], n_pop * means])
 
-    pi_at = memoize_last(lambda alpha: logistic_selection_pi(x, alpha))
+    def score(alpha):
+        pi = logistic_selection_pi(x, alpha)
+        return ((x.T @ (1.0 / pi) - totals) / n_pop,
+                lambda: weighted_cross(x, -((1.0 - pi) / pi), x) / n_pop)
 
-    def residual(alpha):
-        return (x.T @ (1.0 / pi_at(alpha)) - totals) / n_pop
-
-    def jacobian(alpha):
-        pi = pi_at(alpha)
-        return weighted_cross(x, -((1.0 - pi) / pi), x) / n_pop
-
-    report = solve_fit("calibration fit", residual, jacobian, np.zeros(p))
+    report = solve_fit("calibration fit", score, np.zeros(p))
     if not report.converged:
         if report.final_residual_norm > INFEASIBLE_RESIDUAL_FRACTION:
             raise InfeasibleTotalsError(

@@ -10,7 +10,7 @@ from selweight import weights as w_mod
 from selweight.fitters import simplex_log_density, simplex_unit_deviance
 from selweight.solver import solve_estimating_equation
 
-from conftest import grid_search_logistic
+from conftest import finite_difference_jacobian, grid_search_logistic
 
 
 def refine_grid_argmax(objective, bounds, steps=9, points=13):
@@ -564,13 +564,14 @@ def _multinomial(src):
 
 # user -> (module and name of its probability kernel, the fit, evaluations
 # outside the solves).  PL and CL evaluate pi_hat once more at the internal
-# rows after their solve.
+# rows after their solve, and the simplex fit its mean at the solution, for
+# the dispersion.
 NEWTON_USERS = {
     "logistic": (fitters, "expit", lambda src: sw.fit_weighted_logistic(
         src.disease_design, src.outcome, src.population.pi_true[src.internal]), 0),
     "multinomial": (fitters, "category_probabilities", _multinomial, 0),
     "simplex": (fitters, "expit",
-                lambda src: sw.fit_simplex_regression(*src.external_sample), 0),
+                lambda src: sw.fit_simplex_regression(*src.external_sample), 1),
     "pl": (w_mod, "expit", lambda src: sw.estimate_weights_pl(
         src.selection_design, *src.external_sample), 1),
     "cl": (w_mod, "expit", lambda src: sw.estimate_weights_cl(
@@ -579,12 +580,12 @@ NEWTON_USERS = {
 
 
 def record_solves(monkeypatch):
-    """Record (residual, jacobian, report) of every solve the fitters run."""
+    """Record (score, report) of every solve the fitters run."""
     solves = []
 
-    def solve(residual, jacobian, init):
-        report = solve_estimating_equation(residual, jacobian, init)
-        solves.append((residual, jacobian, report))
+    def solve(score, init):
+        report = solve_estimating_equation(score, init)
+        solves.append((score, report))
         return report
 
     # Every fit, PL's and CL's included, solves through fitters.solve_fit.
@@ -606,52 +607,33 @@ def test_one_probability_evaluation_per_trial_point(monkeypatch, newton_source,
     monkeypatch.setattr(module, name, counted)
     solves = record_solves(monkeypatch)
     fit(newton_source)
-    reports = [report for _, _, report in solves]
+    reports = [report for _, report in solves]
     assert all(report.converged for report in reports)
     # Each solve evaluates its start and every trial step, accepted or
-    # halved; Jacobians reuse the last accepted evaluation.  The simplex
-    # fit's second stage starts where its first stopped, and its dispersion
-    # reuses the second stage's last mean, so those add nothing either.
-    trial_points = 1 + sum(r.iterations + r.halvings for r in reports)
+    # halved; a Jacobian reuses its point's evaluation.  The simplex fit's
+    # second stage evaluates its start, the first stage's solution, again.
+    trial_points = len(reports) + sum(r.iterations + r.halvings
+                                      for r in reports)
     assert len(calls) == trial_points + outside
     if user == "cl":
         assert sum(r.halvings for r in reports) > 0
 
 
 @pytest.mark.parametrize("user", NEWTON_USERS)
-def test_shared_mean_is_never_stale(monkeypatch, newton_source, user):
+def test_score_jacobian_matches_finite_differences(monkeypatch, newton_source,
+                                                   user):
     _, _, fit, _ = NEWTON_USERS[user]
-    memoized = record_solves(monkeypatch)
+    solves = record_solves(monkeypatch)
     fit(newton_source)
-    monkeypatch.setattr(fitters, "memoize_last", lambda fn: fn)
-    monkeypatch.setattr(w_mod, "memoize_last", lambda fn: fn)
-    fresh = record_solves(monkeypatch)
-    fit(newton_source)
-    assert len(memoized) == len(fresh) > 0
-    for (residual, jacobian, report), (fresh_residual, fresh_jacobian, _) in zip(
-            memoized, fresh):
-        theta = report.solution.copy()
-        jacobian(theta)
-        moved = theta + 0.01
-        assert same_bits(residual(moved), fresh_residual(moved))
-        assert same_bits(jacobian(moved), fresh_jacobian(moved))
-        moved[:] = theta  # the caller reuses its array in place
-        assert same_bits(residual(moved), fresh_residual(theta))
-        assert same_bits(jacobian(moved), fresh_jacobian(theta))
-
-
-def test_memoize_last_keys_on_a_copy_of_its_argument():
-    calls = []
-
-    def double(theta):
-        calls.append(1)
-        return 2.0 * theta
-
-    memo = fitters.memoize_last(double)
-    theta = np.array([1.0, 2.0])
-    first = memo(theta)
-    assert memo(theta.copy()) is first and len(calls) == 1
-    theta[0] = 5.0
-    assert np.array_equal(memo(theta), [10.0, 4.0]) and len(calls) == 2
-    assert np.array_equal(memo(np.array([1.0, 2.0])), [2.0, 4.0])
-    assert len(calls) == 3
+    assert solves
+    for score, report in solves:
+        point = report.solution.copy()
+        residual, jacobian = score(point)
+        assert np.max(np.abs(residual)) == report.final_residual_norm
+        fd = finite_difference_jacobian(lambda t: score(t)[0], report.solution)
+        # The caller reuses its array in place and evaluates the score there
+        # before forming the Jacobian, which must still be the solution's.
+        point += 0.1
+        score(point)
+        analytic = jacobian()
+        assert np.max(np.abs(analytic - fd)) <= 1e-6 * np.max(np.abs(analytic))

@@ -334,6 +334,24 @@ def test_a_population_size_must_be_a_positive_finite_number(name, argument,
         _call(name, argument, bad)
 
 
+SUMMARIES = {
+    "joint_cells": {"levels": np.array([[0], [1]]),
+                    "probabilities": [0.5, 0.5]},
+    "marginal_means": {"means": [0.1], "names": ["x1"]},
+}
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan, 0, -3, "12"])
+@pytest.mark.parametrize("kind", SUMMARIES)
+def test_a_summary_population_size_must_be_a_positive_finite_number(kind,
+                                                                     bad):
+    assert sw.PopulationSummary(kind, population_size=12,
+                                **SUMMARIES[kind]).population_size == 12
+    with pytest.raises(sw.ValidationError, match="^population_size must be "
+                       "a positive finite number, got "):
+        sw.PopulationSummary(kind, population_size=bad, **SUMMARIES[kind])
+
+
 def _count_coefficient_checks(monkeypatch):
     """Record the ``what`` of every coefficients_for call, in any module."""
     checks = []
@@ -381,3 +399,9 @@ def test_augmentation_rejects_an_infinite_weight():
                        match="^weights must be positive and finite$"):
         sw.augment_weights_with_outcome([np.inf, 2.0], [1.0, 0.0],
                                         [0.3, 0.6], [0.4, 0.5])
+
+
+def test_winsorizing_rejects_an_infinite_weight():
+    with pytest.raises(sw.ValidationError,
+                       match="^weights must be positive and finite$"):
+        sw.winsorize_weights([np.inf, 1.0, 2.0], 0, 1)

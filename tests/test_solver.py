@@ -26,9 +26,14 @@ def bisect_root(f, lo, hi, tol=1e-12):
     return 0.5 * (lo + hi)
 
 
+def score_of(residual, jacobian):
+    """The score of a residual and a Jacobian given as separate functions."""
+    return lambda x: (residual(x), lambda: jacobian(x))
+
+
 def test_linear_system_converges_in_one_iteration():
     report = sw.solve_estimating_equation(
-        lambda x: 2.0 * x - 4.0, lambda x: np.array([[2.0]]), [0.0])
+        score_of(lambda x: 2.0 * x - 4.0, lambda x: np.array([[2.0]])), [0.0])
     assert report.converged
     assert report.iterations == 1
     assert report.solution[0] == pytest.approx(2.0, abs=1e-12)
@@ -37,7 +42,7 @@ def test_linear_system_converges_in_one_iteration():
 def test_cube_root_matches_bisection(monkeypatch):
     monkeypatch.setattr(solver, "TOL_SCORE", 1e-12)
     report = sw.solve_estimating_equation(
-        lambda x: x**3 - 8.0, lambda x: np.array([[3.0 * x[0] ** 2]]),
+        score_of(lambda x: x**3 - 8.0, lambda x: np.array([[3.0 * x[0] ** 2]])),
         [1.0])
     oracle = bisect_root(lambda t: t**3 - 8.0, 0.0, 10.0)
     assert report.converged
@@ -50,14 +55,11 @@ def test_logistic_score_matches_grid_search(toy_logistic_data):
     x = design.matrix
     n = x.shape[0]
 
-    def residual(theta):
-        return x.T @ (d - sw.expit(x @ theta)) / n
-
-    def jacobian(theta):
+    def score(theta):
         mu = sw.expit(x @ theta)
-        return -(x.T * (mu * (1 - mu))) @ x / n
+        return (x.T @ (d - mu) / n, lambda: -(x.T * (mu * (1 - mu))) @ x / n)
 
-    report = sw.solve_estimating_equation(residual, jacobian, np.zeros(2))
+    report = sw.solve_estimating_equation(score, np.zeros(2))
     assert report.converged
     oracle = grid_search_logistic(x[:, 1], d, np.ones(n))
     assert np.max(np.abs(report.solution - oracle)) <= 1e-3
@@ -69,8 +71,8 @@ def test_affine_residual_one_newton_iteration(seed, p):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(p, p)) + p * np.eye(p)
     b = rng.normal(size=p)
-    report = sw.solve_estimating_equation(
-        lambda x: a @ x - b, lambda x: a, np.zeros(p))
+    report = sw.solve_estimating_equation(lambda x: (a @ x - b, lambda: a),
+                                          np.zeros(p))
     assert report.converged
     assert report.iterations == 1
     assert np.allclose(report.solution, np.linalg.solve(a, b), atol=1e-8)
@@ -88,9 +90,10 @@ def test_solution_invariant_under_equation_permutation(toy_logistic_data):
         mu = sw.expit(x @ theta)
         return -(x.T * (mu * (1 - mu))) @ x / x.shape[0]
 
-    base = sw.solve_estimating_equation(residual, jacobian, np.zeros(2))
+    base = sw.solve_estimating_equation(score_of(residual, jacobian),
+                                        np.zeros(2))
     permuted = sw.solve_estimating_equation(
-        lambda t: residual(t)[perm], lambda t: jacobian(t)[perm, :],
+        score_of(lambda t: residual(t)[perm], lambda t: jacobian(t)[perm, :]),
         np.zeros(2))
     assert (np.max(np.abs(base.solution - permuted.solution))
             <= 10 * solver.TOL_SCORE)
@@ -108,7 +111,7 @@ def test_step_halving_never_accepts_worse_iterate():
     def jacobian(x):
         return np.diag(5.0 / (1.0 + 25.0 * x**2))
 
-    report = sw.solve_estimating_equation(residual, jacobian, [2.0])
+    report = sw.solve_estimating_equation(score_of(residual, jacobian), [2.0])
     assert report.converged
     accepted = [norms[0]]
     for value in norms[1:]:
@@ -119,11 +122,41 @@ def test_step_halving_never_accepts_worse_iterate():
     assert report.final_residual_norm <= min(norms) + 1e-15
 
 
+def test_jacobian_is_formed_only_at_accepted_points():
+    # The arctan residual forces halvings, so some trial points are rejected.
+    trials, formed = [], []
+
+    def score(x):
+        trials.append(x.copy())
+        point = x.copy()
+
+        def jacobian():
+            formed.append(point)
+            return np.diag(5.0 / (1.0 + 25.0 * point**2))
+
+        return np.arctan(5.0 * x), jacobian
+
+    report = sw.solve_estimating_equation(score, [2.0])
+    assert report.converged and report.halvings > 0
+    # A trial is accepted when its norm is at most the last accepted one's.
+    accepted, best = [], np.inf
+    for t in trials:
+        norm = float(np.max(np.abs(np.arctan(5.0 * t))))
+        if norm <= best:
+            accepted.append(t)
+            best = norm
+    # One Jacobian per iteration, at the point that iteration steps from.
+    assert len(formed) == report.iterations
+    assert len(trials) == 1 + report.iterations + report.halvings
+    for point, t in zip(formed, accepted):
+        assert np.array_equal(point, t)
+
+
 def test_singular_jacobian_raises():
     with pytest.raises(sw.SingularJacobianError):
         sw.solve_estimating_equation(
-            lambda x: np.array([x[0] + x[1], x[0] + x[1]]) - 1.0,
-            lambda x: np.array([[1.0, 1.0], [1.0, 1.0]]),
+            score_of(lambda x: np.array([x[0] + x[1], x[0] + x[1]]) - 1.0,
+                     lambda x: np.array([[1.0, 1.0], [1.0, 1.0]])),
             np.zeros(2))
 
 
@@ -131,8 +164,8 @@ def test_max_iterations_returns_best_iterate_unconverged(monkeypatch):
     monkeypatch.setattr(solver, "MAX_ITER", 3)
     monkeypatch.setattr(solver, "MAX_HALVINGS", 2)
     report = sw.solve_estimating_equation(
-        lambda x: np.arctan(50.0 * x) + 0.5,
-        lambda x: np.diag(50.0 / (1.0 + 2500.0 * x**2)),
+        score_of(lambda x: np.arctan(50.0 * x) + 0.5,
+                 lambda x: np.diag(50.0 / (1.0 + 2500.0 * x**2))),
         [10.0])
     assert not report.converged
     assert report.iterations <= 3
