@@ -126,9 +126,13 @@ _CONFIG_PARSERS = {"dag": int, "setup": int, "n_population": int,
 class FileSource:
     """Method inputs read from the command's files.
 
-    The external data and the marginal-means summary load only when a
-    method asks for them.  For ps the joint-cell summary loads first, so its
-    level columns load with the data.  ``n_population`` is
+    Each file loads only the columns that the command and method read
+    (:meth:`_data_columns` for the data, :attr:`external` for the external
+    data), so a bad cell elsewhere is not an error; its header must still
+    hold every mapped column.  The external data and the marginal-means
+    summary load only when a method asks for them.  For ps the joint-cell
+    summary loads first, so its level columns load with the data.
+    ``n_population`` is
     ``--population-size`` when given and the internal row count otherwise.
     """
 
@@ -137,18 +141,36 @@ class FileSource:
             raise ValidationError(
                 f"--population-size must be at least 1, got {args.population_size}")
         self.args = args
-        extra = tuple(args.augment_outcome) if args.augment_outcome else ()
-        if args.method == "ps":
+        roles = parse_role_map(args.roles)
+        self.sample = load_dataset(args.data, roles,
+                                   columns=self._data_columns(roles))
+        self.n_population = args.population_size or self.sample.n_rows
+        self.outcome = self.sample.outcome
+
+    def _data_columns(self, roles):
+        """The data file's columns that the command and method read."""
+        args = self.args
+        fit, method = args.command == "fit", args.method
+        columns = [roles.outcome, *(args.augment_outcome or ())]
+        if method == "ps":
             # The summary's level columns load whether or not a role maps
             # them; poststratification_inputs reports one the data lacks.
             header = read_header(args.data)
-            extra += tuple(name for name in self.joint_summary.names
-                           if name in header)
-        self.sample = load_dataset(args.data, parse_role_map(args.roles),
-                                   extra_columns=extra)
-        self.n_population = args.population_size or self.sample.n_rows
-        self.outcome = self.sample.outcome
-        self.disease_design = self.sample.disease_design()
+            columns += [name for name in self.joint_summary.names
+                        if name in header]
+        if fit:
+            columns += roles.disease_covariates
+        if method in ("pl", "sr", "cl"):
+            columns += roles.selection_covariates
+        if method == "sr" or (fit and method == "pl"):
+            columns.append(roles.external_indicator)
+        if fit and method == "pl":
+            columns.append(roles.external_prob)
+        return [name for name in columns if name]
+
+    @cached_property
+    def disease_design(self):
+        return self.sample.disease_design()
 
     @cached_property
     def selection_design(self):
@@ -160,7 +182,13 @@ class FileSource:
         if not self.args.external_data:
             raise ValidationError(
                 f"--external-data is required for {self.args.method}")
-        return load_dataset(self.args.external_data, self.sample.roles)
+        roles = self.sample.roles
+        columns = [roles.outcome, *roles.selection_covariates,
+                   roles.external_prob]
+        if self.args.method == "sr":
+            columns.append(roles.selection_indicator)
+        return load_dataset(self.args.external_data, roles,
+                            columns=[name for name in columns if name])
 
     @cached_property
     def external_sample(self):

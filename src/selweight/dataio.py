@@ -19,7 +19,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
-    DuplicateCellError,
     MissingColumnError,
     MissingNError,
     NonBinaryIndicatorError,
@@ -268,49 +267,74 @@ def read_header(path):
         return _read_header(_csv_rows(handle, path), path)
 
 
-def load_dataset(path, roles, extra_columns=()):
+def load_dataset(path, roles, columns=None):
     """Load and validate a delimited dataset against a role map.
 
-    Binary roles (outcome, indicators) must be coded 0/1; any missing or
-    non-numeric cell in a mapped column is an error naming the 1-based data
-    row and the column, and so is a header that names a mapped column
-    twice.  ``extra_columns`` pulls in additional numeric columns beyond the
-    role map (for example outcome-probability columns used by weight
-    augmentation).
+    ``columns`` names the columns to read; None reads every mapped column.
+    It may name columns the role map does not (for example the
+    outcome-probability columns of weight augmentation).  The header must
+    hold every mapped and every named column, and must not name a read
+    column twice.  Only the read columns are parsed and checked: any
+    missing or non-numeric cell in one is an error naming the 1-based data
+    row and the column, and a read binary role (outcome, indicators) must
+    be coded 0/1.  The sample holds the read columns alone.
 
     The data rows are parsed in one typed numpy pass that converts only the
-    wanted columns (:func:`_numeric_table`).  Whenever that pass rejects
-    the text, meets a field that starts with a quote or yields a NaN in a
-    wanted column, the row loop (:func:`_columns_by_row`) parses the file
-    instead; it gives the same numbers, so it alone decides every error and
-    its row number.
+    read columns (:func:`_numeric_table`).  Whenever the file has a line
+    longer than ``csv.field_size_limit()``, or that pass rejects the text,
+    meets a field that starts with a quote or yields a NaN in a read
+    column, the row loop (:func:`_columns_by_row`) parses the file instead;
+    it gives the same numbers, so it alone decides every error and its row
+    number.
     """
-    wanted = list(roles.mapped_columns())
-    wanted += [c for c in extra_columns if c not in wanted]
+    mapped = roles.mapped_columns()
+    named = mapped + [c for c in columns or () if c not in mapped]
+    wanted = named if columns is None else [c for c in named if c in columns]
     with _open_text(path) as handle:
         header = _read_header(_csv_rows(handle, path), path)
-        missing = [c for c in wanted if c not in header]
+        missing = [c for c in named if c not in header]
         if missing:
             raise MissingColumnError(f"{path}: missing columns {missing}")
         _check_unique(header, wanted, path)
         fields = [f"f{header.index(c)}" for c in wanted]
-        table = _numeric_table(handle, len(header), fields)
+        table = (None if _has_long_line(path, csv.field_size_limit())
+                 else _numeric_table(handle, len(header), fields))
     if table is None or any(np.isnan(table[f]).any() for f in fields):
-        columns, n_rows = _columns_by_row(path, wanted)
+        data, n_rows = _columns_by_row(path, wanted)
     else:
-        columns = {c: table[f].copy() for c, f in zip(wanted, fields)}
+        data = {c: table[f].copy() for c, f in zip(wanted, fields)}
         n_rows = len(table)
 
     binary_roles = [roles.outcome, roles.selection_indicator,
                     roles.external_indicator]
     for name in binary_roles:
-        if name and not np.all(np.isin(columns[name], (0.0, 1.0))):
-            bad = int(np.flatnonzero(~np.isin(columns[name], (0.0, 1.0)))[0]) + 1
+        if name in data and not np.all(np.isin(data[name], (0.0, 1.0))):
+            bad = int(np.flatnonzero(~np.isin(data[name], (0.0, 1.0)))[0]) + 1
             raise NonBinaryIndicatorError(
                 f"{path}: column {name!r} must be coded 0/1 "
                 f"(first offending data row {bad})"
             )
-    return AnalysisSample(columns=columns, roles=roles, n_rows=n_rows)
+    return AnalysisSample(columns=data, roles=roles, n_rows=n_rows)
+
+
+def _has_long_line(path, limit):
+    """Whether a line of the file ``path`` holds more than ``limit`` bytes.
+
+    An unquoted field over ``csv``'s limit of ``limit`` characters lies on
+    such a line (a quoted one sends the file to the row loop anyway), so
+    the numpy pass, which has no field limit, only runs on files without
+    one.  Each ``rfind`` skips up to ``limit`` bytes, so a file costs about
+    one scan of its bytes.
+    """
+    with open(path, "rb") as handle:
+        data = handle.read()
+    start = 0
+    while len(data) - start > limit:
+        end = data.rfind(b"\n", start, start + limit + 1)
+        if end < 0:
+            return True
+        start = end + 1
+    return False
 
 
 def _numeric_table(handle, width, wanted):
@@ -415,14 +439,9 @@ def _load_joint_cells(path):
         warnings.append(
             f"cell probabilities summed to {total:.6f}; renormalized to 1"
         )
-    try:
-        summary = PopulationSummary("joint_cells", levels=levels,
-                                    probabilities=np.array(probabilities),
-                                    names=level_names)
-    except DuplicateCellError as exc:
-        raise DuplicateCellError(f"{path}: {exc}") from None
-    summary.warnings.extend(warnings)
-    return summary
+    return _summary(path, "joint_cells", levels=levels,
+                    probabilities=np.array(probabilities), names=level_names,
+                    warnings=warnings)
 
 
 def _load_marginal_means(path):
@@ -455,8 +474,17 @@ def _load_marginal_means(path):
         raise MissingNError(f"{path}: no 'N' row with the population size")
     if not names:
         raise ValidationError(f"{path}: no marginal means found")
-    return PopulationSummary("marginal_means", means=np.asarray(means),
-                             names=names, population_size=population_size)
+    return _summary(path, "marginal_means", means=np.asarray(means),
+                    names=names, population_size=population_size)
+
+
+def _summary(path, kind, **fields):
+    """The :class:`PopulationSummary` read from ``path``; an error in its
+    fields names the file, and keeps its type."""
+    try:
+        return PopulationSummary(kind, **fields)
+    except ValidationError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def format_number(value):

@@ -84,7 +84,7 @@ class WeightSet:
         return d.get("clamped_low", 0) + d.get("clamped_high", 0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PopulationSummary:
     """Target-population summary: joint cells or marginal means plus size.
 
@@ -92,7 +92,9 @@ class PopulationSummary:
     ``probabilities`` summing to one.  ``means`` holds marginal means aligned
     with ``names``; ``population_size`` is required for marginal summaries
     and optional (but needed by post-stratification scaling) for joint ones.
-    When given, it must be a positive finite number.
+    When given, it must be a positive finite number.  The fields cannot be
+    assigned, so every summary has passed these checks; a changed copy comes
+    from ``dataclasses.replace``, which checks it again.
     """
 
     kind: str
@@ -107,8 +109,9 @@ class PopulationSummary:
         if self.population_size is not None:
             population_size(self.population_size, "population_size")
         if self.kind == "joint_cells":
-            self.levels = np.asarray(self.levels)
-            self.probabilities = np.asarray(self.probabilities, dtype=float)
+            object.__setattr__(self, "levels", np.asarray(self.levels))
+            object.__setattr__(self, "probabilities",
+                               np.asarray(self.probabilities, dtype=float))
             k = self.probabilities.size
             if (self.levels.ndim != 2 or self.levels.shape[1] == 0 or k == 0
                     or self.probabilities.shape != (k,) or len(self.levels) != k):
@@ -134,7 +137,8 @@ class PopulationSummary:
                 raise ValidationError(
                     "marginal_means summary requires means and population_size"
                 )
-            self.means = np.asarray(self.means, dtype=float)
+            object.__setattr__(self, "means",
+                               np.asarray(self.means, dtype=float))
             if not np.all(np.isfinite(self.means)):
                 raise ValidationError("marginal means must be finite")
             if self.names is not None:

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import inspect
 import io
@@ -16,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import selweight as sw
-from selweight import dataio
+from selweight import cli, dataio
 from selweight.cli import FileSource, build_parser
 from selweight.dataio import ResultTable, format_number
 
@@ -335,6 +336,34 @@ def test_load_dataset_rejects_a_repeated_wanted_column(tmp_path, header):
         sw.load_dataset(path, simple_roles())
 
 
+# A field over csv.field_size_limit() (131,072 characters); the value is 0.5.
+LONG_NUMBER = "0.5" + "0" * 140_000
+
+
+@pytest.mark.parametrize("column", ["Z1", "note"])
+def test_load_dataset_rejects_an_overlong_field_in_any_column(tmp_path, column):
+    path = tmp_path / "data.csv"
+    header = ["D", "Z1", "W1", "note"]
+    row = ["1", "0.25", "2", "text"]
+    row[header.index(column)] = LONG_NUMBER
+    write_lines(path, [",".join(header), ",".join(row), "0,0.5,3,more"])
+    message = rf"^{re.escape(str(path))}: field larger than field limit \(131072\)$"
+    with pytest.raises(sw.ValidationError, match=message):
+        sw.load_dataset(path, simple_roles())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 12)), st.integers(1, 10),
+       st.sampled_from([b"\n", b"\r\n"]), st.booleans())
+def test_has_long_line_matches_the_longest_line(lengths, limit, end, last_end):
+    data = end.join(b"x" * n for n in lengths) + (end if last_end else b"")
+    longest = max((len(line) for line in data.split(b"\n")), default=0)
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "data.csv"
+        path.write_bytes(data)
+        assert dataio._has_long_line(path, limit) == (longest > limit)
+
+
 # ---------------------------------------------------------------------------
 # summary loading
 
@@ -441,6 +470,24 @@ def test_marginal_population_size_must_be_an_integer(tmp_path, size):
     summary = sw.load_population_summary(path, "marginal_means")
     assert summary.population_size == 1000
     assert type(summary.population_size) is int
+
+
+@pytest.mark.parametrize("kind, lines, error, message", [
+    ("marginal_means", ["name,value", "z2,0.1", "N,0"], sw.ValidationError,
+     "population_size must be a positive finite number, got 0"),
+    ("marginal_means", ["name,value", "N,10", "z2,inf"], sw.ValidationError,
+     "marginal means must be finite"),
+    ("joint_cells", ["d,probability", "0,1.5", "1,-0.5"], sw.ValidationError,
+     "cell probabilities must be nonnegative"),
+    ("joint_cells", ["d,probability", "0,0.5", "0,0.5"], sw.DuplicateCellError,
+     "duplicate cell (0,) in row 2"),
+])
+def test_summary_field_errors_name_the_file(tmp_path, kind, lines, error,
+                                            message):
+    path = tmp_path / "summary.csv"
+    write_lines(path, lines)
+    with pytest.raises(error, match=f"^{re.escape(f'{path}: {message}')}$"):
+        sw.load_population_summary(path, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -1027,22 +1074,18 @@ def test_cli_non_numeric_cell_names_its_file(replication_files, tmp_path,
     assert result.stderr.splitlines() == [f"error: validation: {bad}: {message}"]
 
 
-# A field over csv.field_size_limit() (131,072 characters); the value is 0.5.
-LONG_NUMBER = "0.5" + "0" * 140_000
-
-
-@pytest.mark.parametrize("target", ["means.csv", "internal.csv"])
+@pytest.mark.parametrize("target, column, row", [
+    ("means.csv", "value", 2),     # z2's mean; row 1 is N
+    ("internal.csv", "z2", 1),     # a column fit --method cl reads
+    ("internal.csv", "pi_ext", 1),  # a mapped column it does not read
+    ("internal.csv", "z2_bin", 1),  # an unmapped column
+])
 def test_cli_overlong_field_is_a_validation_error(replication_files, tmp_path,
-                                                  target):
+                                                  target, column, row):
     bad = tmp_path / target
     bad.write_text((replication_files / target).read_text(encoding="utf-8"),
                    encoding="utf-8")
-    # Data row 2 of means.csv is z2's mean; row 1 is N.
-    column, row = ("value", 2) if target == "means.csv" else ("z2", 1)
     replace_field(bad, column, row, LONG_NUMBER)
-    if target == "internal.csv":
-        # A quoted cell further down sends the file to the row loop.
-        replace_field(bad, "z1", 3, '"0.25"')
     args = method_args("cl", replication_files)
     args[args.index(str(replication_files / target))] = str(bad)
     result = run_cli("fit", "--method", "cl", *args,
@@ -1213,6 +1256,103 @@ def test_cli_fit_matches_run_replication_exactly(replication_files, method):
     pi = np.array([float(line.split(",")[1])
                    for line in out.read_text().strip().splitlines()[1:]])
     assert pi.tobytes() == result.weight_set.pi_hat.tobytes()
+
+
+# The columns each command reads on the replication files, as (internal
+# file, external file or None).  The internal file reads the outcome d; fit
+# adds the disease covariates z1, z2; pl, sr and cl the selection
+# covariates z2, w, and ps its level columns z2_bin, w_bin; sr and fit pl
+# the external indicator s_ext; fit pl the external probabilities pi_ext.
+# The external file reads d, the selection covariates and pi_ext, and the
+# selection indicator s for sr.
+READ_COLUMNS = {
+    ("fit", "unweighted"): ({"d", "z1", "z2"}, None),
+    ("fit", "pl"): ({"d", "z1", "z2", "w", "s_ext", "pi_ext"},
+                    {"d", "z2", "w", "pi_ext"}),
+    ("fit", "sr"): ({"d", "z1", "z2", "w", "s_ext"},
+                    {"d", "z2", "w", "pi_ext", "s"}),
+    ("fit", "ps"): ({"d", "z1", "z2", "z2_bin", "w_bin"}, None),
+    ("fit", "cl"): ({"d", "z1", "z2", "w"}, None),
+    ("weights", "pl"): ({"d", "z2", "w"}, {"d", "z2", "w", "pi_ext"}),
+    ("weights", "sr"): ({"d", "z2", "w", "s_ext"},
+                        {"d", "z2", "w", "pi_ext", "s"}),
+    ("weights", "ps"): ({"d", "z2_bin", "w_bin"}, None),
+    ("weights", "cl"): ({"d", "z2", "w"}, None),
+}
+
+
+def test_read_columns_cover_every_command_the_cli_accepts():
+    assert set(READ_COLUMNS) == {
+        (command, method) for command in ("fit", "weights")
+        for method in sw.DATA_METHODS
+        if (command, method) != ("weights", "unweighted")}
+
+
+def run_main(argv):
+    """``cli.main(argv)`` in this process, as (exit code, stderr lines)."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = cli.main([str(arg) for arg in argv])
+    return code, stderr.getvalue().splitlines()
+
+
+def mapped_file_columns(replication_files, command, method):
+    """(argv without --out, source file, its read columns, its mapped
+    columns) for each data file of ``command --method method``."""
+    args = [*method_args(method, replication_files), "--population-size",
+            str(REPLICATION_CFG.population_size)]
+    mapped = sw.parse_role_map(args[args.index("--roles") + 1]).mapped_columns()
+    argv = [command, "--method", method, *args]
+    for target, read in zip(("internal.csv", "external.csv"),
+                            READ_COLUMNS[command, method]):
+        if read is not None:
+            yield argv, replication_files / target, read, mapped
+
+
+def swap(argv, source, path):
+    return [path if arg == str(source) else arg for arg in argv]
+
+
+@pytest.mark.parametrize("command, method", list(READ_COLUMNS))
+def test_cli_checks_the_cells_of_the_columns_it_reads(replication_files,
+                                                      tmp_path, command,
+                                                      method):
+    out = tmp_path / "out.csv"
+    clean = None
+    for argv, source, read, mapped in mapped_file_columns(
+            replication_files, command, method):
+        if clean is None:
+            code, stderr = run_main([*argv, "--out", out])
+            assert code == 0, stderr
+            clean = out.read_bytes()
+        bad = tmp_path / source.name
+        for column in mapped:
+            bad.write_bytes(source.read_bytes())
+            replace_field(bad, column, 2, "x")
+            out.unlink(missing_ok=True)
+            code, stderr = run_main([*swap(argv, source, bad), "--out", out])
+            if column in read:
+                assert (code, stderr) == (2, [
+                    f"error: validation: {bad}: non-numeric value 'x' at "
+                    f"row 2, column {column!r}"]), column
+            else:
+                assert code == 0, (column, stderr)
+                assert out.read_bytes() == clean, column
+
+
+@pytest.mark.parametrize("command, method", list(READ_COLUMNS))
+def test_cli_needs_every_mapped_column_in_the_header(replication_files,
+                                                     tmp_path, command, method):
+    out = tmp_path / "out.csv"
+    for argv, source, read, mapped in mapped_file_columns(
+            replication_files, command, method):
+        bad = tmp_path / source.name
+        for column in mapped:
+            rename_header(source, bad, {column: f"{column}_renamed"})
+            code, stderr = run_main([*swap(argv, source, bad), "--out", out])
+            assert (code, stderr) == (2, [
+                f"error: validation: {bad}: missing columns [{column!r}]"])
+            assert not out.exists()
 
 
 def test_cli_augmented_weights_below_one_are_clamped_with_one_warning(

@@ -9,6 +9,8 @@ their design and be finite.  These checks run once, where a public call
 enters, and never in a Newton trial.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -350,6 +352,20 @@ def test_a_summary_population_size_must_be_a_positive_finite_number(kind,
     with pytest.raises(sw.ValidationError, match="^population_size must be "
                        "a positive finite number, got "):
         sw.PopulationSummary(kind, population_size=bad, **SUMMARIES[kind])
+
+
+@pytest.mark.parametrize("kind", SUMMARIES)
+def test_a_summary_is_changed_only_through_its_checks(kind):
+    summary = sw.PopulationSummary(kind, population_size=12,
+                                   warnings=["note"], **SUMMARIES[kind])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        summary.population_size = np.inf
+    assert summary.population_size == 12
+    changed = dataclasses.replace(summary, population_size=20)
+    assert (changed.population_size, changed.warnings) == (20, ["note"])
+    with pytest.raises(sw.ValidationError, match="^population_size must be "
+                       "a positive finite number, got inf$"):
+        dataclasses.replace(summary, population_size=np.inf)
 
 
 def _count_coefficient_checks(monkeypatch):

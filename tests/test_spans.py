@@ -5,14 +5,21 @@ in every ``CALLERS`` module that refers to it by name.  A function that was
 renamed or moved, or that no caller imports under that name any more, is
 silently left untraced, and its layer's metrics vanish from the benchmark
 without an error.  This test loads ``spans.py`` as it is and checks both
-conditions for every traced function.
+conditions for every traced function.  The counts a span takes from its
+call's arguments (the path a load read, the file a table wrote) are checked
+on one traced command, so a signature change cannot zero them silently.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import selweight as sw
+from selweight import cli
+from selweight.dataio import format_number
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -37,3 +44,40 @@ def test_every_traced_function_exists_and_has_a_caller(module, name):
                if getattr(importlib.import_module(f"selweight.{caller}"),
                           name, None) is original]
     assert callers, f"no module of {SPANS_MODULE.CALLERS} refers to {name}"
+
+
+def test_a_traced_command_counts_the_rows_and_bytes_it_moves(tmp_path):
+    pop = sw.generate_population(
+        sw.SimulationConfig(dag=3, setup=1, seed=11, n_population=6000), 0)
+    fields = {"d": pop.d, "z1": pop.z1, "z2": pop.z2, "w": pop.w, "s": pop.s,
+              "s_ext": pop.s_ext, "pi_ext": pop.pi_ext}
+    rows = {}
+    for name, mask in (("internal", pop.s == 1.0), ("external", pop.s_ext == 1.0)):
+        lines = [",".join(fields)] + [
+            ",".join(format_number(v[i]) for v in fields.values())
+            for i in np.flatnonzero(mask)]
+        (tmp_path / f"{name}.csv").write_text("\n".join(lines) + "\n",
+                                              encoding="utf-8")
+        rows[name] = int(mask.sum())
+    (tmp_path / "roles.cfg").write_text(
+        "outcome=d\ndisease_covariates=z1,z2\nselection_covariates=z2,w\n"
+        "selection_indicator=s\nexternal_indicator=s_ext\n"
+        "external_prob=pi_ext\n", encoding="utf-8")
+    out = tmp_path / "out.csv"
+    tracer = SPANS_MODULE.Tracer()
+    with tracer.installed(), tracer.span("cli.main", 0):
+        code = cli.main([
+            "fit", "--method", "pl", "--data", str(tmp_path / "internal.csv"),
+            "--external-data", str(tmp_path / "external.csv"),
+            "--roles", str(tmp_path / "roles.cfg"),
+            "--include-outcome-in-selection", "--out", str(out)])
+    assert code == 0
+    counts = {name: [span.counts for span in tracer.spans if span.name == name]
+              for name in ("dataio.load_dataset", "dataio.ResultTable.write")}
+    assert counts == {
+        "dataio.load_dataset": [
+            {"rows": rows[name],
+             "bytes_read": (tmp_path / f"{name}.csv").stat().st_size}
+            for name in ("internal", "external")],
+        "dataio.ResultTable.write": [{"bytes_written": out.stat().st_size}],
+    }
