@@ -19,7 +19,6 @@ from .dataio import (
     load_dataset,
     load_population_summary,
     parse_role_map,
-    read_header,
     read_key_values,
 )
 from .errors import NonConvergenceError, SelweightError, ValidationError
@@ -131,9 +130,10 @@ class FileSource:
     data), so a bad cell elsewhere is not an error; its header must still
     hold every mapped column.  The external data and the marginal-means
     summary load only when a method asks for them.  For ps the joint-cell
-    summary loads first, so its level columns load with the data.
-    ``n_population`` is
-    ``--population-size`` when given and the internal row count otherwise.
+    summary loads first, and its level columns are read columns of the
+    data, mapped or not, so one the data lacks is a missing column.
+    ``n_population`` is ``--population-size`` when given and the internal
+    row count otherwise.
     """
 
     def __init__(self, args):
@@ -153,11 +153,7 @@ class FileSource:
         fit, method = args.command == "fit", args.method
         columns = [roles.outcome, *(args.augment_outcome or ())]
         if method == "ps":
-            # The summary's level columns load whether or not a role maps
-            # them; poststratification_inputs reports one the data lacks.
-            header = read_header(args.data)
-            columns += [name for name in self.joint_summary.names
-                        if name in header]
+            columns += self.joint_summary.names
         if fit:
             columns += roles.disease_covariates
         if method in ("pl", "sr", "cl"):
@@ -242,13 +238,8 @@ class FileSource:
             raise ValidationError("--population-size is required for ps")
         summary = dataclasses.replace(
             summary, population_size=self.args.population_size)
-        try:
-            levels = np.column_stack([self.sample.column(name)
-                                      for name in summary.names])
-        except KeyError as exc:
-            raise ValidationError(
-                f"data lacks summary level column {exc.args[0]!r}"
-            ) from None
+        levels = np.column_stack([self.sample.column(name)
+                                  for name in summary.names])
         return integer_cells(levels, summary.names, self.args.data), summary
 
     def calibration_summary(self):

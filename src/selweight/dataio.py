@@ -261,23 +261,18 @@ def _check_unique(header, names, path):
             raise ValidationError(f"{path}: header repeats column {name!r}")
 
 
-def read_header(path):
-    """The stripped header fields of a delimited file."""
-    with _open_text(path) as handle:
-        return _read_header(_csv_rows(handle, path), path)
-
-
 def load_dataset(path, roles, columns=None):
     """Load and validate a delimited dataset against a role map.
 
     ``columns`` names the columns to read; None reads every mapped column.
     It may name columns the role map does not (for example the
-    outcome-probability columns of weight augmentation).  The header must
-    hold every mapped and every named column, and must not name a read
-    column twice.  Only the read columns are parsed and checked: any
-    missing or non-numeric cell in one is an error naming the 1-based data
-    row and the column, and a read binary role (outcome, indicators) must
-    be coded 0/1.  The sample holds the read columns alone.
+    outcome-probability columns of weight augmentation, or a joint
+    summary's level columns).  The header must hold every mapped and every
+    named column, else :class:`MissingColumnError` lists the missing ones;
+    it must not name a read column twice.  Only the read columns are parsed
+    and checked: any missing or non-numeric cell in one is an error naming
+    the 1-based data row and the column, and a read binary role (outcome,
+    indicators) must be coded 0/1.  The sample holds the read columns alone.
 
     The data rows are parsed in one typed numpy pass that converts only the
     read columns (:func:`_numeric_table`).  Whenever the file has a line
@@ -288,7 +283,7 @@ def load_dataset(path, roles, columns=None):
     number.
     """
     mapped = roles.mapped_columns()
-    named = mapped + [c for c in columns or () if c not in mapped]
+    named = list(dict.fromkeys([*mapped, *(columns or ())]))
     wanted = named if columns is None else [c for c in named if c in columns]
     with _open_text(path) as handle:
         header = _read_header(_csv_rows(handle, path), path)
@@ -409,38 +404,37 @@ def load_population_summary(path, kind):
 
 
 def _load_joint_cells(path):
+    """The joint-cells summary in ``path`` (see :func:`load_population_summary`).
+
+    The cells go through the data files' row loop, :func:`_columns_by_row`,
+    so a bad cell is reported as a data file's is; the probabilities are
+    summed in file order."""
     with _open_text(path) as handle:
-        reader = _csv_rows(handle, path)
-        header = _read_header(reader, path)
-        if len(header) < 2 or header[-1] != "probability":
-            raise ValidationError(
-                f"{path}: joint summary needs level columns plus a final "
-                "'probability' column"
-            )
-        level_names = header[:-1]
-        _check_unique(header, level_names, path)
-        levels, probabilities = [], []
-        for row_number, row in _data_rows(reader, path, len(header)):
-            levels.append([_parse_cell(cell, path, row_number, name)
-                           for cell, name in zip(row[:-1], level_names)])
-            probabilities.append(_parse_cell(row[-1], path, row_number,
-                                             "probability"))
-    if not levels:
-        raise ValidationError(f"{path}: no cells found")
-    levels = integer_cells(levels, level_names, path)
-    total = sum(probabilities)
+        header = _read_header(_csv_rows(handle, path), path)
+    if len(header) < 2 or header[-1] != "probability":
+        raise ValidationError(
+            f"{path}: joint summary needs level columns plus a final "
+            "'probability' column"
+        )
+    level_names = header[:-1]
+    _check_unique(header, level_names, path)
+    cells, _ = _columns_by_row(path, header)
+    probabilities = cells.pop("probability")
+    levels = integer_cells(np.column_stack(list(cells.values())), level_names,
+                           path)
+    total = sum(probabilities.tolist())
     warnings = []
     if abs(total - 1.0) > 1e-9:
         if not (0.999 <= total <= 1.001):
             raise ProbabilitySumOutOfRangeError(
                 f"{path}: cell probabilities sum to {total:.6f}, outside [0.999, 1.001]"
             )
-        probabilities = [p / total for p in probabilities]
+        probabilities = probabilities / total
         warnings.append(
             f"cell probabilities summed to {total:.6f}; renormalized to 1"
         )
     return _summary(path, "joint_cells", levels=levels,
-                    probabilities=np.array(probabilities), names=level_names,
+                    probabilities=probabilities, names=level_names,
                     warnings=warnings)
 
 

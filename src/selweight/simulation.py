@@ -21,6 +21,7 @@ import numbers
 import os
 import threading
 from collections import deque
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -59,6 +60,25 @@ DAG_SETUP3_INTERACTIONS = {1: (0.0, 0.4), 2: (0.0, 0.4),
 DEFAULT_POPULATION_SIZE = {1: 50_000, 2: 125_000, 3: 50_000}
 
 
+def _is_integer(value):
+    """Whether ``value`` is an integer (a Python or numpy one) but no bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value):
+    """Whether ``value`` is a real number (a Python or numpy one) but no bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_finite(value):
+    """Whether ``value`` is a real number (see :func:`_is_real`) that a
+    float holds and that is neither infinite nor NaN."""
+    try:
+        return _is_real(value) and math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Generative constants for one scenario; defaults follow the study design."""
@@ -80,9 +100,8 @@ class SimulationConfig:
     def __post_init__(self):
         for name in ("dag", "setup", "n_population", "replications", "seed"):
             value = getattr(self, name)
-            integral = (isinstance(value, numbers.Integral)
-                        and not isinstance(value, bool))
-            if not (integral or (name == "n_population" and value is None)):
+            if not (_is_integer(value)
+                    or (name == "n_population" and value is None)):
                 raise ValidationError(f"{name} must be an integer")
         if self.dag not in (1, 2, 3, 4):
             raise ValidationError("dag must be 1, 2, 3, or 4")
@@ -95,17 +114,21 @@ class SimulationConfig:
             raise ValidationError("seed must be a nonnegative 63-bit integer")
         if self.n_population is not None and self.n_population < 1:
             raise ValidationError("n_population must be positive")
-        if not abs(self.z_correlation) < 1.0:
+        z = self.z_correlation
+        if not (_is_real(z) and abs(z) < 1.0):
             raise ValidationError("z_correlation must lie in (-1, 1)")
         for name in ("external_scale", "setup2_scale"):
-            if not 0.0 < getattr(self, name) <= 1.0:
+            value = getattr(self, name)
+            if not (_is_real(value) and 0.0 < value <= 1.0):
                 raise ValidationError(f"{name} must lie in (0, 1]")
         for name, size in (("theta", 3), ("nu", 4)):
             values = getattr(self, name)
-            if len(values) != size or not all(map(math.isfinite, values)):
+            if not (isinstance(values, (Sequence, np.ndarray))
+                    and len(values) == size
+                    and all(map(_is_finite, values))):
                 raise ValidationError(f"{name} must be {size} finite numbers")
         for name in ("alpha0", "alpha2", "alpha3"):
-            if not math.isfinite(getattr(self, name)):
+            if not _is_finite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite")
 
     @property
@@ -318,10 +341,15 @@ def generate_population(cfg, replication_index=0, *, helpers=0):
     ``POPULATION_BLOCK_ROWS``, each from its own positions in the
     replication's stream, on the calling thread and up to ``helpers``
     helper threads; the arrays are the same bits for any block or thread
-    count.
+    count.  ``replication_index``, the stream key's second word, must be an
+    integer (not a bool) in [0, 2**64), or :class:`ValidationError` is
+    raised.
     """
+    if not (_is_integer(replication_index) and 0 <= replication_index < 2**64):
+        raise ValidationError("replication_index must be an integer in "
+                              f"[0, 2**64), got {replication_index!r}")
     n = cfg.population_size
-    key = np.array([cfg.seed, replication_index], dtype=np.uint64)
+    key = np.array([cfg.seed, int(replication_index)], dtype=np.uint64)
     pop = Population(*(np.empty(n) for _ in range(8)))
     blocks = -(-n // POPULATION_BLOCK_ROWS)
     bounds = [i * n // blocks for i in range(blocks + 1)]
@@ -594,14 +622,15 @@ def _fit_one(method, src):
 def run_replication(cfg, replication_index, methods=METHODS):
     """Generate one population and fit every requested method on it.
 
-    ``methods`` must be non-empty, known and without repeats; otherwise a
-    :class:`ValidationError` is raised before anything is drawn.  The
-    results come back in ``methods`` order.  Per-method failures are
-    captured in the returned results rather than raised, so a single
-    separation or convergence failure does not abort a study.  Any other
-    exception propagates; when several methods raise, the one listed first
-    in ``methods`` does.  The draw and then the fits each run on the calling
-    thread and :func:`_helper_count` helper threads, with results
+    ``methods`` must be non-empty, known and without repeats, and
+    ``replication_index`` must follow :func:`generate_population`'s rule;
+    otherwise a :class:`ValidationError` is raised before anything is
+    drawn.  The results come back in ``methods`` order.  Per-method
+    failures are captured in the returned results rather than raised, so a
+    single separation or convergence failure does not abort a study.  Any
+    other exception propagates; when several methods raise, the one listed
+    first in ``methods`` does.  The draw and then the fits each run on the
+    calling thread and :func:`_helper_count` helper threads, with results
     bit-identical to one thread's.
     """
     methods = _distinct_methods(methods)
@@ -699,15 +728,19 @@ def run_study(cfg, methods=DATA_METHODS, parallelism=1):
     """Run the configured number of replications and aggregate the metrics.
 
     ``methods`` follows :func:`run_replication`'s rule, and ``parallelism``
-    must be at least 1; both are checked before any replication runs.  With
-    ``parallelism`` 1 each replication runs as :func:`run_replication`
-    does; with more, replications run in that many worker processes, which
-    start no threads, as the processes already fill the CPUs.  Outcomes are
-    reduced in replication order, so the result is identical for every
-    ``parallelism`` value.  A method that fails in every replication, or in
-    more than 10% of them, raises a :class:`StudyError`.
+    must be an integer (not a bool) of at least 1; both are checked before
+    any replication runs.  With ``parallelism`` 1 each replication runs as
+    :func:`run_replication` does; with more, replications run in that many
+    worker processes, which start no threads, as the processes already
+    fill the CPUs.  Outcomes are reduced in replication order, so the
+    result is identical for every ``parallelism`` value.  A method that
+    fails in every replication, or in more than 10% of them, raises a
+    :class:`StudyError`.
     """
     methods = _distinct_methods(methods)
+    if not _is_integer(parallelism):
+        raise ValidationError(
+            f"parallelism must be an integer, got {parallelism!r}")
     if parallelism < 1:
         raise ValidationError(f"parallelism must be at least 1, got {parallelism}")
     r_total = cfg.replications

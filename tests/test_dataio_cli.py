@@ -381,11 +381,28 @@ def test_load_joint_cells(tmp_path):
 
 
 def test_joint_cells_renormalized_with_warning(tmp_path):
+    probabilities = ["0.0985", "0.0956", "0.1008", "0.1004", "0.1052",
+                     "0.0981", "0.1002", "0.0993", "0.1013", "0.1011"]
     path = tmp_path / "cells.csv"
-    write_lines(path, ["d,probability", "0,0.5002", "1,0.5002"])
+    write_lines(path, ["d,probability"] + [
+        f"{i},{p}" for i, p in enumerate(probabilities)])
+    values = [float(p) for p in probabilities]
+    total = sum(values)
+    # numpy's pairwise sum of these cells gives another total.
+    assert total != float(np.sum(values))
     summary = sw.load_population_summary(path, "joint_cells")
-    assert sum(summary.probabilities) == pytest.approx(1.0, abs=1e-12)
-    assert summary.warnings
+    assert summary.probabilities.tolist() == [p / total for p in values]
+    assert summary.warnings == [
+        f"cell probabilities summed to {total:.6f}; renormalized to 1"]
+
+
+@pytest.mark.parametrize("rows", [[], [""], ["", " , "]])
+def test_joint_cells_without_data_rows_are_rejected(tmp_path, rows):
+    path = tmp_path / "cells.csv"
+    write_lines(path, ["d,w_bin,probability", *rows])
+    with pytest.raises(sw.ValidationError,
+                       match=f"^{re.escape(str(path))}: no data rows$"):
+        sw.load_population_summary(path, "joint_cells")
 
 
 def test_joint_cells_sum_out_of_range(tmp_path):
@@ -940,9 +957,11 @@ def test_cli_ps_loads_unmapped_level_columns(replication_files, tmp_path,
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("augment", [[], ["--augment-outcome", "w_bin", "w_bin"]],
+                         ids=["no-augment", "augment-w_bin"])
 @pytest.mark.parametrize("roles", ["roles.cfg", "roles_ps.cfg"])
 def test_cli_ps_level_column_missing_from_data(replication_files, tmp_path,
-                                               roles):
+                                               roles, augment):
     lines = (replication_files / "internal.csv").read_text(
         encoding="utf-8").splitlines()
     drop = lines[0].split(",").index("w_bin")
@@ -952,13 +971,12 @@ def test_cli_ps_level_column_missing_from_data(replication_files, tmp_path,
     args = method_args("ps", replication_files)
     args[args.index("--roles") + 1] = str(replication_files / roles)
     args[args.index("--data") + 1] = str(data)
-    result = run_cli("fit", "--method", "ps", *args,
+    result = run_cli("fit", "--method", "ps", *args, *augment,
                      "--population-size", str(REPLICATION_CFG.population_size),
                      "--out", str(tmp_path / "out.csv"))
     assert result.returncode == 2
-    message = ("data lacks summary level column 'w_bin'" if roles == "roles.cfg"
-               else f"{data}: missing columns ['w_bin']")
-    assert result.stderr.splitlines() == [f"error: validation: {message}"]
+    assert result.stderr.splitlines() == [
+        f"error: validation: {data}: missing columns ['w_bin']"]
 
 
 @pytest.mark.parametrize("command", ["fit", "weights"])
@@ -1043,17 +1061,25 @@ def test_cli_row_numbers_skip_blank_lines(replication_files, tmp_path, defect):
     assert result.stderr.splitlines() == [f"error: validation: {bad}: {message}"]
 
 
-@pytest.mark.parametrize("column, value, message", [
-    ("w_bin", "0.5", "value 0.5 at row 2, column 'w_bin' is not an integer"),
-    ("probability", "x", "non-numeric value 'x' at row 2, column 'probability'"),
+@pytest.mark.parametrize("row, error, message", [
+    ("1,0.5,0.5", sw.NonIntegerCellError,
+     "value 0.5 at row 2, column 'w_bin' is not an integer"),
+    ("1,1,x", sw.NonNumericCellError,
+     "non-numeric value 'x' at row 2, column 'probability'"),
+    ("1,1,nan", sw.NonNumericCellError,
+     "missing value at row 2, column 'probability'"),
+    ("1,,0.5", sw.NonNumericCellError, "missing value at row 2, column 'w_bin'"),
+    ("x,1,0.5", sw.NonNumericCellError,
+     "non-numeric value 'x' at row 2, column 'd'"),
+    ("1,0.5", sw.ValidationError, "row 2 has 2 fields, expected 3"),
 ])
-def test_joint_cell_rows_skip_blank_lines(tmp_path, column, value, message):
+def test_joint_cell_rows_skip_blank_lines(tmp_path, row, error, message):
     path = tmp_path / "cells.csv"
-    write_lines(path, ["d,w_bin,probability", "0,0,0.5", "", "1,1,0.5"])
-    replace_field(path, column, 3, value)
-    with pytest.raises(sw.ValidationError,
-                       match=f"^{re.escape(f'{path}: {message}')}$"):
+    write_lines(path, ["d,w_bin,probability", "", "0,0,0.5", "", row])
+    with pytest.raises(error,
+                       match=f"^{re.escape(f'{path}: {message}')}$") as info:
         sw.load_population_summary(path, "joint_cells")
+    assert info.type is error
 
 
 @pytest.mark.parametrize("value, message", [

@@ -1,9 +1,11 @@
 import json
+import re
 import sys
 import threading
 import time
 from functools import partial
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -61,6 +63,12 @@ def test_config_validation():
     ("nu", (-0.6, 1.2, 0.4)), ("nu", (-0.6, 1.2, 0.4, float("nan"))),
     ("alpha0", float("nan")), ("alpha2", float("inf")),
     ("alpha3", float("-inf")),
+    ("theta", "abc"), ("theta", None), ("theta", (1, 2, True)),
+    ("theta", {1: 0, 2: 0, 3: 0}), ("nu", ["a"] * 4),
+    ("alpha0", "x"), ("alpha0", True), ("alpha2", None),
+    pytest.param("alpha3", 10**400, id="alpha3-int-past-float-range"),
+    ("external_scale", "x"), ("external_scale", True),
+    ("setup2_scale", None), ("z_correlation", "x"), ("z_correlation", False),
 ])
 def test_config_rejects_values_the_draw_cannot_use(field, value):
     with pytest.raises(sw.ValidationError, match=f"^{field} must "):
@@ -75,6 +83,15 @@ def test_config_rejects_values_the_draw_cannot_use(field, value):
 def test_config_integer_fields_take_only_integers(field, value):
     with pytest.raises(sw.ValidationError, match=f"^{field} must be an integer$"):
         sw.SimulationConfig(**{"dag": 3, "setup": 1, field: value})
+
+
+def test_config_real_fields_take_integers_and_numpy_numbers():
+    cfg = sw.SimulationConfig(dag=1, setup=2, theta=[-2, np.float32(0.5), 1],
+                              nu=np.array([-0.6, 1.2, 0.4, 0.5]),
+                              alpha0=np.float64(-0.8), alpha2=0,
+                              external_scale=1, setup2_scale=np.float64(0.4),
+                              z_correlation=np.int64(0))
+    assert cfg.parameter_table()["alpha"][0] == -0.8
 
 
 def test_config_integer_fields_take_numpy_integers():
@@ -216,6 +233,28 @@ def test_stream_positions_read_the_single_stream(n):
                     == stream[start:start + m].tobytes()), (start, m)
 
 
+@pytest.mark.parametrize("draw", [
+    sw.generate_population,
+    lambda cfg, index: sw.run_replication(cfg, index, ["unweighted"]),
+], ids=["generate_population", "run_replication"])
+@pytest.mark.parametrize("index", [1.9, 1.5, np.float64(1.0), -1, 2**64, True,
+                                   "1", None])
+def test_a_replication_index_must_be_a_64_bit_unsigned_integer(draw, index):
+    cfg = sw.SimulationConfig(dag=1, setup=1, seed=3, n_population=500)
+    message = (r"^replication_index must be an integer in \[0, 2\*\*64\), "
+               f"got {re.escape(repr(index))}$")
+    with pytest.raises(sw.ValidationError, match=message):
+        draw(cfg, index)
+
+
+def test_a_replication_index_takes_the_ends_of_its_range_and_numpy_integers():
+    cfg = sw.SimulationConfig(dag=1, setup=1, seed=3, n_population=500)
+    assert sw.generate_population(cfg, 2**64 - 1).n == 500
+    for index in (np.int64(1), np.uint64(1)):
+        assert np.array_equal(sw.generate_population(cfg, index).z1,
+                              sw.generate_population(cfg, 1).z1)
+
+
 # ---------------------------------------------------------------------------
 # binned log selection-ratio diagnostics
 
@@ -352,6 +391,18 @@ def test_run_study_rejects_parallelism_below_one(parallelism):
     with pytest.raises(sw.ValidationError,
                        match=f"^parallelism must be at least 1, got {parallelism}$"):
         sw.run_study(cfg, methods=("unweighted",), parallelism=parallelism)
+
+
+@pytest.mark.parametrize("parallelism", [1.5, "2", True, np.float64(2.0)])
+def test_run_study_takes_only_an_integer_parallelism(parallelism):
+    cfg = sw.SimulationConfig(dag=1, setup=1, seed=2, n_population=4000,
+                              replications=2)
+    message = ("^parallelism must be an integer, "
+               f"got {re.escape(repr(parallelism))}$")
+    with mock.patch.object(sim_mod, "_run_replication_task") as task:
+        with pytest.raises(sw.ValidationError, match=message):
+            sw.run_study(cfg, methods=("unweighted",), parallelism=parallelism)
+    task.assert_not_called()
 
 
 def test_run_study_deterministic_across_parallelism():

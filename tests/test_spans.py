@@ -46,11 +46,13 @@ def test_every_traced_function_exists_and_has_a_caller(module, name):
     assert callers, f"no module of {SPANS_MODULE.CALLERS} refers to {name}"
 
 
-def test_a_traced_command_counts_the_rows_and_bytes_it_moves(tmp_path):
+@pytest.mark.parametrize("method", ["pl", "ps"])
+def test_a_traced_command_counts_the_rows_and_bytes_it_moves(tmp_path, method):
     pop = sw.generate_population(
         sw.SimulationConfig(dag=3, setup=1, seed=11, n_population=6000), 0)
+    w_bin = sw.coarsen(pop.w)
     fields = {"d": pop.d, "z1": pop.z1, "z2": pop.z2, "w": pop.w, "s": pop.s,
-              "s_ext": pop.s_ext, "pi_ext": pop.pi_ext}
+              "s_ext": pop.s_ext, "pi_ext": pop.pi_ext, "w_bin": w_bin}
     rows = {}
     for name, mask in (("internal", pop.s == 1.0), ("external", pop.s_ext == 1.0)):
         lines = [",".join(fields)] + [
@@ -59,25 +61,41 @@ def test_a_traced_command_counts_the_rows_and_bytes_it_moves(tmp_path):
         (tmp_path / f"{name}.csv").write_text("\n".join(lines) + "\n",
                                               encoding="utf-8")
         rows[name] = int(mask.sum())
+    cells, counts = np.unique(np.column_stack([pop.d, w_bin]).astype(int),
+                              axis=0, return_counts=True)
+    (tmp_path / "cells.csv").write_text("\n".join(["d,w_bin,probability"] + [
+        f"{d},{level},{format_number(count / pop.n)}"
+        for (d, level), count in zip(cells.tolist(), counts)]) + "\n",
+        encoding="utf-8")
+    # The roles map no level column: the ps path reads w_bin all the same.
     (tmp_path / "roles.cfg").write_text(
         "outcome=d\ndisease_covariates=z1,z2\nselection_covariates=z2,w\n"
         "selection_indicator=s\nexternal_indicator=s_ext\n"
         "external_prob=pi_ext\n", encoding="utf-8")
+    if method == "pl":
+        inputs = ["--external-data", str(tmp_path / "external.csv"),
+                  "--include-outcome-in-selection"]
+        loaded, summaries = ("internal", "external"), []
+    else:
+        inputs = ["--summary", str(tmp_path / "cells.csv"),
+                  "--population-size", str(pop.n)]
+        loaded, summaries = ("internal",), [{}]
     out = tmp_path / "out.csv"
     tracer = SPANS_MODULE.Tracer()
     with tracer.installed(), tracer.span("cli.main", 0):
         code = cli.main([
-            "fit", "--method", "pl", "--data", str(tmp_path / "internal.csv"),
-            "--external-data", str(tmp_path / "external.csv"),
-            "--roles", str(tmp_path / "roles.cfg"),
-            "--include-outcome-in-selection", "--out", str(out)])
+            "fit", "--method", method, "--data", str(tmp_path / "internal.csv"),
+            "--roles", str(tmp_path / "roles.cfg"), *inputs, "--out", str(out)])
     assert code == 0
+    names = ("dataio.load_dataset", "dataio.load_population_summary",
+             "dataio.ResultTable.write")
     counts = {name: [span.counts for span in tracer.spans if span.name == name]
-              for name in ("dataio.load_dataset", "dataio.ResultTable.write")}
+              for name in names}
     assert counts == {
         "dataio.load_dataset": [
             {"rows": rows[name],
              "bytes_read": (tmp_path / f"{name}.csv").stat().st_size}
-            for name in ("internal", "external")],
+            for name in loaded],
+        "dataio.load_population_summary": summaries,
         "dataio.ResultTable.write": [{"bytes_written": out.stat().st_size}],
     }
