@@ -29,7 +29,6 @@ from .errors import (
     SingularBreadError,
     SingularHError,
     SingularJacobianError,
-    SparseBinError,
     StudyError,
     UnmatchedCellError,
     ValidationError,
@@ -42,9 +41,7 @@ from .fitters import (
     fit_multinomial,
     fit_simplex_regression,
     fit_weighted_logistic,
-    logit,
     multinomial_probabilities,
-    simplex_log_density,
     simplex_unit_deviance,
 )
 from .solver import (
@@ -81,13 +78,11 @@ from .weights import (
 from .simulation import (
     DATA_METHODS,
     METHODS,
-    LogRatioBins,
     MethodResult,
     Population,
     SimulationConfig,
     StudyMetric,
     StudyResult,
-    estimate_r_offset_mc,
     generate_population,
     run_replication,
     run_study,

@@ -25,10 +25,10 @@ from .errors import NonConvergenceError, SelweightError, ValidationError
 from .fitters import probability_vector
 from .simulation import (
     DATA_METHODS,
+    METHOD_TABLE,
     METHODS,
     SimulationConfig,
     StudyMetric,
-    estimate_pi,
     fit_method,
     run_study,
 )
@@ -247,16 +247,17 @@ class FileSource:
 
 
 def _weights(args):
-    """Return (source, pi, weight set) for the command's method.
+    """Return (source, weight set) for the command's method.
 
-    Augmenting or winsorizing pi drops the weight set; see ``fit_method``.
-    Post-processed pi is clamped as estimated pi is, with one warning line.
+    Augmenting or winsorizing the weights gives a "post-processed" set, which
+    ``fit_method`` fits with the fixed-weight sandwich.  Its probabilities
+    are clamped as estimated ones are, with one warning line.
     """
     src = FileSource(args)
-    pi, weight_set = estimate_pi(args.method, src)
+    weight_set = METHOD_TABLE[args.method](src)
     if not (args.augment_outcome or args.winsorize):
-        return src, pi, weight_set
-    w = 1.0 / pi
+        return src, weight_set
+    w = weight_set.weights
     if args.augment_outcome:
         p_pop_col, p_int_col = args.augment_outcome
         w = augment_weights_with_outcome(w, src.outcome,
@@ -268,12 +269,12 @@ def _weights(args):
     if post.clamped:
         print(f"warning: clamped {post.clamped} post-processed selection "
               f"probabilities into [{PI_FLOOR:g}, 1]", file=sys.stderr)
-    return src, post.pi_hat, None
+    return src, post
 
 
 def cli_fit(args):
-    src, pi, weight_set = _weights(args)
-    model = fit_method(args.method, src, pi, weight_set)
+    src, weight_set = _weights(args)
+    model = fit_method(src, weight_set)
     theta = model.coefficients
     ci = wald_ci(theta, model.vcov)
     se = np.sqrt(np.diag(model.vcov))
@@ -287,7 +288,7 @@ def cli_fit(args):
 def cli_weights(args):
     if args.method == "unweighted":
         raise ValidationError("weights requires one of pl, sr, ps, cl")
-    _, pi, _ = _weights(args)
+    pi = _weights(args)[1].pi_hat
     table = ResultTable(row=np.arange(1, len(pi) + 1), pi_hat=pi,
                         weight=1.0 / pi)
     table.write(args.out, args.format)

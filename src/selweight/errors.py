@@ -65,10 +65,6 @@ class SingularHError(SelweightError):
     """The nuisance-score Hessian of a two-step sandwich is singular."""
 
 
-class SparseBinError(SelweightError):
-    """A diagnostic bin has too few units in one outcome class."""
-
-
 class MissingColumnError(ValidationError):
     """A role maps to a column absent from the file header."""
 

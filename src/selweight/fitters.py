@@ -145,17 +145,13 @@ def coefficients_for(x, coef, what, ndim=1):
 
 
 def population_size(value, what):
-    """``value`` as a float; it must be a positive finite real number."""
-    if not (isinstance(value, numbers.Real) and 0 < value < math.inf):
+    """``value`` as a float; it must be a positive finite real number, and
+    no bool."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and 0 < value < math.inf):
         raise ValidationError(f"{what} must be a positive finite number, "
                               f"got {value!r}")
     return float(value)
-
-
-def logit(p):
-    p = np.asarray(p, dtype=float)
-    out = np.log(p) - np.log1p(-p)
-    return out if out.ndim else float(out)
 
 
 @dataclass
@@ -173,6 +169,8 @@ class DesignMatrix:
         self.matrix = np.ascontiguousarray(self.matrix, dtype=float)
         if self.matrix.ndim != 2:
             raise ValidationError("design matrix must be two-dimensional")
+        if self.matrix.shape[1] == 0:
+            raise ValidationError("design matrix has no columns")
         if not np.all(np.isfinite(self.matrix)):
             raise ValidationError("design matrix contains non-finite entries")
         if len(self.column_names) != self.matrix.shape[1]:
@@ -411,15 +409,6 @@ def simplex_unit_deviance(y, mu):
     y = np.asarray(y, dtype=float)
     mu = np.asarray(mu, dtype=float)
     return (y - mu) ** 2 / (y * (1.0 - y) * mu**2 * (1.0 - mu) ** 2)
-
-
-def simplex_log_density(y, mu, sigma2):
-    """Log density of the simplex distribution on (0, 1)."""
-    y = np.asarray(y, dtype=float)
-    return (
-        -0.5 * np.log(2.0 * np.pi * sigma2 * (y * (1.0 - y)) ** 3)
-        - simplex_unit_deviance(y, mu) / (2.0 * sigma2)
-    )
 
 
 def _simplex_score_weights(y, mu):

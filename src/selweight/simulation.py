@@ -32,7 +32,6 @@ import numpy as np
 from .errors import (
     AllReplicationsFailedError,
     SelweightError,
-    SparseBinError,
     StudyError,
     ValidationError,
 )
@@ -127,6 +126,9 @@ class SimulationConfig:
                     and len(values) == size
                     and all(map(_is_finite, values))):
                 raise ValidationError(f"{name} must be {size} finite numbers")
+            # Stored as a tuple of floats, so every config hashes and equal
+            # configs compare equal, whatever sequence they were given.
+            object.__setattr__(self, name, tuple(map(float, values)))
         for name in ("alpha0", "alpha2", "alpha3"):
             if not _is_finite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite")
@@ -155,22 +157,6 @@ class SimulationConfig:
     @property
     def selection_scale(self):
         return self.setup2_scale if self.setup == 2 else 1.0
-
-    def parameter_table(self):
-        """Every resolved numeric constant, for snapshot comparison."""
-        return {
-            "dag": self.dag,
-            "setup": self.setup,
-            "n_population": self.population_size,
-            "theta": list(self.theta),
-            "gamma": list(self.gamma),
-            "alpha": [self.alpha0, self.alpha1, self.alpha2, self.alpha3],
-            "interactions": list(self.interactions),
-            "selection_scale": self.selection_scale,
-            "nu": list(self.nu),
-            "external_scale": self.external_scale,
-            "z_correlation": self.z_correlation,
-        }
 
 
 @dataclass
@@ -359,91 +345,10 @@ def generate_population(cfg, replication_index=0, *, helpers=0):
 
 
 @dataclass
-class LogRatioBins:
-    """Binned estimates of the log selection-probability ratio by disease status."""
-
-    z1_mean: np.ndarray
-    z2_mean: np.ndarray
-    z1_bin: np.ndarray
-    z2_bin: np.ndarray
-    log_ratio: np.ndarray
-    variance: np.ndarray
-    n_disease: np.ndarray
-    n_control: np.ndarray
-    skipped: list = field(default_factory=list)
-
-
-def estimate_r_offset_mc(population, z1_cutoffs=None, z2_cutoffs=None,
-                         n_bins=(5, 5), min_class_count=50):
-    """Estimate log P(S=1|D=1,bin) - log P(S=1|D=0,bin) over a (z1, z2) grid.
-
-    Default bins are equiprobable per axis.  Bins with fewer than
-    ``min_class_count`` units in either disease class, or with no selected
-    unit in one class, are skipped and reported in ``skipped``.
-    """
-    z1, z2 = population.z1, population.z2
-    if z1_cutoffs is None:
-        z1_cutoffs = np.quantile(z1, np.arange(1, n_bins[0]) / n_bins[0])
-    if z2_cutoffs is None:
-        z2_cutoffs = np.quantile(z2, np.arange(1, n_bins[1]) / n_bins[1])
-    z1_cutoffs = np.asarray(z1_cutoffs, dtype=float)
-    z2_cutoffs = np.asarray(z2_cutoffs, dtype=float)
-    k1, k2 = z1_cutoffs.size + 1, z2_cutoffs.size + 1
-
-    b1 = np.searchsorted(z1_cutoffs, z1, side="right")
-    b2 = np.searchsorted(z2_cutoffs, z2, side="right")
-    bin_id = b1 * k2 + b2
-    nb = k1 * k2
-    d = population.d
-    s = population.s
-
-    n_dis = np.bincount(bin_id, weights=d, minlength=nb)
-    n_con = np.bincount(bin_id, weights=1.0 - d, minlength=nb)
-    sel_dis = np.bincount(bin_id, weights=d * s, minlength=nb)
-    sel_con = np.bincount(bin_id, weights=(1.0 - d) * s, minlength=nb)
-    z1_sum = np.bincount(bin_id, weights=z1, minlength=nb)
-    z2_sum = np.bincount(bin_id, weights=z2, minlength=nb)
-    n_all = n_dis + n_con
-
-    rows = {k: [] for k in ("z1_mean", "z2_mean", "z1_bin", "z2_bin",
-                            "log_ratio", "variance", "n_disease", "n_control")}
-    skipped = []
-    for idx in range(nb):
-        i1, i2 = divmod(idx, k2)
-        if n_all[idx] == 0:
-            continue
-        if n_dis[idx] < min_class_count or n_con[idx] < min_class_count:
-            skipped.append(SparseBinError(
-                f"bin ({i1}, {i2}) has class counts "
-                f"({int(n_dis[idx])}, {int(n_con[idx])}) below {min_class_count}"
-            ))
-            continue
-        if sel_dis[idx] == 0 or sel_con[idx] == 0:
-            skipped.append(SparseBinError(
-                f"bin ({i1}, {i2}) has an empty selected class"
-            ))
-            continue
-        p1 = sel_dis[idx] / n_dis[idx]
-        p0 = sel_con[idx] / n_con[idx]
-        rows["z1_mean"].append(z1_sum[idx] / n_all[idx])
-        rows["z2_mean"].append(z2_sum[idx] / n_all[idx])
-        rows["z1_bin"].append(i1)
-        rows["z2_bin"].append(i2)
-        rows["log_ratio"].append(math.log(p1) - math.log(p0))
-        rows["variance"].append(
-            1.0 / sel_dis[idx] - 1.0 / n_dis[idx]
-            + 1.0 / sel_con[idx] - 1.0 / n_con[idx]
-        )
-        rows["n_disease"].append(n_dis[idx])
-        rows["n_control"].append(n_con[idx])
-    return LogRatioBins(
-        **{k: np.asarray(v) for k, v in rows.items()}, skipped=skipped
-    )
-
-
-@dataclass
 class MethodResult:
-    """One method's output for one replication."""
+    """One method's output for one replication: on success the fitted model
+    and the WeightSet it was fitted at (unit weights for ``unweighted``), on
+    failure the error text."""
 
     method: str
     model: Optional[FittedModel] = None
@@ -518,6 +423,10 @@ class PopulationSource:
                                  names=["z2", "w", "d"], population_size=pop.n)
 
 
+def _weights_unweighted(src):
+    return WeightSet(np.ones(src.outcome.size), "unweighted")
+
+
 def _weights_pl(src):
     return estimate_weights_pl(src.selection_design, *src.external_sample)
 
@@ -540,64 +449,49 @@ def _weights_oracle(src):
     return WeightSet(pi, "known", diagnostics={"source": "true"})
 
 
-def _fixed_weight_sandwich(src, theta, pi, weight_set):
-    return vcov_known_weights(theta, src.disease_design, src.outcome, pi,
-                              src.n_population)
-
-
-def _pl_sandwich(src, theta, pi, weight_set):
-    internal_in_external, internal_pi_ext = src.internal_overlap()
-    return vcov_pl(theta, weight_set.alpha_hat, src.disease_design,
-                   src.outcome, src.selection_design, *src.external_sample,
-                   src.n_population, internal_in_external=internal_in_external,
-                   internal_pi_ext=internal_pi_ext)
-
-
-def _cl_sandwich(src, theta, pi, weight_set):
-    return vcov_cl(theta, weight_set.alpha_hat, src.disease_design,
-                   src.outcome, src.selection_design, src.n_population)
-
-
-# The one place a method is paired with its weight estimator (None: unit
-# weights) and its sandwich.  Estimators map a source to a WeightSet;
-# sandwiches map (source, theta, pi, weight set) to the variance of theta.
-# Both look up this module's globals when they run, so rebinding a name here
-# reaches every caller, the CLI included.
+# The one place a method is paired with its weight estimator, which maps a
+# source to a WeightSet; the weight set then picks its sandwich (see
+# fit_method).  Estimators look up this module's globals when they run, so
+# rebinding a name here reaches every caller, the CLI included.
 METHOD_TABLE = {
-    "unweighted": (None, _fixed_weight_sandwich),
-    "pl": (_weights_pl, _pl_sandwich),
-    "sr": (_weights_sr, _fixed_weight_sandwich),
-    "ps": (_weights_ps, _fixed_weight_sandwich),
-    "cl": (_weights_cl, _cl_sandwich),
-    "oracle_weights": (_weights_oracle, _fixed_weight_sandwich),
+    "unweighted": _weights_unweighted,
+    "pl": _weights_pl,
+    "sr": _weights_sr,
+    "ps": _weights_ps,
+    "cl": _weights_cl,
+    "oracle_weights": _weights_oracle,
 }
 METHODS = tuple(METHOD_TABLE)
 # The methods that run on data; oracle weights need the simulated truth.
 DATA_METHODS = tuple(m for m in METHODS if m != "oracle_weights")
 
 
-def estimate_pi(method, src):
-    """Run ``method``'s weight estimator on ``src``; return (pi, weight set or None)."""
-    estimator, _ = METHOD_TABLE[method]
-    if estimator is None:
-        return np.ones(src.outcome.size), None
-    weight_set = estimator(src)
-    return weight_set.pi_hat, weight_set
+def fit_method(src, weight_set):
+    """Fit the weighted disease model at ``weight_set.pi_hat`` with the
+    sandwich that the weight set calls for.
 
-
-def fit_method(method, src, pi, weight_set):
-    """Fit the weighted disease model at ``pi`` with ``method``'s sandwich.
-
-    ``weight_set`` is what :func:`estimate_pi` returned with ``pi``.  Pass
-    None when ``pi`` was post-processed (winsorized or outcome-augmented):
-    a two-step sandwich describes only the estimator's own probabilities,
-    so the fit then takes the fixed-weight sandwich at ``pi``.
+    A "PL" or "CL" set holds the selection coefficients its probabilities
+    were estimated from, and takes that estimator's two-step sandwich.  Any
+    other set (SR, PS, known, unit or post-processed weights) takes the
+    fixed-weight sandwich at its probabilities: a two-step sandwich
+    describes only an estimator's own probabilities.
     """
+    pi, alpha = weight_set.pi_hat, weight_set.alpha_hat
     model = fit_weighted_logistic(src.disease_design, src.outcome, pi)
-    _, sandwich = METHOD_TABLE[method]
-    if weight_set is None:
-        sandwich = _fixed_weight_sandwich
-    model.vcov = sandwich(src, model.coefficients, pi, weight_set)
+    theta = model.coefficients
+    if weight_set.method == "PL":
+        internal_in_external, internal_pi_ext = src.internal_overlap()
+        model.vcov = vcov_pl(theta, alpha, src.disease_design, src.outcome,
+                             src.selection_design, *src.external_sample,
+                             src.n_population,
+                             internal_in_external=internal_in_external,
+                             internal_pi_ext=internal_pi_ext)
+    elif weight_set.method == "CL":
+        model.vcov = vcov_cl(theta, alpha, src.disease_design, src.outcome,
+                             src.selection_design, src.n_population)
+    else:
+        model.vcov = vcov_known_weights(theta, src.disease_design, src.outcome,
+                                        pi, src.n_population)
     return model
 
 
@@ -612,9 +506,9 @@ def _fit_one(method, src):
     """``method``'s result on ``src``; a :class:`SelweightError` is captured
     in it, and any other exception propagates."""
     try:
-        pi, weight_set = estimate_pi(method, src)
-        model = fit_method(method, src, pi, weight_set)
-        return MethodResult(method, model=model, weight_set=weight_set)
+        weight_set = METHOD_TABLE[method](src)
+        return MethodResult(method, model=fit_method(src, weight_set),
+                            weight_set=weight_set)
     except SelweightError as exc:
         return MethodResult(method, error=f"{type(exc).__name__}: {exc}")
 
@@ -716,11 +610,9 @@ def _run_replication_task(cfg, methods, helpers, index):
             compact[method] = res.error
         else:
             ws = res.weight_set
-            alpha, clamps = None, 0
-            if ws is not None:
-                alpha, clamps = ws.alpha_hat, ws.clamped
             compact[method] = (res.model.coefficients,
-                               np.diag(res.model.vcov).copy(), alpha, clamps)
+                               np.diag(res.model.vcov).copy(), ws.alpha_hat,
+                               ws.clamped)
     return compact
 
 

@@ -20,6 +20,7 @@ designs, by ``fitters.coefficients_for``; and ``n_population`` as a
 positive finite number.
 """
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -294,7 +295,7 @@ def wald_ci(theta_hat, vcov, level=0.95):
         raise ValidationError("theta_hat and the vcov diagonal must be finite")
     if np.any(diag < 0.0):
         raise ValidationError("vcov has negative diagonal entries")
-    if not (0.0 < level < 1.0):
+    if not (isinstance(level, numbers.Real) and 0.0 < level < 1.0):
         raise ValidationError("level must lie in (0, 1)")
     half = normal_quantile(0.5 * (1.0 + level)) * np.sqrt(diag)
     return np.column_stack([theta_hat - half, theta_hat + half])

@@ -255,6 +255,9 @@ def winsorize_weights(w, lower_q=0.025, upper_q=0.975):
     points of the clipping).
     """
     w = np.asarray(w, dtype=float)
+    if w.ndim != 1:
+        raise ValidationError("weights to winsorize must be one-dimensional, "
+                              f"got shape {w.shape}")
     if w.size == 0:
         raise ValidationError("weights to winsorize must not be empty")
     if not np.all((w > 0.0) & (w < np.inf)):  # NaN fails too
@@ -294,6 +297,8 @@ def augment_weights_with_outcome(w0, outcome, p_pop, p_int):
 def _design_pair(internal_X, external_X):
     internal_X = coerce_design(internal_X)
     external_X = coerce_design(external_X, internal_X.column_names)
+    if external_X.n == 0:
+        raise ValidationError("the external sample has no rows")
     if internal_X.p != external_X.p:
         raise ValidationError("internal and external designs have different widths")
     if internal_X.column_names != external_X.column_names:

@@ -7,8 +7,10 @@ cache.
 """
 
 import hashlib
+import math
 import os
 import pickle
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -173,3 +175,99 @@ def finite_difference_jacobian(residual, x, rel_step=1e-6):
         xm[j] -= h
         jac[:, j] = (np.asarray(residual(xp)) - np.asarray(residual(xm))) / (2 * h)
     return jac
+
+
+def logit(p):
+    """The log-odds of ``p``: a float for a scalar, else an array."""
+    p = np.asarray(p, dtype=float)
+    out = np.log(p) - np.log1p(-p)
+    return out if out.ndim else float(out)
+
+
+class SparseBinError(Exception):
+    """A diagnostic bin has too few units in one outcome class."""
+
+
+@dataclass
+class LogRatioBins:
+    """Binned estimates of the log selection-probability ratio by disease status."""
+
+    z1_mean: np.ndarray
+    z2_mean: np.ndarray
+    z1_bin: np.ndarray
+    z2_bin: np.ndarray
+    log_ratio: np.ndarray
+    variance: np.ndarray
+    n_disease: np.ndarray
+    n_control: np.ndarray
+    skipped: list = field(default_factory=list)
+
+
+def estimate_r_offset_mc(population, z1_cutoffs=None, z2_cutoffs=None,
+                         n_bins=(5, 5), min_class_count=50):
+    """Estimate log P(S=1|D=1,bin) - log P(S=1|D=0,bin) over a (z1, z2) grid.
+
+    An oracle for the simulator: the scenarios' DAGs predict which binned
+    selection-ratio structure a population shows.  Default bins are
+    equiprobable per axis.  Bins with fewer than ``min_class_count`` units
+    in either disease class, or with no selected unit in one class, are
+    skipped and reported in ``skipped``.
+    """
+    z1, z2 = population.z1, population.z2
+    if z1_cutoffs is None:
+        z1_cutoffs = np.quantile(z1, np.arange(1, n_bins[0]) / n_bins[0])
+    if z2_cutoffs is None:
+        z2_cutoffs = np.quantile(z2, np.arange(1, n_bins[1]) / n_bins[1])
+    z1_cutoffs = np.asarray(z1_cutoffs, dtype=float)
+    z2_cutoffs = np.asarray(z2_cutoffs, dtype=float)
+    k1, k2 = z1_cutoffs.size + 1, z2_cutoffs.size + 1
+
+    b1 = np.searchsorted(z1_cutoffs, z1, side="right")
+    b2 = np.searchsorted(z2_cutoffs, z2, side="right")
+    bin_id = b1 * k2 + b2
+    nb = k1 * k2
+    d = population.d
+    s = population.s
+
+    n_dis = np.bincount(bin_id, weights=d, minlength=nb)
+    n_con = np.bincount(bin_id, weights=1.0 - d, minlength=nb)
+    sel_dis = np.bincount(bin_id, weights=d * s, minlength=nb)
+    sel_con = np.bincount(bin_id, weights=(1.0 - d) * s, minlength=nb)
+    z1_sum = np.bincount(bin_id, weights=z1, minlength=nb)
+    z2_sum = np.bincount(bin_id, weights=z2, minlength=nb)
+    n_all = n_dis + n_con
+
+    rows = {k: [] for k in ("z1_mean", "z2_mean", "z1_bin", "z2_bin",
+                            "log_ratio", "variance", "n_disease", "n_control")}
+    skipped = []
+    for idx in range(nb):
+        i1, i2 = divmod(idx, k2)
+        if n_all[idx] == 0:
+            continue
+        if n_dis[idx] < min_class_count or n_con[idx] < min_class_count:
+            skipped.append(SparseBinError(
+                f"bin ({i1}, {i2}) has class counts "
+                f"({int(n_dis[idx])}, {int(n_con[idx])}) below {min_class_count}"
+            ))
+            continue
+        if sel_dis[idx] == 0 or sel_con[idx] == 0:
+            skipped.append(SparseBinError(
+                f"bin ({i1}, {i2}) has an empty selected class"
+            ))
+            continue
+        p1 = sel_dis[idx] / n_dis[idx]
+        p0 = sel_con[idx] / n_con[idx]
+        rows["z1_mean"].append(z1_sum[idx] / n_all[idx])
+        rows["z2_mean"].append(z2_sum[idx] / n_all[idx])
+        rows["z1_bin"].append(i1)
+        rows["z2_bin"].append(i2)
+        rows["log_ratio"].append(math.log(p1) - math.log(p0))
+        rows["variance"].append(
+            1.0 / sel_dis[idx] - 1.0 / n_dis[idx]
+            + 1.0 / sel_con[idx] - 1.0 / n_con[idx]
+        )
+        rows["n_disease"].append(n_dis[idx])
+        rows["n_control"].append(n_con[idx])
+    return LogRatioBins(
+        **{k: np.asarray(v) for k, v in rows.items()}, skipped=skipped
+    )

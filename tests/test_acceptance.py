@@ -14,7 +14,8 @@ from scipy.stats import chi2
 
 import selweight as sw
 
-from conftest import ACCEPTANCE_SEED, cli_env, grid_search_logistic
+from conftest import (ACCEPTANCE_SEED, cli_env, estimate_r_offset_mc,
+                      grid_search_logistic)
 from test_weights import DISCRETE_CELLS, exact_identity_reconstruction
 
 
@@ -268,12 +269,12 @@ def stratum_slopes(bins):
 
 def test_criterion_10_selection_ratio_structure():
     cfg1 = sw.SimulationConfig(dag=1, setup=1, seed=ACCEPTANCE_SEED)
-    bins1 = sw.estimate_r_offset_mc(sw.generate_population(cfg1, 0))
+    bins1 = estimate_r_offset_mc(sw.generate_population(cfg1, 0))
     stat1, dof1 = weighted_mean_chi2(bins1)
     bound1 = float(chi2.ppf(0.999, dof1))
 
     cfg2 = sw.SimulationConfig(dag=2, setup=1, seed=ACCEPTANCE_SEED)
-    bins2 = sw.estimate_r_offset_mc(sw.generate_population(cfg2, 0))
+    bins2 = estimate_r_offset_mc(sw.generate_population(cfg2, 0))
     stat2, dof2 = weighted_mean_chi2(bins2)
     slope, slope_se = stratum_slopes(bins2)
     z = slope / slope_se

@@ -1400,7 +1400,7 @@ def test_cli_augmented_weights_below_one_are_clamped_with_one_warning(
     # The bytes written before post-processed clamps were counted: pi was
     # 1 / w clipped at 1 only.
     src = FileSource(build_parser().parse_args(argv))
-    pi, _ = sw.simulation.estimate_pi("pl", src)
+    pi = sw.simulation.METHOD_TABLE["pl"](src).pi_hat
     w = sw.augment_weights_with_outcome(1.0 / pi, src.outcome,
                                         src.sample.column("p_pop"),
                                         src.sample.column("p_int"))
@@ -1439,8 +1439,8 @@ def test_cli_fit_without_selection_covariates_is_intercept_only(
     if method != "cl":
         src.external_sample = (intercept_only(src.external),
                                src.external.external_probabilities())
-    pi, weight_set = sw.simulation.estimate_pi(method, src)
-    model = sw.simulation.fit_method(method, src, pi, weight_set)
+    model = sw.simulation.fit_method(
+        src, sw.simulation.METHOD_TABLE[method](src))
     estimate, std_error = read_fit(tmp_path / "fit.csv")
     assert np.array_equal(estimate, model.coefficients)
     assert np.array_equal(std_error, np.sqrt(np.diag(model.vcov)))
@@ -1452,11 +1452,14 @@ def test_cli_fit_winsorized_weights_take_fixed_weight_sandwich(
     n_pop = REPLICATION_CFG.population_size
     src = sw.simulation.PopulationSource(
         sw.generate_population(REPLICATION_CFG, 0))
-    pi, weight_set = sw.simulation.estimate_pi(method, src)
-    pi_used = np.clip(1.0 / sw.winsorize_weights(1.0 / pi, 0.05, 0.95),
-                      None, 1.0)
-    fixed = sw.simulation.fit_method(method, src, pi_used, None)
-    two_step = sw.simulation.fit_method(method, src, pi_used, weight_set)
+    weight_set = sw.simulation.METHOD_TABLE[method](src)
+    pi_used = np.clip(
+        1.0 / sw.winsorize_weights(1.0 / weight_set.pi_hat, 0.05, 0.95),
+        None, 1.0)
+    fixed = sw.simulation.fit_method(src, sw.WeightSet(pi_used,
+                                                       "post-processed"))
+    two_step = sw.simulation.fit_method(src, sw.WeightSet(
+        pi_used, weight_set.method, weight_set.alpha_hat))
     expected_se = np.sqrt(np.diag(fixed.vcov))
     assert np.array_equal(fixed.vcov, sw.vcov_known_weights(
         fixed.coefficients, src.disease_design, src.outcome, pi_used, n_pop))

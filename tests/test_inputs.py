@@ -327,7 +327,7 @@ def test_a_non_finite_coefficient_is_a_validation_error(name, argument, bad):
         _call(name, argument, coefficients)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, 0, -600.0, "600"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0, -600.0, "600", True])
 @pytest.mark.parametrize("name, argument", _cases("population size"))
 def test_a_population_size_must_be_a_positive_finite_number(name, argument,
                                                              bad):
@@ -343,7 +343,7 @@ SUMMARIES = {
 }
 
 
-@pytest.mark.parametrize("bad", [np.inf, np.nan, 0, -3, "12"])
+@pytest.mark.parametrize("bad", [np.inf, np.nan, 0, -3, "12", True])
 @pytest.mark.parametrize("kind", SUMMARIES)
 def test_a_summary_population_size_must_be_a_positive_finite_number(kind,
                                                                      bad):
@@ -408,6 +408,32 @@ def test_wald_ci_rejects_a_non_finite_variance(vcov):
     with pytest.raises(sw.ValidationError,
                        match="^theta_hat and the vcov diagonal must be finite$"):
         sw.wald_ci([0.5], vcov)
+
+
+# Inputs of a wrong type or shape that no role above covers: name -> (a call
+# on them, the start of its ValidationError message).
+MALFORMED = {
+    "wald_ci[level is text]": (
+        lambda: sw.wald_ci(INPUTS["theta"], INPUTS["vcov"], "x"),
+        r"level must lie in \(0, 1\)$"),
+    "winsorize_weights[2-d]": (
+        lambda: sw.winsorize_weights(np.ones((4, 2))),
+        r"weights to winsorize must be one-dimensional, got shape \(4, 2\)$"),
+    "fit_weighted_logistic[no columns]": (
+        lambda: sw.fit_weighted_logistic(np.empty((N_INT, 0)), INPUTS["d"]),
+        "design matrix has no columns$"),
+    "estimate_weights_pl[empty external sample]": (
+        lambda: sw.estimate_weights_pl(INPUTS["xi"], INPUTS["xe"][:0],
+                                       INPUTS["pi_ext"][:0]),
+        "the external sample has no rows$"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_a_malformed_input_is_a_validation_error(case):
+    call, message = MALFORMED[case]
+    with pytest.raises(sw.ValidationError, match=f"^{message}"):
+        call()
 
 
 def test_augmentation_rejects_an_infinite_weight():

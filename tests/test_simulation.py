@@ -12,6 +12,9 @@ import pytest
 
 import selweight as sw
 from selweight import simulation as sim_mod
+from selweight import weights as w_mod
+
+from conftest import SparseBinError, estimate_r_offset_mc
 
 GH_PREVALENCE = 0.1471669542  # 80-node Gauss-Hermite value of E[expit(-2 + u)],
                               # u ~ N(0, 0.75); oracle recomputed below.
@@ -32,13 +35,30 @@ def test_gauss_hermite_oracle_frozen_value():
 # configuration
 
 
+def parameter_table(cfg):
+    """Every resolved numeric constant of ``cfg``, for snapshot comparison."""
+    return {
+        "dag": cfg.dag,
+        "setup": cfg.setup,
+        "n_population": cfg.population_size,
+        "theta": list(cfg.theta),
+        "gamma": list(cfg.gamma),
+        "alpha": [cfg.alpha0, cfg.alpha1, cfg.alpha2, cfg.alpha3],
+        "interactions": list(cfg.interactions),
+        "selection_scale": cfg.selection_scale,
+        "nu": list(cfg.nu),
+        "external_scale": cfg.external_scale,
+        "z_correlation": cfg.z_correlation,
+    }
+
+
 def test_scenario_constants_match_snapshot():
     path = Path(__file__).parent / "data" / "scenario_constants.json"
     snapshot = json.loads(path.read_text())
     for dag in (1, 2, 3, 4):
         for setup in (1, 2, 3):
             cfg = sw.SimulationConfig(dag=dag, setup=setup)
-            assert cfg.parameter_table() == snapshot[f"dag{dag}_setup{setup}"]
+            assert parameter_table(cfg) == snapshot[f"dag{dag}_setup{setup}"]
 
 
 def test_config_validation():
@@ -91,7 +111,18 @@ def test_config_real_fields_take_integers_and_numpy_numbers():
                               alpha0=np.float64(-0.8), alpha2=0,
                               external_scale=1, setup2_scale=np.float64(0.4),
                               z_correlation=np.int64(0))
-    assert cfg.parameter_table()["alpha"][0] == -0.8
+    assert parameter_table(cfg)["alpha"][0] == -0.8
+
+
+@pytest.mark.parametrize("convert", [list, tuple, np.array])
+def test_config_holds_theta_and_nu_as_tuples_of_floats(convert):
+    cfg = sw.SimulationConfig(dag=1, setup=1, theta=convert([-2, 0.5, 0.5]),
+                              nu=convert([-0.6, 1.2, 0.4, 0.5]))
+    default = sw.SimulationConfig(dag=1, setup=1)
+    assert cfg == default and hash(cfg) == hash(default)
+    for values in (cfg.theta, cfg.nu):
+        assert type(values) is tuple
+        assert all(type(value) is float for value in values)
 
 
 def test_config_integer_fields_take_numpy_integers():
@@ -272,8 +303,8 @@ def test_r_offset_exact_on_discrete_mini_population():
     s = (rng.random(n) < p_s).astype(float)
     pop = sw.Population(z1, z2, w, d, s, np.zeros(n), p_s,
                         np.full(n, 0.5))
-    result = sw.estimate_r_offset_mc(pop, z1_cutoffs=[0.5], z2_cutoffs=[0.5],
-                                     min_class_count=1)
+    result = estimate_r_offset_mc(pop, z1_cutoffs=[0.5], z2_cutoffs=[0.5],
+                                  min_class_count=1)
     for i in range(result.log_ratio.size):
         cell = ((z1 > 0.5) == result.z1_bin[i]) & ((z2 > 0.5) == result.z2_bin[i])
         p1 = s[cell & (d == 1)].mean()
@@ -284,9 +315,9 @@ def test_r_offset_exact_on_discrete_mini_population():
 def test_r_offset_skips_sparse_bins():
     cfg = sw.SimulationConfig(dag=1, setup=1, seed=3, n_population=900)
     pop = sw.generate_population(cfg, 0)
-    result = sw.estimate_r_offset_mc(pop, n_bins=(5, 5), min_class_count=50)
+    result = estimate_r_offset_mc(pop, n_bins=(5, 5), min_class_count=50)
     assert len(result.skipped) > 0
-    assert all(isinstance(item, sw.SparseBinError) for item in result.skipped)
+    assert all(isinstance(item, SparseBinError) for item in result.skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +359,59 @@ def test_run_replication_returns_all_requested_methods():
         se = np.sqrt(np.diag(res.model.vcov))
         gap = np.abs(res.model.coefficients[1:] - np.array(cfg.theta)[1:])
         assert np.all(gap <= 3 * se[1:]), res.method
+
+
+@pytest.fixture(scope="module")
+def dag3_source():
+    cfg = sw.SimulationConfig(dag=3, setup=1, seed=5, n_population=20_000)
+    return sim_mod.PopulationSource(sw.generate_population(cfg, 0))
+
+
+def _sandwich(kind, src, theta, weight_set):
+    """The variance of ``theta`` by the sandwich ``kind``, called directly."""
+    if kind == "two-step PL":
+        mask, internal_pi_ext = src.internal_overlap()
+        return sw.vcov_pl(theta, weight_set.alpha_hat, src.disease_design,
+                          src.outcome, src.selection_design,
+                          *src.external_sample, src.n_population,
+                          internal_in_external=mask,
+                          internal_pi_ext=internal_pi_ext)
+    if kind == "two-step CL":
+        return sw.vcov_cl(theta, weight_set.alpha_hat, src.disease_design,
+                          src.outcome, src.selection_design, src.n_population)
+    return sw.vcov_known_weights(theta, src.disease_design, src.outcome,
+                                 weight_set.pi_hat, src.n_population)
+
+
+@pytest.mark.parametrize("method, kind", [
+    ("unweighted", "fixed"), ("pl", "two-step PL"), ("sr", "fixed"),
+    ("ps", "fixed"), ("cl", "two-step CL"), ("oracle_weights", "fixed")])
+def test_a_methods_weight_set_picks_its_sandwich(dag3_source, method, kind):
+    src = dag3_source
+    weight_set = sim_mod.METHOD_TABLE[method](src)
+    if method == "unweighted":
+        assert weight_set.method == "unweighted"
+        ones = np.ones(src.outcome.size)
+        assert weight_set.pi_hat.tobytes() == ones.tobytes()
+    model = sim_mod.fit_method(src, weight_set)
+    fit = sw.fit_weighted_logistic(src.disease_design, src.outcome,
+                                   weight_set.pi_hat)
+    assert model.coefficients.tobytes() == fit.coefficients.tobytes()
+    expected = _sandwich(kind, src, model.coefficients, weight_set)
+    assert model.vcov.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("method", ["pl", "cl"])
+def test_a_post_processed_weight_set_takes_the_fixed_weight_sandwich(
+        dag3_source, method):
+    src = dag3_source
+    weight_set = sim_mod.METHOD_TABLE[method](src)
+    post = w_mod.estimated_weight_set(
+        1.0 / sw.winsorize_weights(weight_set.weights, 0.05, 0.95),
+        "post-processed")
+    model = sim_mod.fit_method(src, post)
+    expected = _sandwich("fixed", src, model.coefficients, post)
+    assert model.vcov.tobytes() == expected.tobytes()
 
 
 def test_run_replication_rejects_unknown_method():
@@ -439,13 +523,11 @@ def replication_bits(results):
             bits[method] = res.error
             continue
         ws = res.weight_set
+        alpha = b"" if ws.alpha_hat is None else ws.alpha_hat.tobytes()
         bits[method] = (res.model.coefficients.tobytes(),
-                        res.model.vcov.tobytes())
-        if ws is not None:
-            alpha = b"" if ws.alpha_hat is None else ws.alpha_hat.tobytes()
-            bits[method] += (ws.pi_hat.tobytes(), alpha,
-                             ws.diagnostics.get("clamped_low", 0),
-                             ws.diagnostics.get("clamped_high", 0))
+                        res.model.vcov.tobytes(), ws.pi_hat.tobytes(), alpha,
+                        ws.diagnostics.get("clamped_low", 0),
+                        ws.diagnostics.get("clamped_high", 0))
     return bits
 
 
@@ -487,14 +569,14 @@ def test_helper_threads_run_beside_the_caller_with_its_error_state(
     # two threads fit them at once; each records numpy's error state.
     both_started = threading.Barrier(2, timeout=30)
     seen = {}
-    estimate_pi = sim_mod.estimate_pi
+    fit_method = sim_mod.fit_method
 
-    def recorded(method, src):
+    def recorded(src, weight_set):
         both_started.wait()
         seen[threading.get_ident()] = np.geterr()
-        return estimate_pi(method, src)
+        return fit_method(src, weight_set)
 
-    monkeypatch.setattr(sim_mod, "estimate_pi", recorded)
+    monkeypatch.setattr(sim_mod, "fit_method", recorded)
     cpus(2)
     cfg = sw.SimulationConfig(dag=1, setup=1, seed=2, n_population=5000)
     with np.errstate(divide="ignore", over="raise", invalid="print"):

@@ -10,6 +10,8 @@ import selweight as sw
 from selweight import solver
 from selweight import weights as w_mod
 
+from conftest import logit
+
 
 def bisect(f, lo, hi, iters=200):
     flo = f(lo)
@@ -500,8 +502,8 @@ def test_cl_binary_covariate_matches_bisection_oracle():
     # 10 / expit(a0 + a1) = 50 and 30 / expit(a0) = 50.
     p1 = bisect(lambda p: 10.0 / p - 50.0, 1e-6, 1 - 1e-6)
     p0 = bisect(lambda p: 30.0 / p - 50.0, 1e-6, 1 - 1e-6)
-    a0 = sw.logit(p0)
-    a1 = sw.logit(p1) - a0
+    a0 = logit(p0)
+    a1 = logit(p1) - a0
     assert ws.alpha_hat[0] == pytest.approx(a0, abs=1e-8)
     assert ws.alpha_hat[1] == pytest.approx(a1, abs=1e-8)
 
