@@ -104,22 +104,17 @@ def build_parser():
     return parser
 
 
-def _float_tuple(key, size):
-    def parse(text):
-        parts = tuple(float(p) for p in text.split(","))
-        if len(parts) != size:
-            raise ValidationError(f"{key} needs {size} comma-separated values")
-        return parts
+def _read_config(path):
+    """The scenario fields set in the ``key=value`` file ``path``.  Its keys
+    are :class:`SimulationConfig`'s fields: a tuple takes comma-separated
+    floats, a float one float and an int or optional int one int.  The
+    record checks the values, a tuple's length among them."""
+    def floats(text):
+        return tuple(float(part) for part in text.split(","))
 
-    return parse
-
-
-# SimulationConfig fields settable from a --config file, with their parsers.
-_CONFIG_PARSERS = {"dag": int, "setup": int, "n_population": int,
-                   "replications": int, "seed": int, "alpha0": float,
-                   "alpha2": float, "alpha3": float, "external_scale": float,
-                   "setup2_scale": float, "z_correlation": float,
-                   "theta": _float_tuple("theta", 3), "nu": _float_tuple("nu", 4)}
+    return read_key_values(path, {
+        f.name: {tuple: floats, float: float}.get(f.type, int)
+        for f in dataclasses.fields(SimulationConfig)})
 
 
 class FileSource:
@@ -297,7 +292,7 @@ def cli_weights(args):
 
 def cli_simulate(args):
     methods = tuple(m.strip() for m in args.method.split(",") if m.strip())
-    settings = read_key_values(args.config, _CONFIG_PARSERS) if args.config else {}
+    settings = _read_config(args.config) if args.config else {}
     overrides = {"dag": args.dag, "setup": args.setup,
                  "n_population": args.population_size,
                  "replications": args.replications, "seed": args.seed}

@@ -8,6 +8,7 @@ significant digits so round-trips preserve every double exactly.
 """
 
 import csv
+import dataclasses
 import json
 import math
 import warnings
@@ -31,15 +32,6 @@ from .fitters import DesignMatrix, build_design
 from .weights import PopulationSummary, non_integer
 
 MISSING_TOKENS = {"", "na", "nan", "null", "n/a"}
-
-ROLE_KEYS = (
-    "outcome",
-    "disease_covariates",
-    "selection_covariates",
-    "selection_indicator",
-    "external_indicator",
-    "external_prob",
-)
 
 
 @dataclass
@@ -77,14 +69,11 @@ class ColumnRoleMap:
             raise ValidationError(f"columns {sorted(clash)} mapped to multiple roles")
 
     def mapped_columns(self):
-        names = [self.outcome]
-        names += list(self.disease_covariates)
-        names += [c for c in self.selection_covariates if c not in names]
-        for extra in (self.selection_indicator, self.external_indicator,
-                      self.external_prob):
-            if extra:
-                names.append(extra)
-        return names
+        """Every mapped column once, in field order."""
+        names = chain.from_iterable(
+            getattr(self, f.name) if f.type is list else [getattr(self, f.name)]
+            for f in dataclasses.fields(self))
+        return list(dict.fromkeys(name for name in names if name))
 
 
 def read_key_values(path, parsers):
@@ -113,26 +102,22 @@ def read_key_values(path, parsers):
                 raise ValidationError(
                     f"{path}:{lineno}: cannot parse value for {key!r}"
                 ) from None
-            except ValidationError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from None
     return values
 
 
 def parse_role_map(path):
-    """Read a key=value roles file; unknown keys are rejected."""
-    values = read_key_values(path, dict.fromkeys(ROLE_KEYS, str))
-    lists = {
-        k: [part.strip() for part in values[k].split(",") if part.strip()]
-        for k in ("disease_covariates", "selection_covariates") if k in values
-    }
-    return ColumnRoleMap(
-        outcome=values.get("outcome", ""),
-        disease_covariates=lists.get("disease_covariates", []),
-        selection_covariates=lists.get("selection_covariates", []),
-        selection_indicator=values.get("selection_indicator") or None,
-        external_indicator=values.get("external_indicator") or None,
-        external_prob=values.get("external_prob") or None,
-    )
+    """Read a key=value roles file whose keys are :class:`ColumnRoleMap`'s
+    fields.  A list field takes comma-separated names and any other field
+    one name; a key that is absent or empty is unset, and an unknown key is
+    an error."""
+    def names(text):
+        return [name for name in map(str.strip, text.split(",")) if name]
+
+    parsers = {f.name: names if f.type is list else (lambda text: text or None)
+               for f in dataclasses.fields(ColumnRoleMap)}
+    values = {key: parse("") for key, parse in parsers.items()}
+    values.update(read_key_values(path, parsers))
+    return _read_record(path, ColumnRoleMap, **values)
 
 
 @dataclass
@@ -433,9 +418,9 @@ def _load_joint_cells(path):
         warnings.append(
             f"cell probabilities summed to {total:.6f}; renormalized to 1"
         )
-    return _summary(path, "joint_cells", levels=levels,
-                    probabilities=probabilities, names=level_names,
-                    warnings=warnings)
+    return _read_record(path, PopulationSummary, "joint_cells", levels=levels,
+                        probabilities=probabilities, names=level_names,
+                        warnings=warnings)
 
 
 def _load_marginal_means(path):
@@ -468,15 +453,16 @@ def _load_marginal_means(path):
         raise MissingNError(f"{path}: no 'N' row with the population size")
     if not names:
         raise ValidationError(f"{path}: no marginal means found")
-    return _summary(path, "marginal_means", means=np.asarray(means),
-                    names=names, population_size=population_size)
+    return _read_record(path, PopulationSummary, "marginal_means",
+                        means=np.asarray(means), names=names,
+                        population_size=population_size)
 
 
-def _summary(path, kind, **fields):
-    """The :class:`PopulationSummary` read from ``path``; an error in its
-    fields names the file, and keeps its type."""
+def _read_record(path, record, *args, **values):
+    """``record(*args, **values)``, a record read from the file ``path``; a
+    :class:`ValidationError` it raises names the file, and keeps its type."""
     try:
-        return PopulationSummary(kind, **fields)
+        return record(*args, **values)
     except ValidationError as exc:
         raise type(exc)(f"{path}: {exc}") from None
 

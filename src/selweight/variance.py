@@ -51,11 +51,13 @@ class SandwichComponents:
     variance is invariant to that sign.  ``g_alpha`` is the theta score's
     derivative in alpha and ``e1``..``e4`` are the meat pieces of the
     two-step estimators (``e_hat = e1 - e2 - e3 + e4``); for the
-    known-weights form only ``e1`` is present and equals ``e_hat``.
+    known-weights form only ``e1`` is present and equals ``e_hat``.  Every
+    block is a mean over the population size ``n_population``.
     """
 
     g_theta: np.ndarray
     e_hat: np.ndarray
+    n_population: float
     g_alpha: Optional[np.ndarray] = None
     h_hat: Optional[np.ndarray] = None
     e1: Optional[np.ndarray] = None
@@ -63,13 +65,12 @@ class SandwichComponents:
     e3: Optional[np.ndarray] = None
     e4: Optional[np.ndarray] = None
 
-    def vcov(self, n_population):
+    def vcov(self):
         """The symmetrised sandwich ``G^-1 e_hat G^-T / N`` of these blocks,
-        with ``G`` the bread of positive sign and ``N`` the positive finite
-        number ``n_population``."""
-        n = population_size(n_population, "n_population")
+        with ``G`` the bread of positive sign and ``N`` their
+        ``n_population``."""
         g_inv = _invert(-self.g_theta, SingularBreadError, "bread matrix")
-        v = g_inv @ self.e_hat @ g_inv.T / n
+        v = g_inv @ self.e_hat @ g_inv.T / self.n_population
         return 0.5 * (v + v.T)
 
 
@@ -180,7 +181,8 @@ def _stacked_components(theta_hat, design, outcome, pi, n_population,
     g_pos = weighted_cross(z, mu * (1.0 - mu) / pi, z) / n
     e1 = weighted_cross(z, (d - mu) ** 2 / pi**2, z) / n
     if selection is None:
-        return SandwichComponents(g_theta=-g_pos, e_hat=e1, e1=e1)
+        return SandwichComponents(g_theta=-g_pos, e_hat=e1, n_population=n,
+                                  e1=e1)
     xi, blocks, what = selection
     resid = d - mu
     h_pos, cross, bracket = blocks(z, resid, n)
@@ -189,8 +191,8 @@ def _stacked_components(theta_hat, design, outcome, pi, n_population,
     e2 = k @ cross
     e4 = k @ bracket @ k.T
     return SandwichComponents(g_theta=-g_pos, e_hat=e1 - e2 - e2.T + e4,
-                              g_alpha=-g_alpha_pos, h_hat=-h_pos,
-                              e1=e1, e2=e2, e3=e2.T, e4=e4)
+                              n_population=n, g_alpha=-g_alpha_pos,
+                              h_hat=-h_pos, e1=e1, e2=e2, e3=e2.T, e4=e4)
 
 
 def known_weights_components(theta_hat, design, outcome, pi, n_population):
@@ -202,7 +204,7 @@ def known_weights_components(theta_hat, design, outcome, pi, n_population):
 def vcov_known_weights(theta_hat, design, outcome, pi, n_population):
     """Sandwich variance treating the selection probabilities as known."""
     return known_weights_components(theta_hat, design, outcome, pi,
-                                    n_population).vcov(n_population)
+                                    n_population).vcov()
 
 
 def pl_components(theta_hat, alpha_hat, design, outcome, selection_design,
@@ -259,7 +261,7 @@ def vcov_pl(theta_hat, alpha_hat, design, outcome, selection_design,
     return pl_components(theta_hat, alpha_hat, design, outcome,
                          selection_design, external_design, pi_ext,
                          n_population, internal_in_external,
-                         internal_pi_ext).vcov(n_population)
+                         internal_pi_ext).vcov()
 
 
 def cl_components(theta_hat, alpha_hat, design, outcome, selection_design,
@@ -281,7 +283,7 @@ def vcov_cl(theta_hat, alpha_hat, design, outcome, selection_design,
             n_population):
     """Two-step sandwich variance for the calibration estimator."""
     return cl_components(theta_hat, alpha_hat, design, outcome,
-                         selection_design, n_population).vcov(n_population)
+                         selection_design, n_population).vcov()
 
 
 def wald_ci(theta_hat, vcov, level=0.95):

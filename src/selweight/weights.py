@@ -294,11 +294,19 @@ def augment_weights_with_outcome(w0, outcome, p_pop, p_int):
     return w0 * ratio
 
 
+def _sample_design(design, sample, names=None):
+    """``design`` coerced (see ``fitters.coerce_design``); the ``sample``
+    it holds needs at least one row."""
+    design = coerce_design(design, names)
+    if design.n == 0:
+        raise ValidationError(f"the {sample} sample has no rows")
+    return design
+
+
 def _design_pair(internal_X, external_X):
-    internal_X = coerce_design(internal_X)
-    external_X = coerce_design(external_X, internal_X.column_names)
-    if external_X.n == 0:
-        raise ValidationError("the external sample has no rows")
+    internal_X = _sample_design(internal_X, "internal")
+    external_X = _sample_design(external_X, "external",
+                                internal_X.column_names)
     if internal_X.p != external_X.p:
         raise ValidationError("internal and external designs have different widths")
     if internal_X.column_names != external_X.column_names:
@@ -490,7 +498,7 @@ def estimate_weights_cl(internal_X, summary):
     """
     if summary.kind != "marginal_means":
         raise ValidationError("calibration requires a marginal_means summary")
-    internal_X = coerce_design(internal_X)
+    internal_X = _sample_design(internal_X, "internal")
     x = internal_X.matrix
     n, p = x.shape
     n_pop = float(summary.population_size)

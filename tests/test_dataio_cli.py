@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import dataclasses
 import inspect
 import io
 import json
@@ -87,6 +88,69 @@ def test_role_map_rejects_role_clashes():
     with pytest.raises(sw.ValidationError):
         sw.ColumnRoleMap(outcome="d", disease_covariates=["z", "z"],
                          selection_covariates=[])
+
+
+def key_value_lines(record):
+    """A ``key=value`` line for every field of ``record``; a list or tuple
+    is comma-separated, and a float has its shortest exact text."""
+    lines = []
+    for f in dataclasses.fields(record):
+        value = getattr(record, f.name)
+        if isinstance(value, (list, tuple)):
+            value = ",".join(map(str, value))
+        lines.append(f"{f.name}={value}")
+    return lines
+
+
+def test_a_roles_file_of_every_field_reads_back_to_its_record(tmp_path):
+    roles = sw.ColumnRoleMap(outcome="d", disease_covariates=["z1", "z2"],
+                             selection_covariates=["z2", "w"],
+                             selection_indicator="s", external_indicator="s_ext",
+                             external_prob="pi_ext")
+    assert all(getattr(roles, f.name) for f in dataclasses.fields(roles))
+    path = tmp_path / "roles.cfg"
+    write_lines(path, key_value_lines(roles))
+    assert sw.parse_role_map(path) == roles
+
+
+def test_an_absent_or_empty_role_is_unset(tmp_path):
+    path = tmp_path / "roles.cfg"
+    write_lines(path, ["outcome=d", "disease_covariates=z1,,z2 ",
+                       "selection_indicator=", "external_prob= "])
+    assert sw.parse_role_map(path) == sw.ColumnRoleMap(
+        outcome="d", disease_covariates=["z1", "z2"], selection_covariates=[])
+
+
+def test_a_config_file_of_every_field_reads_back_to_its_record(tmp_path):
+    cfg = sw.SimulationConfig(
+        dag=2, setup=3, n_population=4321, replications=7, seed=11,
+        theta=(-1.5, 0.25, 0.1), alpha0=-0.7, alpha2=0.35, alpha3=0.9,
+        nu=(-0.5, 1.1, 0.3, 0.45), external_scale=0.6, setup2_scale=0.3,
+        z_correlation=-0.2)
+    assert all(getattr(cfg, f.name) != f.default
+               for f in dataclasses.fields(cfg))
+    path = tmp_path / "scenario.cfg"
+    write_lines(path, key_value_lines(cfg))
+    assert sw.SimulationConfig(**cli._read_config(path)) == cfg
+
+
+@pytest.mark.parametrize("lines, message", [
+    (["disease_covariates=z1"], "an outcome column is required"),
+    (["outcome=d", "disease_covariates=z1,z1"],
+     "duplicate names in disease_covariates"),
+    (["outcome=d", "disease_covariates=z1", "selection_covariates=d"],
+     "columns ['d'] mapped to multiple roles"),
+])
+def test_cli_roles_file_errors_name_the_file(tmp_path, lines, message):
+    roles = tmp_path / "roles.cfg"
+    write_lines(roles, lines)
+    data = tmp_path / "data.csv"
+    write_lines(data, ["d,z1", "1,0.5", "0,1.5"])
+    out = tmp_path / "out.csv"
+    code, stderr = run_main(["fit", "--method", "unweighted", "--data", data,
+                             "--roles", roles, "--out", out])
+    assert (code, stderr) == (2, [f"error: validation: {roles}: {message}"])
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -1525,6 +1589,8 @@ def test_cli_simulate_config_rejects_unknown_key(tmp_path):
     (1, "external_scale=0", "external_scale must lie in (0, 1]"),
     (1, "external_scale=1.5", "external_scale must lie in (0, 1]"),
     (1, "theta=-2,0.5,inf", "theta must be 3 finite numbers"),
+    (1, "theta=-2,0.5", "theta must be 3 finite numbers"),
+    (1, "nu=-0.6,1.2,0.4,0.5,1", "nu must be 4 finite numbers"),
     (1, "alpha3=nan", "alpha3 must be finite"),
 ])
 def test_cli_simulate_config_rejects_values_the_draw_cannot_use(

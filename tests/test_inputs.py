@@ -236,11 +236,6 @@ CALLS = {
                 dict(theta_hat="theta", alpha_hat="alpha", design="z",
                      outcome="d", selection_design="xi", n_population="n_pop")),
     "wald_ci": (sw.wald_ci, dict(theta_hat="theta", vcov="vcov")),
-    "SandwichComponents.vcov": (
-        lambda n_population: known_weights_components(
-            INPUTS["theta"], INPUTS["z"], INPUTS["d"], INPUTS["pi"],
-            N_POP).vcov(n_population),
-        dict(n_population="n_pop")),
 }
 
 # The argument-role table: (call, argument) -> the argument's role.  A
@@ -277,7 +272,6 @@ ROLES = {
     ("vcov_known_weights", "n_population"): "population size",
     ("vcov_pl", "n_population"): "population size",
     ("vcov_cl", "n_population"): "population size",
-    ("SandwichComponents.vcov", "n_population"): "population size",
 }
 
 
@@ -426,6 +420,18 @@ MALFORMED = {
         lambda: sw.estimate_weights_pl(INPUTS["xi"], INPUTS["xe"][:0],
                                        INPUTS["pi_ext"][:0]),
         "the external sample has no rows$"),
+    "estimate_weights_pl[empty internal sample]": (
+        lambda: sw.estimate_weights_pl(INPUTS["xi"][:0], INPUTS["xe"],
+                                       INPUTS["pi_ext"]),
+        "the internal sample has no rows$"),
+    "estimate_weights_sr[empty internal sample]": (
+        lambda: sw.estimate_weights_sr(INPUTS["xi"][:0], INPUTS["xe"],
+                                       INPUTS["pi_ext"], INPUTS["in_ext"][:0],
+                                       np.zeros(N_EXT, dtype=bool)),
+        "the internal sample has no rows$"),
+    "estimate_weights_cl[empty internal sample]": (
+        lambda: sw.estimate_weights_cl(INPUTS["xi"][:0], _cl_summary()),
+        "the internal sample has no rows$"),
 }
 
 

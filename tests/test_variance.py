@@ -521,3 +521,14 @@ def test_pl_ignores_unflagged_overlap_probabilities():
     args = _pl_args()
     assert np.isnan(args["internal_pi_ext"][~args["internal_in_external"]]).all()
     assert np.all(np.isfinite(sw.vcov_pl(**args)))
+
+
+@pytest.mark.parametrize("components, vcov, args", [
+    (known_weights_components, sw.vcov_known_weights, _known_args),
+    (pl_components, sw.vcov_pl, _pl_args),
+    (cl_components, sw.vcov_cl, _cl_args)])
+def test_components_keep_the_population_size_they_were_divided_by(
+        components, vcov, args):
+    comp = components(**args())
+    assert comp.n_population == args()["n_population"]
+    assert comp.vcov().tobytes() == vcov(**args()).tobytes()
