@@ -29,17 +29,19 @@ from .errors import (
     ValidationError,
 )
 from .fitters import DesignMatrix, build_design
-from .weights import PopulationSummary, non_integer
+from .weights import PopulationSummary
 
 MISSING_TOKENS = {"", "na", "nan", "null", "n/a"}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ColumnRoleMap:
     """Mapping from model roles to dataset column names.
 
     Covariates shared by the disease and selection models appear in both
-    lists; that is how the shared group is declared.
+    lists; that is how the shared group is declared.  The fields cannot be
+    assigned, so every map has passed the role checks; a changed copy comes
+    from ``dataclasses.replace``, which checks it again.
     """
 
     outcome: str
@@ -169,6 +171,10 @@ def _parse_cell(text, path, row_number, column):
         ) from None
 
 
+# Integer cells are stored as int64, which holds magnitudes below 2**63.
+INT64_LIMIT = 2.0**63
+
+
 def integer_cells(values, columns, path, rows=None):
     """The int64 form of a matrix of parsed numbers, one column per name.
 
@@ -177,7 +183,7 @@ def integer_cells(values, columns, path, rows=None):
     for matrix row i, or its 1-based position) and the column.
     """
     values = np.asarray(values, dtype=float).reshape(-1, len(columns))
-    bad = non_integer(values)
+    bad = ~(np.abs(values) < INT64_LIMIT) | (values != np.floor(values))
     if bad.any():
         i, j = np.argwhere(bad)[0]
         row = i + 1 if rows is None else rows[i]

@@ -14,7 +14,14 @@ class SingularJacobianError(SelweightError):
 
 
 class NonConvergenceError(SelweightError):
-    """An iterative fit stopped before meeting its tolerances."""
+    """An iterative fit stopped before meeting its tolerances.
+
+    ``report`` is the stopped solve's ``SolveReport`` where one ran.
+    """
+
+    def __init__(self, message, report=None):
+        super().__init__(message)
+        self.report = report
 
 
 class SeparationError(NonConvergenceError):

@@ -98,10 +98,19 @@ def weighted_cross(a, v, b):
     return weighted.T @ b
 
 
+def numeric_array(values, what, dtype=float):
+    """``values`` as an array of ``dtype``; text or any other entry that
+    does not convert raises ``ValidationError("<what> must be numbers")``."""
+    try:
+        return np.asarray(values, dtype=dtype)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must be numbers") from None
+
+
 def row_vector(values, n, what, dtype=float):
     """``values`` flattened to a vector of ``dtype`` (None keeps its own),
     which must hold one entry per design row, ``n`` in all."""
-    v = np.asarray(values, dtype=dtype).ravel()
+    v = numeric_array(values, what, dtype).ravel()
     if v.size != n:
         raise ValidationError(f"{what} have {v.size} entries for {n} design rows")
     return v
@@ -133,7 +142,7 @@ def coefficients_for(x, coef, what, ndim=1):
     """``coef`` as a float array of ``ndim`` axes whose last axis has one
     entry per column of the design matrix ``x``, each finite; otherwise a
     ValidationError names ``what``.  Public calls check here, never a trial."""
-    coef = np.asarray(coef, dtype=float)
+    coef = numeric_array(coef, what)
     p = x.shape[1]
     if coef.ndim != ndim or coef.shape[-1] != p:
         expected = f"(k, {p})" if ndim == 2 else f"({p},)"
@@ -166,7 +175,10 @@ class DesignMatrix:
     has_intercept: bool = True
 
     def __post_init__(self):
-        self.matrix = np.ascontiguousarray(self.matrix, dtype=float)
+        self.matrix = np.ascontiguousarray(
+            numeric_array(self.matrix, "design matrix entries"))
+        if not isinstance(self.column_names, (list, tuple)):
+            raise ValidationError("column_names must be a list of names")
         if self.matrix.ndim != 2:
             raise ValidationError("design matrix must be two-dimensional")
         if self.matrix.shape[1] == 0:
@@ -195,7 +207,7 @@ def build_design(columns, names=None):
     intercept is named ``intercept``.  The C-ordered matrix is filled one
     column at a time.
     """
-    cols = [np.asarray(c, dtype=float).ravel() for c in columns]
+    cols = [numeric_array(c, "design columns").ravel() for c in columns]
     if not cols:
         raise ValidationError("at least one design column is required")
     n = cols[0].size
@@ -245,7 +257,7 @@ def coerce_design(design, names=None):
     an asserted intercept, its columns named ``names`` (default x0, x1, ...)."""
     if isinstance(design, DesignMatrix):
         return design
-    matrix = np.asarray(design, dtype=float)
+    matrix = numeric_array(design, "design entries")
     if matrix.ndim != 2:
         raise ValidationError("design must be a 2-d array or DesignMatrix")
     if names is None:
@@ -254,18 +266,28 @@ def coerce_design(design, names=None):
 
 
 def solve_fit(what, score, init):
-    """Newton-solve the ``score`` of the fit ``what``; a singular Jacobian is
-    raised as a :class:`RankDeficientDesignError` naming the fit."""
+    """The converged Newton solve of the ``score`` of the fit ``what``.
+
+    A singular Jacobian is raised as a :class:`RankDeficientDesignError`
+    naming the fit, and a solve that stops unconverged as a
+    :class:`NonConvergenceError` whose ``report`` is the solve's.
+    """
     try:
-        return solve_estimating_equation(score, init)
+        report = solve_estimating_equation(score, init)
     except SingularJacobianError as exc:
         raise RankDeficientDesignError(
             f"{what}: design is rank deficient: {exc}") from exc
+    if not report.converged:
+        raise NonConvergenceError(
+            f"{what} did not converge: {report.message} "
+            f"(residual {report.final_residual_norm:.3e} after "
+            f"{report.iterations} iterations)", report)
+    return report
 
 
 def _solve_guarded(what, score, init):
-    """:func:`solve_fit` of a logistic-family fit, which must converge, with
-    a coefficient-magnitude guard on its score."""
+    """:func:`solve_fit` of a logistic-family fit, with a
+    coefficient-magnitude guard on its score."""
 
     def guarded(theta):
         if np.max(np.abs(theta)) > SEPARATION_BOUND:
@@ -275,22 +297,19 @@ def _solve_guarded(what, score, init):
             )
         return score(theta)
 
-    report = solve_fit(what, guarded, init)
-    if not report.converged:
-        raise NonConvergenceError(
-            f"{what} did not converge: {report.message} "
-            f"(residual {report.final_residual_norm:.3e} after {report.iterations} iterations)"
-        )
-    return report
+    return solve_fit(what, guarded, init)
 
 
 def fit_weighted_logistic(design, outcome, pi=None):
     """Inverse-probability-weighted logistic regression.
 
-    Solves ``(1/n) sum (1/pi_i) (d_i - expit(theta'z_i)) z_i = 0``.  Passing
-    ``pi=None`` (or all ones) gives the ordinary unweighted fit.  The
-    variance slot of the returned model is left empty; the variance module
-    fills it with the appropriate sandwich estimator.
+    Solves ``(1/n) sum (1/pi_i) (d_i - expit(theta'z_i)) z_i = 0`` for 0/1
+    outcomes ``d`` and selection probabilities ``pi`` in (0, 1], one of each
+    per design row.  Passing ``pi=None`` (or all ones) gives the ordinary
+    unweighted fit.  A solve that stops unconverged raises the
+    :class:`NonConvergenceError` of :func:`solve_fit`.  The variance slot of
+    the returned model is left empty; the variance module fills it with the
+    appropriate sandwich estimator.
     """
     design = coerce_design(design)
     x = design.matrix

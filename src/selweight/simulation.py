@@ -36,7 +36,13 @@ from .errors import (
     ValidationError,
 )
 from .fitters import FittedModel, build_design, expit, fit_weighted_logistic
-from .variance import normal_quantile, vcov_cl, vcov_known_weights, vcov_pl
+from .variance import (
+    CI_LEVEL,
+    normal_quantile,
+    vcov_cl,
+    vcov_known_weights,
+    vcov_pl,
+)
 from .weights import (
     PopulationSummary,
     WeightSet,
@@ -446,7 +452,7 @@ def _weights_cl(src):
 
 def _weights_oracle(src):
     pi = src.population.pi_true[src.internal]
-    return WeightSet(pi, "known", diagnostics={"source": "true"})
+    return WeightSet(pi, "known")
 
 
 # The one place a method is paired with its weight estimator, which maps a
@@ -556,10 +562,6 @@ def _replicate(cfg, replication_index, methods, helpers):
     results = _run_tasks([partial(_fit_one, method, src)
                           for method in methods], helpers)
     return dict(zip(methods, results))
-
-
-# Coverage is that of the two-sided Wald interval at this level.
-CI_LEVEL = 0.95
 
 
 @dataclass

@@ -20,7 +20,6 @@ designs, by ``fitters.coefficients_for``; and ``n_population`` as a
 positive finite number.
 """
 
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -32,6 +31,7 @@ from .fitters import (
     coefficients_for,
     coerce_design,
     expit,
+    numeric_array,
     population_size,
     probability_vector,
     row_vector,
@@ -39,6 +39,10 @@ from .fitters import (
 )
 from .solver import SingularJacobianError, invert_matrix
 from .weights import logistic_selection_pi
+
+# Wald intervals, the CLI's and those a study's coverage counts, are
+# two-sided at this level.
+CI_LEVEL = 0.95
 
 
 @dataclass
@@ -49,8 +53,8 @@ class SandwichComponents:
     them.  ``g_theta`` (bread) and ``h_hat`` follow the negative-definite
     sign convention of the underlying score derivatives; the assembled
     variance is invariant to that sign.  ``g_alpha`` is the theta score's
-    derivative in alpha and ``e1``..``e4`` are the meat pieces of the
-    two-step estimators (``e_hat = e1 - e2 - e3 + e4``); for the
+    derivative in alpha and ``e1``, ``e2`` and ``e4`` are the meat pieces
+    of the two-step estimators (``e_hat = e1 - e2 - e2' + e4``); for the
     known-weights form only ``e1`` is present and equals ``e_hat``.  Every
     block is a mean over the population size ``n_population``.
     """
@@ -62,7 +66,6 @@ class SandwichComponents:
     h_hat: Optional[np.ndarray] = None
     e1: Optional[np.ndarray] = None
     e2: Optional[np.ndarray] = None
-    e3: Optional[np.ndarray] = None
     e4: Optional[np.ndarray] = None
 
     def vcov(self):
@@ -81,7 +84,7 @@ def normal_quantile(p, *, out=None):
     or arrays.  Given ``out``, an array of ``p``'s shape that may be ``p``
     itself, the quantiles are written there and ``out`` is returned.
     """
-    p = np.asarray(p, dtype=float)
+    p = numeric_array(p, "probabilities")
     scalar = p.ndim == 0
     p = np.atleast_1d(p)
     if not np.all((p > 0.0) & (p < 1.0)):  # also rejects NaN
@@ -192,7 +195,7 @@ def _stacked_components(theta_hat, design, outcome, pi, n_population,
     e4 = k @ bracket @ k.T
     return SandwichComponents(g_theta=-g_pos, e_hat=e1 - e2 - e2.T + e4,
                               n_population=n, g_alpha=-g_alpha_pos,
-                              h_hat=-h_pos, e1=e1, e2=e2, e3=e2.T, e4=e4)
+                              h_hat=-h_pos, e1=e1, e2=e2, e4=e4)
 
 
 def known_weights_components(theta_hat, design, outcome, pi, n_population):
@@ -209,7 +212,7 @@ def vcov_known_weights(theta_hat, design, outcome, pi, n_population):
 
 def pl_components(theta_hat, alpha_hat, design, outcome, selection_design,
                   external_design, pi_ext, n_population,
-                  internal_in_external, internal_pi_ext=None):
+                  internal_in_external, internal_pi_ext):
     xi = coerce_design(selection_design).matrix
     xe = coerce_design(external_design).matrix
     alpha_hat = coefficients_for(xi, alpha_hat, "alpha_hat")
@@ -218,14 +221,8 @@ def pl_components(theta_hat, alpha_hat, design, outcome, selection_design,
                                 "external design probabilities")
     mask = row_vector(internal_in_external, xi.shape[0], "internal_in_external", dtype=bool)
     rows = np.flatnonzero(mask)
-    if rows.size:
-        if internal_pi_ext is None:
-            raise ValidationError(
-                "internal_pi_ext is required when internal units overlap "
-                "the external sample"
-            )
-        pi_ext_both = probability_vector(internal_pi_ext, mask.size,
-                                         "internal_pi_ext", rows)
+    pi_ext_both = probability_vector(internal_pi_ext, mask.size,
+                                     "internal_pi_ext", rows)
     pi_int = logistic_selection_pi(xi, alpha_hat)
     pi_at_ext = logistic_selection_pi(xe, alpha_hat)
 
@@ -251,12 +248,13 @@ def pl_components(theta_hat, alpha_hat, design, outcome, selection_design,
 
 def vcov_pl(theta_hat, alpha_hat, design, outcome, selection_design,
             external_design, pi_ext, n_population,
-            internal_in_external, internal_pi_ext=None):
+            internal_in_external, internal_pi_ext):
     """Two-step sandwich variance for the pseudolikelihood estimator.
 
     ``internal_in_external`` flags internal units also present in the
-    external sample; their known external probabilities go in
-    ``internal_pi_ext`` (entries outside the mask are ignored).
+    external sample.  ``internal_pi_ext`` has one entry per internal row:
+    the known external probabilities of the flagged rows, each in (0, 1];
+    the other entries are ignored.
     """
     return pl_components(theta_hat, alpha_hat, design, outcome,
                          selection_design, external_design, pi_ext,
@@ -286,18 +284,19 @@ def vcov_cl(theta_hat, alpha_hat, design, outcome, selection_design,
                          selection_design, n_population).vcov()
 
 
-def wald_ci(theta_hat, vcov, level=0.95):
-    """Per-coefficient Wald intervals; returns an array of (lower, upper) rows."""
-    theta_hat = np.asarray(theta_hat, dtype=float).ravel()
-    vcov = np.asarray(vcov, dtype=float)
-    diag = np.diag(vcov) if vcov.ndim == 2 else vcov
-    if diag.size != theta_hat.size:
-        raise ValidationError("vcov dimension does not match theta_hat")
+def wald_ci(theta_hat, vcov):
+    """Per-coefficient two-sided Wald intervals at ``CI_LEVEL`` of the
+    estimates ``theta_hat`` and their covariance matrix ``vcov``; returns an
+    array of (lower, upper) rows."""
+    theta_hat = numeric_array(theta_hat, "theta_hat").ravel()
+    vcov = numeric_array(vcov, "vcov")
+    k = theta_hat.size
+    if vcov.shape != (k, k):
+        raise ValidationError(f"vcov has shape {vcov.shape}, not ({k}, {k})")
+    diag = np.diag(vcov)
     if not (np.all(np.isfinite(theta_hat)) and np.all(np.isfinite(diag))):
         raise ValidationError("theta_hat and the vcov diagonal must be finite")
     if np.any(diag < 0.0):
         raise ValidationError("vcov has negative diagonal entries")
-    if not (isinstance(level, numbers.Real) and 0.0 < level < 1.0):
-        raise ValidationError("level must lie in (0, 1)")
-    half = normal_quantile(0.5 * (1.0 + level)) * np.sqrt(diag)
+    half = normal_quantile(0.5 * (1.0 + CI_LEVEL)) * np.sqrt(diag)
     return np.column_stack([theta_hat - half, theta_hat + half])

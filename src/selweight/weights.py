@@ -10,6 +10,7 @@ support the weight-stabilization workflow.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -21,7 +22,6 @@ from .errors import (
     DuplicateCellError,
     InfeasibleTotalsError,
     NonConvergenceError,
-    NonIntegerCellError,
     UnmatchedCellError,
     ValidationError,
 )
@@ -33,6 +33,7 @@ from .fitters import (
     expit,
     fit_multinomial,
     fit_simplex_regression,
+    numeric_array,
     population_size,
     probability_vector,
     row_vector,
@@ -89,9 +90,10 @@ class PopulationSummary:
     """Target-population summary: joint cells or marginal means plus size.
 
     Joint cells are the rows of ``levels`` (distinct integer rows) with
-    ``probabilities`` summing to one.  ``means`` holds marginal means aligned
-    with ``names``; ``population_size`` is required for marginal summaries
-    and optional (but needed by post-stratification scaling) for joint ones.
+    ``probabilities`` summing to one.  ``means`` holds marginal means, one
+    per name in ``names``; ``population_size`` is required for marginal
+    summaries and optional (but needed by post-stratification scaling) for
+    joint ones.
     When given, it must be a positive finite number.  The fields cannot be
     assigned, so every summary has passed these checks; a changed copy comes
     from ``dataclasses.replace``, which checks it again.
@@ -110,8 +112,8 @@ class PopulationSummary:
             population_size(self.population_size, "population_size")
         if self.kind == "joint_cells":
             object.__setattr__(self, "levels", np.asarray(self.levels))
-            object.__setattr__(self, "probabilities",
-                               np.asarray(self.probabilities, dtype=float))
+            object.__setattr__(self, "probabilities", numeric_array(
+                self.probabilities, "cell probabilities"))
             k = self.probabilities.size
             if (self.levels.ndim != 2 or self.levels.shape[1] == 0 or k == 0
                     or self.probabilities.shape != (k,) or len(self.levels) != k):
@@ -138,16 +140,15 @@ class PopulationSummary:
                     "marginal_means summary requires means and population_size"
                 )
             object.__setattr__(self, "means",
-                               np.asarray(self.means, dtype=float))
+                               numeric_array(self.means, "marginal means"))
             if not np.all(np.isfinite(self.means)):
                 raise ValidationError("marginal means must be finite")
-            if self.names is not None:
-                if len(self.names) != self.means.size:
-                    raise ValidationError("names length does not match means")
-                repeated = [n for i, n in enumerate(self.names)
-                            if n in self.names[:i]]
-                if repeated:
-                    raise ValidationError(f"name {repeated[0]!r} is repeated")
+            if self.names is None or len(self.names) != self.means.size:
+                raise ValidationError("marginal means need one name each")
+            repeated = [n for i, n in enumerate(self.names)
+                        if n in self.names[:i]]
+            if repeated:
+                raise ValidationError(f"name {repeated[0]!r} is repeated")
         else:
             raise ValidationError(f"unknown summary kind {self.kind!r}")
 
@@ -207,16 +208,6 @@ def first_occurrence(codes):
 COARSEN_QUANTILES = (0.15, 0.85)
 
 
-# Integer cells are stored as int64, which holds magnitudes below 2**63.
-INT64_LIMIT = 2.0**63
-
-
-def non_integer(values):
-    """Mask of the doubles that are NaN, infinite, fractional or outside
-    the int64 range."""
-    return ~(np.abs(values) < INT64_LIMIT) | (values != np.floor(values))
-
-
 def coarsen(values, cutoffs=None):
     """Bin a continuous variable into ordered integer labels.
 
@@ -225,14 +216,14 @@ def coarsen(values, cutoffs=None):
     ``values``, which must then be non-empty.  Label k covers the half-open
     interval [cutoff_k, cutoff_{k+1}).
     """
-    values = np.asarray(values, dtype=float)
+    values = numeric_array(values, "values to coarsen")
     if np.isnan(values).any():
         raise ValidationError("values to coarsen must not be NaN")
     if cutoffs is None:
         if values.size == 0:
             raise ValidationError("quantile cutoffs need at least one value")
         cutoffs = np.quantile(values, COARSEN_QUANTILES)
-    cutoffs = np.asarray(cutoffs, dtype=float).ravel()
+    cutoffs = numeric_array(cutoffs, "cutoffs").ravel()
     if (cutoffs.size == 0 or not np.isfinite(cutoffs).all()
             or np.any(cutoffs[1:] <= cutoffs[:-1])):
         raise DegenerateCutoffsError(
@@ -254,7 +245,7 @@ def winsorize_weights(w, lower_q=0.025, upper_q=0.975):
     operation twice returns the same vector (the band endpoints are fixed
     points of the clipping).
     """
-    w = np.asarray(w, dtype=float)
+    w = numeric_array(w, "weights to winsorize")
     if w.ndim != 1:
         raise ValidationError("weights to winsorize must be one-dimensional, "
                               f"got shape {w.shape}")
@@ -262,6 +253,9 @@ def winsorize_weights(w, lower_q=0.025, upper_q=0.975):
         raise ValidationError("weights to winsorize must not be empty")
     if not np.all((w > 0.0) & (w < np.inf)):  # NaN fails too
         raise ValidationError("weights must be positive and finite")
+    if not all(isinstance(q, numbers.Real) and not isinstance(q, bool)
+               for q in (lower_q, upper_q)):
+        raise ValidationError("quantile levels must be real numbers")
     if not (0.0 <= lower_q < upper_q <= 1.0):
         raise ValidationError("need 0 <= lower_q < upper_q <= 1")
     n = w.size
@@ -280,7 +274,7 @@ def augment_weights_with_outcome(w0, outcome, p_pop, p_int):
     probability to the sample-conditional one, evaluated at the unit's
     realized outcome.
     """
-    w0 = np.asarray(w0, dtype=float).ravel()
+    w0 = numeric_array(w0, "weights").ravel()
     n = w0.size
     d = binary_outcome(outcome, n)
     p_pop = row_vector(p_pop, n, "p_pop")
@@ -342,7 +336,9 @@ def estimate_weights_pl(internal_X, external_X, pi_ext):
         sum_internal x_i - sum_external (1 / pi_ext_i) pi(x_i, alpha) x_i = 0,
 
     normalized by the design-weighted external population size so the
-    reported residual norm is scale-free.
+    reported residual norm is scale-free.  ``pi_ext`` holds one design
+    probability in (0, 1] per external row.  A solve that stops unconverged
+    raises the :class:`NonConvergenceError` of ``fitters.solve_fit``.
     """
     internal_X, external_X = _design_pair(internal_X, external_X)
     xi = internal_X.matrix
@@ -360,10 +356,6 @@ def estimate_weights_pl(internal_X, external_X, pi_ext):
 
     report = solve_fit("pseudolikelihood selection fit", score,
                        np.zeros(xi.shape[1]))
-    if not report.converged:
-        raise NonConvergenceError(
-            f"pseudolikelihood selection fit did not converge: {report.message}"
-        )
     return estimated_weight_set(expit(xi @ report.solution), "PL",
                                 report.solution, iterations=report.iterations,
                                 residual_norm=report.final_residual_norm)
@@ -383,7 +375,8 @@ def estimate_weights_sr(internal_X, external_X, pi_ext, internal_in_external,
     whose units are also in the internal sample; both masks flag the same
     number of units.  The multinomial sample is the internal rows, in
     ``BOTH_SAMPLES`` or ``INTERNAL_ONLY``, then the unflagged external rows,
-    in ``EXTERNAL_ONLY``, so each unit enters once.
+    in ``EXTERNAL_ONLY``, so each unit enters once.  ``pi_ext`` holds one
+    design probability in (0, 1] per external row.
     """
     internal_X, external_X = _design_pair(internal_X, external_X)
     xi = internal_X.matrix
@@ -433,12 +426,10 @@ def estimate_weights_sr(internal_X, external_X, pi_ext, internal_in_external,
 def estimate_weights_ps(internal_cells, summary):
     """Post-stratification weights from joint cell probabilities.
 
-    ``internal_cells`` holds one discretized selection-variable tuple per
-    internal unit (2-d integer array or sequence of tuples); values of a
-    non-integer dtype must be integral and inside the int64 range.  Raw
-    weight ratios P(cell) / P_hat(cell | selected) are rescaled so the
-    weights sum to the summary's population size, and probabilities are
-    their inverses.
+    ``internal_cells`` is a 2-d integer array holding one discretized
+    selection-variable tuple per internal unit.  Raw weight ratios
+    P(cell) / P_hat(cell | selected) are rescaled so the weights sum to the
+    summary's population size, and probabilities are their inverses.
     """
     if summary.kind != "joint_cells":
         raise ValidationError("post-stratification requires a joint_cells summary")
@@ -448,16 +439,8 @@ def estimate_weights_ps(internal_cells, summary):
             "population size is required to scale post-stratification weights"
         )
     cells = np.asarray(internal_cells)
-    if cells.ndim == 1:
-        cells = cells[:, None]
-    if not np.issubdtype(cells.dtype, np.integer):
-        bad = np.argwhere(non_integer(cells.astype(float)))
-        if bad.size:
-            i, j = bad[0]
-            raise NonIntegerCellError(
-                f"internal unit {i} has cell value {float(cells[i, j])!r}, "
-                "not an integer"
-            )
+    if cells.ndim != 2 or not np.issubdtype(cells.dtype, np.integer):
+        raise ValidationError("internal cells must be a 2-d integer array")
     cells = cells.astype(np.int64, copy=False)
     n = cells.shape[0]
     if n == 0:
@@ -492,9 +475,11 @@ def estimate_weights_cl(internal_X, summary):
 
     Solves ``sum_internal x_i / pi(x_i, alpha) = population totals`` for a
     logistic selection model.  The summary must supply the population size
-    (the intercept total) and marginal means for every non-intercept column
-    of the selection design, matched by name when the summary names its
-    means and by position otherwise.
+    (the intercept total) and a mean for every non-intercept column of the
+    selection design, matched by name.  A solve that stops unconverged
+    raises :class:`InfeasibleTotalsError` when its scaled residual exceeds
+    ``INFEASIBLE_RESIDUAL_FRACTION``, and the :class:`NonConvergenceError`
+    of ``fitters.solve_fit`` otherwise; either carries the solve's report.
     """
     if summary.kind != "marginal_means":
         raise ValidationError("calibration requires a marginal_means summary")
@@ -507,17 +492,11 @@ def estimate_weights_cl(internal_X, summary):
 
     offset = 1 if internal_X.has_intercept else 0
     covariates = list(internal_X.column_names)[offset:]
-    means = summary.means
-    if summary.names is not None:
-        name_to_mean = dict(zip(summary.names, summary.means))
-        missing = [c for c in covariates if c not in name_to_mean]
-        if missing:
-            raise ValidationError(f"summary lacks means for columns {missing}")
-        means = np.array([name_to_mean[c] for c in covariates])
-    elif len(means) != len(covariates):
-        raise ValidationError(
-            f"summary supplies {len(means)} means for {len(covariates)} covariates"
-        )
+    name_to_mean = dict(zip(summary.names, summary.means))
+    missing = [c for c in covariates if c not in name_to_mean]
+    if missing:
+        raise ValidationError(f"summary lacks means for columns {missing}")
+    means = np.array([name_to_mean[c] for c in covariates])
     totals = np.concatenate([[n_pop] if offset else [], n_pop * means])
 
     def score(alpha):
@@ -525,16 +504,16 @@ def estimate_weights_cl(internal_X, summary):
         return ((x.T @ (1.0 / pi) - totals) / n_pop,
                 lambda: weighted_cross(x, -((1.0 - pi) / pi), x) / n_pop)
 
-    report = solve_fit("calibration fit", score, np.zeros(p))
-    if not report.converged:
-        if report.final_residual_norm > INFEASIBLE_RESIDUAL_FRACTION:
+    try:
+        report = solve_fit("calibration fit", score, np.zeros(p))
+    except NonConvergenceError as exc:
+        residual = exc.report.final_residual_norm
+        if residual > INFEASIBLE_RESIDUAL_FRACTION:
             raise InfeasibleTotalsError(
                 "no logistic weighting matches the population totals "
-                f"(scaled residual {report.final_residual_norm:.3e})"
-            )
-        raise NonConvergenceError(
-            f"calibration fit did not converge: {report.message}"
-        )
+                f"(scaled residual {residual:.3e})", exc.report
+            ) from exc
+        raise
     return estimated_weight_set(expit(x @ report.solution), "CL",
                                 report.solution, iterations=report.iterations,
                                 residual_norm=report.final_residual_norm)

@@ -90,6 +90,19 @@ def test_role_map_rejects_role_clashes():
                          selection_covariates=[])
 
 
+def test_role_map_is_changed_only_through_its_checks():
+    roles = sw.ColumnRoleMap(outcome="d", disease_covariates=["z1"],
+                             selection_covariates=["w"])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        roles.selection_covariates = ["d", "d"]
+    assert roles.mapped_columns() == ["d", "z1", "w"]
+    with pytest.raises(sw.ValidationError,
+                       match=r"^columns \['d'\] mapped to multiple roles$"):
+        dataclasses.replace(roles, selection_covariates=["d"])
+    changed = dataclasses.replace(roles, selection_covariates=["w", "z1"])
+    assert changed.mapped_columns() == ["d", "z1", "w"]
+
+
 def key_value_lines(record):
     """A ``key=value`` line for every field of ``record``; a list or tuple
     is comma-separated, and a float has its shortest exact text."""

@@ -143,6 +143,59 @@ def test_singular_jacobian_is_a_rank_deficient_design_naming_the_fit(what):
     assert isinstance(info.value, sw.ValidationError)
 
 
+def _selection_sample():
+    """(an internal design, an external design, its design probabilities,
+    a calibration summary) of one population."""
+    rng = np.random.default_rng(41)
+    x = rng.normal(size=5000)
+    internal = rng.random(x.size) < sw.expit(-0.5 + 0.6 * x)
+    external = rng.random(x.size) < 0.3
+    summary = sw.PopulationSummary("marginal_means", means=[x.mean()],
+                                   names=["x"], population_size=x.size)
+    return (sw.build_design([x[internal]], ["x"]),
+            sw.build_design([x[external]], ["x"]),
+            np.full(int(external.sum()), 0.3), summary)
+
+
+# fit -> (an iteration budget it cannot converge in, the fit of a
+# _selection_sample).
+UNCONVERGED_FITS = {
+    "weighted logistic fit": (1, lambda s: sw.fit_weighted_logistic(
+        s[0], np.arange(s[0].n) % 2)),
+    "pseudolikelihood selection fit": (1, lambda s: sw.estimate_weights_pl(
+        *s[:3])),
+    # Fewer iterations leave CL's residual above INFEASIBLE_RESIDUAL_FRACTION.
+    "calibration fit": (3, lambda s: sw.estimate_weights_cl(s[0], s[3])),
+}
+
+
+@pytest.mark.parametrize("what", UNCONVERGED_FITS)
+def test_an_unconverged_solve_raises_with_its_report(monkeypatch, what):
+    budget, fit = UNCONVERGED_FITS[what]
+    monkeypatch.setattr(solver, "MAX_ITER", budget)
+    with pytest.raises(sw.NonConvergenceError) as info:
+        fit(_selection_sample())
+    report = info.value.report
+    assert type(info.value) is sw.NonConvergenceError
+    assert (report.converged, report.iterations, report.message) == (
+        False, budget, "max iterations exceeded")
+    assert str(info.value) == (
+        f"{what} did not converge: max iterations exceeded (residual "
+        f"{report.final_residual_norm:.3e} after {budget} iterations)")
+    assert report.final_residual_norm > solver.TOL_SCORE
+
+
+def test_calibration_far_from_its_totals_is_infeasible(monkeypatch):
+    monkeypatch.setattr(solver, "MAX_ITER", 1)
+    internal, _, _, summary = _selection_sample()
+    with pytest.raises(sw.InfeasibleTotalsError) as info:
+        sw.estimate_weights_cl(internal, summary)
+    residual = info.value.report.final_residual_norm
+    assert residual > w_mod.INFEASIBLE_RESIDUAL_FRACTION
+    assert str(info.value) == ("no logistic weighting matches the population "
+                               f"totals (scaled residual {residual:.3e})")
+
+
 def test_outcome_and_probability_validation():
     design = sw.DesignMatrix(np.ones((4, 1)), ["intercept"])
     with pytest.raises(sw.ValidationError):

@@ -72,7 +72,7 @@ def _cl_summary():
     xi = INPUTS["xi"]
     means = xi.mean(axis=0) + [0.0, 0.05, -0.05]
     return sw.PopulationSummary("marginal_means", means=means,
-                                population_size=N_POP)
+                                names=["x0", "x1", "x2"], population_size=N_POP)
 
 
 def _vcov_pl(z, xi, xe):
@@ -397,7 +397,7 @@ def test_each_sandwich_checks_its_coefficients_once_per_design(
     assert checks == expected
 
 
-@pytest.mark.parametrize("vcov", [[[np.nan]], [np.inf]])
+@pytest.mark.parametrize("vcov", [[[np.nan]], [[np.inf]]])
 def test_wald_ci_rejects_a_non_finite_variance(vcov):
     with pytest.raises(sw.ValidationError,
                        match="^theta_hat and the vcov diagonal must be finite$"):
@@ -407,9 +407,61 @@ def test_wald_ci_rejects_a_non_finite_variance(vcov):
 # Inputs of a wrong type or shape that no role above covers: name -> (a call
 # on them, the start of its ValidationError message).
 MALFORMED = {
-    "wald_ci[level is text]": (
-        lambda: sw.wald_ci(INPUTS["theta"], INPUTS["vcov"], "x"),
-        r"level must lie in \(0, 1\)$"),
+    "wald_ci[1-d vcov]": (
+        lambda: sw.wald_ci(INPUTS["theta"], np.diag(INPUTS["vcov"])),
+        r"vcov has shape \(3,\), not \(3, 3\)$"),
+    "wald_ci[text in theta_hat]": (
+        lambda: sw.wald_ci(["a", 0.8, -0.5], INPUTS["vcov"]),
+        "theta_hat must be numbers$"),
+    "wald_ci[text in vcov]": (
+        lambda: sw.wald_ci(INPUTS["theta"], [["a"] * 3] * 3),
+        "vcov must be numbers$"),
+    "fit_weighted_logistic[text in pi]": (
+        lambda: sw.fit_weighted_logistic(INPUTS["z"], INPUTS["d"],
+                                         ["a"] * N_INT),
+        "selection probabilities must be numbers$"),
+    "fit_weighted_logistic[text in outcome]": (
+        lambda: sw.fit_weighted_logistic(INPUTS["z"], ["a"] * N_INT),
+        "outcomes must be numbers$"),
+    "fit_weighted_logistic[text in a bare design]": (
+        lambda: sw.fit_weighted_logistic([["1", "a"]] * N_INT, INPUTS["d"]),
+        "design entries must be numbers$"),
+    "DesignMatrix[text entries]": (
+        lambda: sw.DesignMatrix([["a"]], ["x"]),
+        "design matrix entries must be numbers$"),
+    "DesignMatrix[no column names]": (
+        lambda: sw.DesignMatrix(INPUTS["z"], None),
+        "column_names must be a list of names$"),
+    "build_design[text column]": (
+        lambda: sw.build_design([["a", "b"]]),
+        "design columns must be numbers$"),
+    "vcov_known_weights[text in theta_hat]": (
+        lambda: sw.vcov_known_weights(["a", 0.8, -0.5], INPUTS["z"],
+                                      INPUTS["d"], INPUTS["pi"], N_POP),
+        "theta_hat must be numbers$"),
+    "coarsen[text values]": (
+        lambda: sw.coarsen(["a", 1.0]), "values to coarsen must be numbers$"),
+    "coarsen[text cutoffs]": (
+        lambda: sw.coarsen([1.0, 2.0], ["a"]), "cutoffs must be numbers$"),
+    "normal_quantile[text]": (
+        lambda: sw.normal_quantile("a"), "probabilities must be numbers$"),
+    "winsorize_weights[text level]": (
+        lambda: sw.winsorize_weights(INPUTS["w"], "a", 0.9),
+        "quantile levels must be real numbers$"),
+    "winsorize_weights[None level]": (
+        lambda: sw.winsorize_weights(INPUTS["w"], None, 0.9),
+        "quantile levels must be real numbers$"),
+    "winsorize_weights[bool level]": (
+        lambda: sw.winsorize_weights(INPUTS["w"], False, 0.9),
+        "quantile levels must be real numbers$"),
+    "PopulationSummary[text in means]": (
+        lambda: sw.PopulationSummary("marginal_means", means=["a"],
+                                     names=["x1"], population_size=N_POP),
+        "marginal means must be numbers$"),
+    "PopulationSummary[text in probabilities]": (
+        lambda: sw.PopulationSummary("joint_cells", levels=[[0]],
+                                     probabilities=["a"]),
+        "cell probabilities must be numbers$"),
     "winsorize_weights[2-d]": (
         lambda: sw.winsorize_weights(np.ones((4, 2))),
         r"weights to winsorize must be one-dimensional, got shape \(4, 2\)$"),

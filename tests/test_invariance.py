@@ -1,11 +1,13 @@
-"""Estimators and sandwiches under replication of the data.
+"""Estimators and sandwiches under replication of the data and under a
+change of coordinates.
 
 Stacking every population row twice stacks the internal and the external
 sample twice, with their overlap masks and design probabilities, and
 doubles N.  Every estimating equation is a mean over N, so it keeps its
 roots: theta-hat and alpha-hat stay put.  Every sandwich is its blocks,
 which are such means too, divided by N, so it halves (Stefanski & Boos
-2002).
+2002).  A sandwich taken at linearly transformed designs and parameters is
+the transformed sandwich.
 """
 
 import dataclasses
@@ -52,3 +54,47 @@ def test_two_fold_replication_keeps_the_estimates_and_halves_the_sandwich(
     if method != "oracle_weights":
         assert _relative_error(set2.alpha_hat, set1.alpha_hat) <= BOUND
     assert _relative_error(2.0 * model2.vcov, model1.vcov) <= BOUND
+
+
+def _intercept_preserving(p, rng):
+    """A random p-by-p matrix whose first column is (1, 0, ..., 0), so that
+    a design times it keeps its intercept column of ones."""
+    a = np.eye(p)
+    a[:, 1:] += rng.normal(scale=0.5, size=(p, p - 1))
+    return a
+
+
+def _times(design, a):
+    return sw.DesignMatrix(design.matrix @ a, design.column_names,
+                           design.has_intercept)
+
+
+# A design Z A and the parameters A^-1 theta give every unit its linear
+# predictor again, so each score is A' times its own, each block A' and B'
+# on either side, and the sandwich A^-1 V A^-T, whatever B is.
+@pytest.mark.parametrize("method", ["oracle_weights", "pl", "cl"])
+def test_a_change_of_coordinates_transforms_the_sandwich(sources, method):
+    src = sources[0]
+    weight_set = METHOD_TABLE[method](src)
+    model = fit_method(src, weight_set)
+    rng = np.random.default_rng(11)
+    a = _intercept_preserving(src.disease_design.p, rng)
+    b = _intercept_preserving(src.selection_design.p, rng)
+    theta = np.linalg.solve(a, model.coefficients)
+    z = _times(src.disease_design, a)
+    if method == "oracle_weights":
+        vcov = sw.vcov_known_weights(theta, z, src.outcome, weight_set.pi_hat,
+                                     src.n_population)
+    else:
+        alpha = np.linalg.solve(b, weight_set.alpha_hat)
+        xi = _times(src.selection_design, b)
+        if method == "pl":
+            external_X, pi_ext = src.external_sample
+            vcov = sw.vcov_pl(theta, alpha, z, src.outcome, xi,
+                              _times(external_X, b), pi_ext, src.n_population,
+                              *src.internal_overlap())
+        else:
+            vcov = sw.vcov_cl(theta, alpha, z, src.outcome, xi,
+                              src.n_population)
+    a_inv = np.linalg.inv(a)
+    assert _relative_error(vcov, a_inv @ model.vcov @ a_inv.T) <= BOUND

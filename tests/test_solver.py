@@ -160,7 +160,8 @@ def test_singular_jacobian_raises():
             np.zeros(2))
 
 
-def test_max_iterations_returns_best_iterate_unconverged(monkeypatch):
+def test_exhausted_step_halvings_return_the_best_iterate_unconverged(
+        monkeypatch):
     monkeypatch.setattr(solver, "MAX_ITER", 3)
     monkeypatch.setattr(solver, "MAX_HALVINGS", 2)
     report = sw.solve_estimating_equation(
@@ -168,11 +169,50 @@ def test_max_iterations_returns_best_iterate_unconverged(monkeypatch):
                  lambda x: np.diag(50.0 / (1.0 + 2500.0 * x**2))),
         [10.0])
     assert not report.converged
-    assert report.iterations <= 3
+    assert (report.iterations, report.message) == (2, "step halvings exhausted")
     assert np.isfinite(report.final_residual_norm)
     # The report's norm is the residual's at its solution.
     assert report.final_residual_norm == np.max(
         np.abs(np.arctan(50.0 * report.solution) + 0.5))
+
+
+SQUARE_ROOT_OF_TWO = score_of(lambda x: x * x - 2.0, lambda x: np.diag(2.0 * x))
+
+
+# stop -> (the solver constants it sets, the score, the start, whether the
+# stop is converged).
+SOLVER_STOPS = {
+    "score tolerance met": ({}, SQUARE_ROOT_OF_TWO, [1.0], True),
+    # No iterate's residual is below a tolerance under its rounding error.
+    "step tolerance met": ({"TOL_SCORE": 1e-20}, SQUARE_ROOT_OF_TWO, [1.0],
+                           True),
+    # Each Newton step from 10 lowers x by about 1, the residual e^x - 1
+    # with it, so no halving runs and the budget of three ends the solve.
+    "max iterations exceeded": (
+        {"MAX_ITER": 3},
+        score_of(lambda x: np.exp(x) - 1.0, lambda x: np.diag(np.exp(x))),
+        [10.0], False),
+    "step halvings exhausted": (
+        {"MAX_HALVINGS": 2},
+        score_of(lambda x: np.arctan(50.0 * x) + 0.5,
+                 lambda x: np.diag(50.0 / (1.0 + 2500.0 * x**2))),
+        [10.0], False),
+}
+
+
+@pytest.mark.parametrize("stop", SOLVER_STOPS)
+def test_each_stop_of_the_solve_is_reported(monkeypatch, stop):
+    constants, score, init, converged = SOLVER_STOPS[stop]
+    for name, value in constants.items():
+        monkeypatch.setattr(solver, name, value)
+    report = sw.solve_estimating_equation(score, init)
+    assert (report.converged, report.message) == (converged, stop)
+    x = report.solution
+    assert report.final_residual_norm == np.max(np.abs(score(x)[0]))
+    if stop == "max iterations exceeded":
+        assert report.iterations == 3
+    elif stop == "step tolerance met":
+        assert report.final_residual_norm > solver.TOL_SCORE
 
 
 def test_lu_factor_solves_and_flags_pivots():

@@ -1,3 +1,8 @@
+import dataclasses
+import inspect
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import selweight as sw
+from selweight import simulation, variance
 from selweight.variance import cl_components, known_weights_components, pl_components
 
 
@@ -163,22 +169,41 @@ def test_normal_quantile_out_matches_reference_bit_for_bit(p):
     check_quantile_out(p)
 
 
-def test_wald_interval_examples():
+def test_wald_interval_examples(monkeypatch):
     ci = sw.wald_ci(np.array([0.0]), np.array([[1.0]]))
     assert ci[0, 0] == pytest.approx(-1.959964, abs=1e-6)
     assert ci[0, 1] == pytest.approx(1.959964, abs=1e-6)
-    ci = sw.wald_ci(np.array([1.0]), np.array([[4.0]]), level=0.5)
-    assert ci[0, 0] == pytest.approx(1.0 - 2 * 0.674490, abs=1e-5)
-    assert ci[0, 1] == pytest.approx(1.0 + 2 * 0.674490, abs=1e-5)
     degenerate = sw.wald_ci(np.array([2.5]), np.array([[0.0]]))
     assert degenerate[0, 0] == degenerate[0, 1] == 2.5
+    # The level is read from variance.CI_LEVEL when the intervals are taken.
+    monkeypatch.setattr(variance, "CI_LEVEL", 0.5)
+    ci = sw.wald_ci(np.array([1.0]), np.array([[4.0]]))
+    assert ci[0, 0] == pytest.approx(1.0 - 2 * 0.674490, abs=1e-5)
+    assert ci[0, 1] == pytest.approx(1.0 + 2 * 0.674490, abs=1e-5)
 
 
-def test_wald_validation():
-    with pytest.raises(sw.ValidationError):
-        sw.wald_ci(np.array([0.0]), np.array([[-1.0]]))
-    with pytest.raises(sw.ValidationError):
-        sw.wald_ci(np.array([0.0]), np.array([[1.0]]), level=1.5)
+def test_wald_ci_takes_only_the_estimates_and_their_covariance_matrix():
+    assert list(inspect.signature(sw.wald_ci).parameters) == ["theta_hat",
+                                                             "vcov"]
+
+
+def test_ci_level_is_defined_once_in_variance():
+    sources = Path(sw.__file__).parent.glob("*.py")
+    defined = sorted(path.name for path in sources
+                     if re.search(r"^CI_LEVEL\b", path.read_text(), re.M))
+    assert defined == ["variance.py"]
+    assert simulation.CI_LEVEL is variance.CI_LEVEL == 0.95
+
+
+@pytest.mark.parametrize("vcov, message", [
+    ([[-1.0]], "^vcov has negative diagonal entries$"),
+    ([1.0], r"^vcov has shape \(1,\), not \(1, 1\)$"),
+    ([[1.0, 0.0]], r"^vcov has shape \(1, 2\), not \(1, 1\)$"),
+    (np.eye(2), r"^vcov has shape \(2, 2\), not \(1, 1\)$"),
+])
+def test_wald_validation(vcov, message):
+    with pytest.raises(sw.ValidationError, match=message):
+        sw.wald_ci(np.array([0.0]), vcov)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +334,6 @@ def test_pl_components_match_loop_coded_sums():
     assert np.max(np.abs(comp.h_hat - h)) <= 1e-12
     assert np.max(np.abs(comp.e1 - e1)) <= 1e-12
     assert np.max(np.abs(comp.e2 - e2)) <= 1e-12
-    assert np.max(np.abs(comp.e3 - e2.T)) <= 1e-12
     assert np.max(np.abs(comp.e4 - e4)) <= 1e-12
     assert np.max(np.abs(comp.e_hat - e_hat)) <= 1e-12
 
@@ -331,9 +355,24 @@ def test_pl_fixed_weight_blocks_match_known_weights():
 
 
 def test_pl_requires_overlap_probabilities():
-    theta, alpha, z, d, xi, xe, pi_ext, n_pop, mask, _ = _pl_toy()
-    with pytest.raises(sw.ValidationError):
-        sw.vcov_pl(theta, alpha, z, d, xi, xe, pi_ext, n_pop, mask, None)
+    theta, alpha, z, d, xi, xe, pi_ext, n_pop, mask, pi_ext_int = _pl_toy()
+    # One entry per internal row, flagged rows or not.
+    for flagged in (mask, np.zeros_like(mask)):
+        for wrong in (None, pi_ext_int[:-1]):
+            with pytest.raises(sw.ValidationError,
+                               match=r"^internal_pi_ext have \d+ entries for "
+                                     "10 design rows$"):
+                sw.vcov_pl(theta, alpha, z, d, xi, xe, pi_ext, n_pop, flagged,
+                           wrong)
+    for function in (sw.vcov_pl, pl_components):
+        parameter = inspect.signature(function).parameters["internal_pi_ext"]
+        assert parameter.default is inspect.Parameter.empty
+
+
+def test_sandwich_components_have_no_transposed_copy_of_e2():
+    fields = [f.name for f in dataclasses.fields(sw.SandwichComponents)]
+    assert fields == ["g_theta", "e_hat", "n_population", "g_alpha", "h_hat",
+                      "e1", "e2", "e4"]
 
 
 def test_pl_repeated_selection_column_is_a_singular_h():

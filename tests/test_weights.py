@@ -238,31 +238,50 @@ def test_ps_unmatched_cell_raises():
         sw.estimate_weights_ps(np.array([[0], [1]]), summary)
 
 
+PS_CELL_TABLE = "^internal cells must be a 2-d integer array$"
+
+
+def _ps_unit_summary():
+    return sw.PopulationSummary("joint_cells", levels=np.array([[0], [1]]),
+                                probabilities=np.array([0.5, 0.5]),
+                                population_size=10)
+
+
 @pytest.mark.parametrize("bad", [0.5, -0.5, np.nan, np.inf, 2.0**63])
 def test_ps_rejects_non_integer_cells(bad):
-    summary = sw.PopulationSummary("joint_cells", levels=np.array([[0], [1]]),
-                                   probabilities=np.array([0.5, 0.5]),
-                                   population_size=10)
-    cells = [[1.0], [0.0], [bad]]
-    with pytest.raises(sw.NonIntegerCellError,
-                       match="^internal unit 2 has cell value .*, not an integer$"):
-        sw.estimate_weights_ps(cells, summary)
-    # Integral floats, integers and 1-d input give the same weights.
+    with pytest.raises(sw.ValidationError, match=PS_CELL_TABLE):
+        sw.estimate_weights_ps([[1.0], [0.0], [bad]], _ps_unit_summary())
+
+
+@pytest.mark.parametrize("cells", [
+    [[1.0], [0.0], [1.0]], np.array([1.0, -0.0, 1.0]), [1, 0, 1],
+    np.array([[1], [0], [1]], dtype=object), np.array([[True], [False]]),
+    np.zeros((0, 1)), [], np.int64(1)],
+    ids=["integral floats", "1-d floats", "1-d integers", "objects",
+         "booleans", "empty floats", "empty list", "scalar"])
+def test_ps_takes_only_a_2d_integer_cell_table(cells):
+    # A float table is rejected whatever its values, integral ones included.
+    with pytest.raises(sw.ValidationError, match=PS_CELL_TABLE):
+        sw.estimate_weights_ps(cells, _ps_unit_summary())
+
+
+def test_ps_cells_of_any_integer_dtype_give_the_same_weights():
+    summary = _ps_unit_summary()
     reference = sw.estimate_weights_ps(np.array([[1], [0], [1]]), summary)
-    for same in ([[1.0], [0.0], [1.0]], [1, 0, 1], np.array([1.0, -0.0, 1.0])):
-        ws = sw.estimate_weights_ps(same, summary)
-        assert ws.pi_hat.tobytes() == reference.pi_hat.tobytes()
+    for dtype in (np.int8, np.int32, np.uint16, np.uint64):
+        same = sw.estimate_weights_ps(np.array([[1], [0], [1]], dtype=dtype),
+                                      summary)
+        assert same.pi_hat.tobytes() == reference.pi_hat.tobytes()
+    # A sequence of integer tuples is a 2-d integer array.
+    same = sw.estimate_weights_ps([(1,), (0,), (1,)], summary)
+    assert same.pi_hat.tobytes() == reference.pi_hat.tobytes()
 
 
-@pytest.mark.parametrize("cells", [np.zeros((0, 1), dtype=np.int64),
-                                   np.zeros((0, 1)), []])
-def test_ps_rejects_an_empty_internal_sample(cells, recwarn):
-    summary = sw.PopulationSummary("joint_cells", levels=np.array([[0], [1]]),
-                                   probabilities=np.array([0.5, 0.5]),
-                                   population_size=10)
+def test_ps_rejects_an_empty_internal_sample(recwarn):
     with np.errstate(all="raise"), pytest.raises(
             sw.ValidationError, match="at least one internal unit"):
-        sw.estimate_weights_ps(cells, summary)
+        sw.estimate_weights_ps(np.zeros((0, 1), dtype=np.int64),
+                               _ps_unit_summary())
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
@@ -462,6 +481,14 @@ def test_marginal_summary_rejects_repeated_names():
                              names=["z2", "w", "z2"], population_size=10)
 
 
+@pytest.mark.parametrize("names", [None, [], ["z2"], ["z2", "w", "d"]])
+def test_marginal_summary_needs_one_name_per_mean(names):
+    with pytest.raises(sw.ValidationError,
+                       match="^marginal means need one name each$"):
+        sw.PopulationSummary("marginal_means", means=np.array([0.1, 0.2]),
+                             names=names, population_size=10)
+
+
 def test_ps_summary_validation():
     with pytest.raises(sw.DuplicateCellError, match=r"\(1, 2\)"):
         ps_summary(np.array([[0, 1], [1, 2], [1, 2]]),
@@ -556,10 +583,6 @@ def test_cl_aligns_summary_means_by_name():
                                         names=names, population_size=100)
         with pytest.raises(sw.ValidationError, match=re.escape(absent)):
             sw.estimate_weights_cl(internal, misnamed)
-    unnamed = sw.PopulationSummary("marginal_means", means=np.array([0.5, 0.5]),
-                                   population_size=100)
-    assert np.array_equal(sw.estimate_weights_cl(internal, unnamed).pi_hat,
-                          ws2.pi_hat)
 
 
 @settings(max_examples=20, deadline=None)
