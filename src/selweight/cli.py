@@ -92,7 +92,12 @@ def build_parser():
     simulate.add_argument("--setup", type=int, choices=(1, 2, 3))
     simulate.add_argument("--replications", type=int, default=None)
     simulate.add_argument("--seed", type=int, default=None)
-    simulate.add_argument("--threads", type=int, default=1)
+    simulate.add_argument("--threads", type=int, default=1,
+                          help="processes that run replications; with 1 "
+                               "(the default) each replication shares its "
+                               "methods with one worker process per further "
+                               "usable CPU and method. The output is the "
+                               "same for every value")
     simulate.add_argument("--population-size", type=int, default=None)
     simulate.add_argument("--config",
                           help="key=value file of scenario fields; explicit "

@@ -116,6 +116,18 @@ def row_vector(values, n, what, dtype=float):
     return v
 
 
+def row_mask(values, n, what):
+    """The :func:`row_vector` of ``n`` flags ``what`` as bools.  Each entry
+    must be a bool or a number equal to 0 or 1; text, NaN or any other
+    number raises ``ValidationError`` naming ``what``."""
+    m = row_vector(values, n, what, dtype=None)
+    if m.dtype == bool:
+        return m
+    if m.dtype.kind not in "iuf" or not np.all((m == 0) | (m == 1)):
+        raise ValidationError(f"{what} must be bools or numbers equal to 0 or 1")
+    return m == 1
+
+
 def probability_vector(p, n, what, rows=None):
     """The entries at ``rows`` (an index array or mask; all by default) of
     the :func:`row_vector` ``what`` of ``n`` probabilities, each in (0, 1]."""

@@ -8,23 +8,30 @@ Replication streams are keyed by (seed, replication index) on a
 counter-based generator (Philox), and normal variates come from the
 inverse CDF, so studies are bit-reproducible at any degree of parallelism.
 A population is drawn in row blocks, each reading its uniforms from fixed
-positions in the replication's stream, so the blocks can be drawn in any
-order.  A replication runs in two stages, the blocks and then the methods
-(which read only the finished population); each stage runs on the calling
-thread and on helper threads started for it and joined at its end, one per
-further usable CPU and method.  Every array and result is the same bits at
-any thread, process or block count.
+positions in the replication's stream, so a block's rows do not depend on
+the block count.  A replication's methods are shared between the calling
+process and persistent worker processes, one per further usable CPU and
+method, forked on first use: each process draws its own copy of the
+population and takes methods from one pipe, and the results come back in
+``methods`` order.  Every array and result is the same bits in any
+process, at any worker or block count.
 """
 
+import atexit
+import gc
 import math
 import numbers
 import os
+import pickle
+import signal
+import sys
 import threading
-from collections import deque
+import traceback
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
+from multiprocessing.connection import Connection, Pipe
 from typing import Optional
 
 import numpy as np
@@ -185,53 +192,8 @@ class Population:
 
 # Rows per block of a population draw.  A block's three scratch buffers
 # (256 KiB each) are made once and reused by all six of its draws, so they
-# stay in cache, and the blocks let the replication's threads share the draw.
+# stay in cache.
 POPULATION_BLOCK_ROWS = 32_768
-
-
-def _run_tasks(tasks, helpers):
-    """The results of the zero-argument callables ``tasks``, in task order.
-
-    The calling thread and up to ``helpers`` helper threads (no more than
-    there are further tasks) take tasks from one queue; helpers run under
-    the caller's numpy error state and are joined before this returns or
-    raises.  Every task runs; if some raise, the exception of the one
-    listed first is raised.
-    """
-    queue = deque(enumerate(tasks))
-    results = [None] * len(queue)
-    errors = [None] * len(queue)
-    saved = np.geterr()
-
-    def drain():
-        # numpy's error state is per thread; helpers take the caller's.
-        with np.errstate(**saved):
-            # popleft is atomic, so each task is taken by exactly one thread.
-            while True:
-                try:
-                    i, task = queue.popleft()
-                except IndexError:
-                    return
-                try:
-                    results[i] = task()
-                except Exception as exc:  # raised in task order below
-                    errors[i] = exc
-
-    threads = []
-    try:
-        for _ in range(min(helpers, len(queue) - 1)):
-            thread = threading.Thread(target=drain)
-            thread.start()
-            threads.append(thread)
-        drain()
-    finally:
-        for thread in threads:
-            thread.join()
-
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return results
 
 
 def _uniforms(key, start, m, out=None):
@@ -324,29 +286,35 @@ def _draw_block(cfg, key, pop, lo, hi):
     np.less(uniforms(5), pi_ext, out=s_ext)
 
 
-def generate_population(cfg, replication_index=0, *, helpers=0):
+def _replication_key(cfg, replication_index):
+    """The Philox key of replication ``replication_index``; the index, the
+    key's second word, must be an integer (not a bool) in [0, 2**64), or
+    :class:`ValidationError` is raised."""
+    if not (_is_integer(replication_index) and 0 <= replication_index < 2**64):
+        raise ValidationError("replication_index must be an integer in "
+                              f"[0, 2**64), got {replication_index!r}")
+    return np.array([cfg.seed, int(replication_index)], dtype=np.uint64)
+
+
+def generate_population(cfg, replication_index=0):
     """Simulate one population under the configured scenario.
 
     Draw order is fixed (z1, z2 innovation, disease, w innovation, internal
     selection, external selection) so a (seed, replication) pair always
-    yields the same arrays.  The rows are drawn in blocks of at most
-    ``POPULATION_BLOCK_ROWS``, each from its own positions in the
-    replication's stream, on the calling thread and up to ``helpers``
-    helper threads; the arrays are the same bits for any block or thread
+    yields the same arrays.  The rows are drawn on the calling thread in
+    blocks of at most ``POPULATION_BLOCK_ROWS``, each from its own positions
+    in the replication's stream; the arrays are the same bits for any block
     count.  ``replication_index``, the stream key's second word, must be an
     integer (not a bool) in [0, 2**64), or :class:`ValidationError` is
     raised.
     """
-    if not (_is_integer(replication_index) and 0 <= replication_index < 2**64):
-        raise ValidationError("replication_index must be an integer in "
-                              f"[0, 2**64), got {replication_index!r}")
+    key = _replication_key(cfg, replication_index)
     n = cfg.population_size
-    key = np.array([cfg.seed, int(replication_index)], dtype=np.uint64)
     pop = Population(*(np.empty(n) for _ in range(8)))
     blocks = -(-n // POPULATION_BLOCK_ROWS)
     bounds = [i * n // blocks for i in range(blocks + 1)]
-    _run_tasks([partial(_draw_block, cfg, key, pop, lo, hi)
-                for lo, hi in zip(bounds, bounds[1:])], helpers)
+    for lo, hi in zip(bounds, bounds[1:]):
+        _draw_block(cfg, key, pop, lo, hi)
     return pop
 
 
@@ -458,7 +426,10 @@ def _weights_oracle(src):
 # The one place a method is paired with its weight estimator, which maps a
 # source to a WeightSet; the weight set then picks its sandwich (see
 # fit_method).  Estimators look up this module's globals when they run, so
-# rebinding a name here reaches every caller, the CLI included.
+# rebinding a name here, or an entry of this table, reaches every caller,
+# the CLI included: a replication runs in the calling process alone while
+# any binding of the package differs from the one its workers were forked
+# with.
 METHOD_TABLE = {
     "unweighted": _weights_unweighted,
     "pl": _weights_pl,
@@ -529,9 +500,12 @@ def run_replication(cfg, replication_index, methods=METHODS):
     failures are captured in the returned results rather than raised, so a
     single separation or convergence failure does not abort a study.  Any
     other exception propagates; when several methods raise, the one listed
-    first in ``methods`` does.  The draw and then the fits each run on the
-    calling thread and :func:`_helper_count` helper threads, with results
-    bit-identical to one thread's.
+    first in ``methods`` does, from whichever process fitted it.  The
+    methods are shared between the calling process and
+    :func:`_helper_count` worker processes (see :func:`_serving_workers`),
+    with results bit-identical to one process's.  A worker that dies
+    raises :class:`ChildProcessError`, and the next replication forks a
+    new one.
     """
     methods = _distinct_methods(methods)
     return _replicate(cfg, replication_index, methods, _helper_count(methods))
@@ -552,16 +526,249 @@ def _distinct_methods(methods):
 
 
 def _helper_count(methods):
-    """Helper threads per stage: min(distinct ``methods``, usable CPUs) - 1."""
+    """Worker processes for a replication: min(distinct ``methods``, usable
+    CPUs) - 1."""
     return min(len(methods), _usable_cpus()) - 1
 
 
 def _replicate(cfg, replication_index, methods, helpers):
-    src = PopulationSource(generate_population(cfg, replication_index,
-                                               helpers=helpers))
-    results = _run_tasks([partial(_fit_one, method, src)
-                          for method in methods], helpers)
+    """{method: result} of one replication, its methods shared with up to
+    ``helpers`` workers; the first listed method's exception propagates."""
+    _replication_key(cfg, replication_index)  # checked before a worker sees it
+    workers = _serving_workers(helpers)
+    if workers:
+        outcomes = _share(workers, cfg, replication_index, methods)
+    else:
+        outcomes = _fit_share(cfg, replication_index, methods,
+                              range(len(methods)))
+    results = [outcomes[i] for i in range(len(methods))]
+    for outcome in results:
+        if isinstance(outcome, Exception):
+            raise outcome
     return dict(zip(methods, results))
+
+
+def _fit_share(cfg, replication_index, methods, indices):
+    """{index: outcome} for each method index in ``indices``, fitted on this
+    process's own draw of the population.  An outcome is the method's
+    :class:`MethodResult` or the exception it (or the draw) raised."""
+    try:
+        src = PopulationSource(generate_population(cfg, replication_index))
+    except Exception as exc:
+        return {i: exc for i in indices}
+    outcomes = {}
+    for i in indices:
+        try:
+            outcomes[i] = _fit_one(methods[i], src)
+        except Exception as exc:  # raised in methods order by _replicate
+            outcomes[i] = exc
+    return outcomes
+
+
+# Worker processes.  Per replication the caller sends each worker it uses
+# (cfg, replication index, methods, numpy error state) on the worker's
+# command pipe, and writes every method index, then one stop byte per taker,
+# to the task pipe.  The caller and the workers each draw the population
+# and take indices from the task pipe one byte per read, so each index goes
+# to exactly one of them; a worker sends its outcomes back on its result
+# pipe.
+_STOP = 255
+
+
+@dataclass
+class _Worker:
+    pid: int
+    commands: Connection  # the caller's ends of the worker's two pipes
+    results: Connection
+
+
+class _WorkerPool:
+    """This process's workers, the task pipe they share with it (read and
+    write descriptors) and the package bindings they were forked with."""
+
+    def __init__(self):
+        self.workers, self.tasks, self.bindings = [], None, None
+
+
+_POOL = _WorkerPool()
+
+
+def _package_bindings():
+    """(namespace, copy of it) for each imported module of the package and
+    for METHOD_TABLE."""
+    package = __name__.partition(".")[0]
+    namespaces = [vars(module) for name, module in list(sys.modules.items())
+                  if name.partition(".")[0] == package]
+    return [(ns, dict(ns)) for ns in namespaces + [METHOD_TABLE]]
+
+
+def _serving_workers(helpers):
+    """The first ``helpers`` workers, forked as needed, or none where none
+    can serve: without ``os.fork`` or off Linux, while other Python threads
+    are alive, or while a module-level binding of the package or a
+    METHOD_TABLE entry is not the one the workers were forked with (as
+    under a test's monkeypatch or a tracer's wrappers)."""
+    if (helpers < 1 or not hasattr(os, "fork")
+            or not sys.platform.startswith("linux")
+            or threading.active_count() > 1):
+        return []
+    pool, missing = _POOL, object()
+    if not pool.workers:
+        pool.bindings = _package_bindings()
+        pool.tasks = pool.tasks or os.pipe()
+    elif not all(ns.get(name, missing) is value for ns, saved in pool.bindings
+                 for name, value in saved.items()):
+        return []
+    while len(pool.workers) < helpers:
+        pool.workers.append(_fork_worker(pool.tasks[0]))
+    return pool.workers[:helpers]
+
+
+def _fork_worker(tasks):
+    """Fork a worker that takes method indices from the task pipe's read
+    end ``tasks``."""
+    command_reader, command_writer = Pipe(duplex=False)
+    result_reader, result_writer = Pipe(duplex=False)
+    # The child's after-fork hook closes the pool's descriptors, but not
+    # this copy of the task pipe's read end.
+    task_reader = os.dup(tasks)
+    try:
+        pid = os.fork()
+        if pid == 0:
+            _serve(command_reader, result_writer, task_reader)  # never returns
+    except OSError:
+        command_writer.close()
+        result_reader.close()
+        raise
+    finally:  # the caller keeps only its own ends
+        command_reader.close()
+        result_writer.close()
+        os.close(task_reader)
+    return _Worker(pid, command_writer, result_reader)
+
+
+def _serve(commands, results, tasks):
+    """A worker's life: serve the replications sent on ``commands`` until
+    the caller closes it, then exit."""
+    status = 1
+    try:
+        # A terminal's Ctrl-C interrupts the caller, which then stops its
+        # workers; a worker that took it too would die between replications.
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        # Never collect the caller's objects, which would copy their pages,
+        # and keep only the worker's pipes and descriptors 0-2 open.
+        # os.closerange(0, 0) closes every descriptor, so no empty range is
+        # passed.
+        gc.freeze()
+        kept = sorted({0, 1, 2, commands.fileno(), results.fileno(), tasks})
+        for low, high in zip(kept, kept[1:] + [os.sysconf("SC_OPEN_MAX")]):
+            if high > low + 1:
+                os.closerange(low + 1, high)
+        while True:
+            try:
+                cfg, replication_index, methods, errstate = commands.recv()
+            except EOFError:
+                break
+            with np.errstate(**errstate):
+                outcomes = _fit_share(cfg, replication_index, methods,
+                                      _taken(tasks))
+            results.send(_sendable(outcomes))
+        status = 0
+    except BrokenPipeError:  # the caller is gone
+        pass
+    except Exception:
+        traceback.print_exc()  # the caller reports only the exit status
+    finally:
+        os._exit(status)
+
+
+def _taken(tasks):
+    """The method indices read from the task pipe ``tasks``, one byte per
+    read, up to a stop byte or the pipe's end."""
+    while (byte := os.read(tasks, 1)) and byte[0] != _STOP:
+        yield byte[0]
+
+
+def _sendable(outcomes):
+    """``outcomes`` ready to pickle to the caller: each exception carries
+    this worker's traceback as a note, and one that does not survive
+    pickling becomes a RuntimeError that names it."""
+    substitutes = {}
+    for exc in {id(o): o for o in outcomes.values()
+                if isinstance(o, Exception)}.values():
+        exc.add_note(f"Raised in worker process {os.getpid()}:\n"
+                     + "".join(traceback.format_exception(exc)))
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:
+            substitute = RuntimeError(f"{type(exc).__qualname__}: {exc}")
+            substitute.__notes__ = exc.__notes__
+            substitutes[id(exc)] = substitute
+    return {i: substitutes.get(id(o), o) for i, o in outcomes.items()}
+
+
+def _share(workers, cfg, replication_index, methods):
+    """The caller's side of a replication shared with ``workers``: {index:
+    outcome} for every method.  Any failure here stops every worker, and a
+    worker that died raises ChildProcessError."""
+    read, write = _POOL.tasks
+    worker = None
+    try:
+        for worker in workers:
+            worker.commands.send((cfg, replication_index, methods,
+                                  np.geterr()))
+        worker = None
+        os.write(write, bytes(range(len(methods)))
+                 + bytes([_STOP]) * (len(workers) + 1))
+        outcomes = _fit_share(cfg, replication_index, methods, _taken(read))
+        for worker in workers:
+            outcomes.update(worker.results.recv())
+    except (OSError, EOFError) as exc:
+        statuses = _close_workers()
+        if worker is None:
+            raise
+        status = statuses[worker.pid]
+        code = "unknown" if status is None else os.waitstatus_to_exitcode(status)
+        raise ChildProcessError(
+            f"worker process {worker.pid} ended with exit code {code}; "
+            f"replication {replication_index} did not finish") from exc
+    except BaseException:
+        _close_workers()
+        raise
+    return outcomes
+
+
+def _forget_workers():
+    """Close this process's ends of the workers' pipes and forget the
+    workers; return them.  A forked child runs this first, so that it
+    holds none of its parent's workers' pipes."""
+    pool = _POOL
+    workers, pool.workers = pool.workers, []
+    for worker in workers:
+        worker.commands.close()
+        worker.results.close()
+    for fd in pool.tasks or ():
+        os.close(fd)
+    pool.tasks = pool.bindings = None
+    return workers
+
+
+def _close_workers():
+    """Stop this process's workers: forget them, then kill and reap each.
+    Return {pid: wait status}, None where another waiter reaped it."""
+    statuses = {}
+    for worker in _forget_workers():
+        try:
+            os.kill(worker.pid, signal.SIGKILL)
+            statuses[worker.pid] = os.waitpid(worker.pid, 0)[1]
+        except (ProcessLookupError, ChildProcessError):
+            statuses[worker.pid] = None
+    return statuses
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_workers)
+atexit.register(_close_workers)
 
 
 @dataclass
@@ -624,9 +831,10 @@ def run_study(cfg, methods=DATA_METHODS, parallelism=1):
     ``methods`` follows :func:`run_replication`'s rule, and ``parallelism``
     must be an integer (not a bool) of at least 1; both are checked before
     any replication runs.  With ``parallelism`` 1 each replication runs as
-    :func:`run_replication` does; with more, replications run in that many
-    worker processes, which start no threads, as the processes already
-    fill the CPUs.  Outcomes are reduced in replication order, so the
+    :func:`run_replication` does, its methods shared with the calling
+    process's workers; with more, replications run in that many pool
+    processes, which fork no workers of their own, as the pool already
+    fills the CPUs.  Outcomes are reduced in replication order, so the
     result is identical for every ``parallelism`` value.  A method that
     fails in every replication, or in more than 10% of them, raises a
     :class:`StudyError`.

@@ -14,7 +14,8 @@ probabilities.  PL and CL supply only their selection score's blocks, and
 once, where a sandwich is entered, so a bad input raises a ValidationError:
 designs by ``fitters.coerce_design``; per-row vectors (the outcome, PL's
 mask and every probability vector) by ``fitters.row_vector``, through
-``binary_outcome`` and ``probability_vector`` where 0/1 or (0, 1] applies;
+``binary_outcome``, ``row_mask`` and ``probability_vector`` where 0/1, a
+bool or 0/1 flag, or (0, 1] applies;
 the width and finiteness of theta_hat, and of alpha_hat against each of its
 designs, by ``fitters.coefficients_for``; and ``n_population`` as a
 positive finite number.
@@ -34,6 +35,7 @@ from .fitters import (
     numeric_array,
     population_size,
     probability_vector,
+    row_mask,
     row_vector,
     weighted_cross,
 )
@@ -219,7 +221,7 @@ def pl_components(theta_hat, alpha_hat, design, outcome, selection_design,
     coefficients_for(xe, alpha_hat, "alpha_hat")
     pi_ext = probability_vector(pi_ext, xe.shape[0],
                                 "external design probabilities")
-    mask = row_vector(internal_in_external, xi.shape[0], "internal_in_external", dtype=bool)
+    mask = row_mask(internal_in_external, xi.shape[0], "internal_in_external")
     rows = np.flatnonzero(mask)
     pi_ext_both = probability_vector(internal_pi_ext, mask.size,
                                      "internal_pi_ext", rows)

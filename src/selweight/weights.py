@@ -36,6 +36,7 @@ from .fitters import (
     numeric_array,
     population_size,
     probability_vector,
+    row_mask,
     row_vector,
     solve_fit,
     weighted_cross,
@@ -383,8 +384,8 @@ def estimate_weights_sr(internal_X, external_X, pi_ext, internal_in_external,
     xe = external_X.matrix
     n_int, n_ext = xi.shape[0], xe.shape[0]
     pi_ext = probability_vector(pi_ext, n_ext, "external design probabilities")
-    in_ext = row_vector(internal_in_external, n_int, "internal_in_external", dtype=bool)
-    in_int = row_vector(external_in_internal, n_ext, "external_in_internal", dtype=bool)
+    in_ext = row_mask(internal_in_external, n_int, "internal_in_external")
+    in_int = row_mask(external_in_internal, n_ext, "external_in_internal")
     if np.count_nonzero(in_ext) != np.count_nonzero(in_int):
         raise ValidationError("the overlap masks flag different numbers of units")
 

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import selweight as sw
+from selweight import simulation
 
 ACCEPTANCE_SEED = 20240810
 ACCEPTANCE_REPLICATIONS = 500
@@ -89,6 +90,14 @@ class StudyCache:
 @pytest.fixture(scope="session")
 def studies():
     return StudyCache()
+
+
+@pytest.fixture(autouse=True)
+def no_worker_outlives_its_test():
+    """Stop the replication workers a test forked, so that no later test
+    (and none of its monkeypatches) meets a worker forked before it."""
+    yield
+    simulation._close_workers()
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -10,6 +10,7 @@ enters, and never in a Newton trial.
 """
 
 import dataclasses
+from functools import partial
 
 import numpy as np
 import pytest
@@ -485,6 +486,48 @@ MALFORMED = {
         lambda: sw.estimate_weights_cl(INPUTS["xi"][:0], _cl_summary()),
         "the internal sample has no rows$"),
 }
+
+
+# An overlap mask holds bools or numbers equal to 0 or 1, never a value read
+# by its truth.  call[mask] -> (the valid mask's INPUTS key, a call on the
+# mask), and each other way of writing the flags.
+MASK_CALLS = {
+    "estimate_weights_sr[internal_in_external]": ("in_ext", lambda m: (
+        sw.estimate_weights_sr(INPUTS["xi"], INPUTS["xe"], INPUTS["pi_ext"],
+                               m, INPUTS["in_int"]))),
+    "estimate_weights_sr[external_in_internal]": ("in_int", lambda m: (
+        sw.estimate_weights_sr(INPUTS["xi"], INPUTS["xe"], INPUTS["pi_ext"],
+                               INPUTS["in_ext"], m))),
+    "vcov_pl[internal_in_external]": ("in_ext", lambda m: sw.vcov_pl(
+        INPUTS["theta"], INPUTS["alpha"], INPUTS["z"], INPUTS["d"],
+        INPUTS["xi"], INPUTS["xe"], INPUTS["pi_ext"], N_POP, m,
+        INPUTS["internal_pi_ext"])),
+}
+MASK_FORMS = {
+    "yes/no text": lambda m: np.where(m, "yes", "no"),
+    "0/1 text": lambda m: np.where(m, "1", "0"),
+    "0.5 for a flag": lambda m: np.where(m, 0.5, 0.0),
+    "2.0 for a flag": lambda m: np.where(m, 2.0, 0.0),
+}
+MALFORMED.update({
+    f"{name[:-1]} as {form}]": (
+        partial(call, rewrite(INPUTS[key])),
+        f"{name.split('[')[1][:-1]} must be bools or numbers equal to 0 or 1$")
+    for name, (key, call) in MASK_CALLS.items()
+    for form, rewrite in MASK_FORMS.items()})
+
+
+@pytest.mark.parametrize("name", MASK_CALLS)
+def test_an_overlap_mask_of_0_1_numbers_gives_the_bytes_of_its_bools(name):
+    key, call = MASK_CALLS[name]
+
+    def result_bytes(mask):
+        result = call(mask)
+        return getattr(result, "pi_hat", result).tobytes()
+
+    flags = INPUTS[key]
+    for numbers in (flags.astype(float), flags.astype(np.int8), flags.tolist()):
+        assert result_bytes(numbers) == result_bytes(flags)
 
 
 @pytest.mark.parametrize("case", MALFORMED)

@@ -1,8 +1,12 @@
 import json
+import os
 import re
+import signal
+import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
 from unittest import mock
@@ -14,7 +18,7 @@ import selweight as sw
 from selweight import simulation as sim_mod
 from selweight import weights as w_mod
 
-from conftest import SparseBinError, estimate_r_offset_mc
+from conftest import SparseBinError, cli_env, estimate_r_offset_mc
 
 GH_PREVALENCE = 0.1471669542  # 80-node Gauss-Hermite value of E[expit(-2 + u)],
                               # u ~ N(0, 0.75); oracle recomputed below.
@@ -229,7 +233,7 @@ def population_bits(pop):
 @pytest.mark.parametrize("n", [1, 3, 4, 5, 1000])
 @pytest.mark.parametrize("block_rows", [1, 3, 4, 5, 7])
 def test_blocked_draw_matches_the_single_stream_draw_bit_for_bit(
-        monkeypatch, thread_starts, n, block_rows):
+        monkeypatch, n, block_rows):
     monkeypatch.setattr(sim_mod, "POPULATION_BLOCK_ROWS", block_rows)
     for k, (seed, index) in enumerate([(0, 0), (2**63 - 1, 3),
                                        (2**63 - 2, 2**40 + 1)]):
@@ -238,8 +242,6 @@ def test_blocked_draw_matches_the_single_stream_draw_bit_for_bit(
                                   n_population=n)
         assert (population_bits(sw.generate_population(cfg, index))
                 == population_bits(reference_population(cfg, index)))
-    # Without helpers every block is drawn on the calling thread.
-    assert not thread_starts
 
 
 @pytest.mark.parametrize("n", [1, sim_mod.POPULATION_BLOCK_ROWS - 1,
@@ -247,7 +249,7 @@ def test_blocked_draw_matches_the_single_stream_draw_bit_for_bit(
 def test_population_draw_raises_no_floating_point_flag(n):
     cfg = sw.SimulationConfig(dag=4, setup=3, seed=5, n_population=n)
     with np.errstate(all="raise"):
-        pop = sw.generate_population(cfg, 1, helpers=1)
+        pop = sw.generate_population(cfg, 1)
     assert population_bits(pop) == population_bits(reference_population(cfg, 1))
 
 
@@ -333,17 +335,57 @@ def cpus(monkeypatch):
 
 
 @pytest.fixture
-def thread_starts(monkeypatch):
-    """The threads started so far, in start order."""
-    started = []
-    start = threading.Thread.start
+def fitted_by(monkeypatch, tmp_path):
+    """Stamp each result with the process id and numpy error state it was
+    fitted under (``pid``, ``errstate``), and pick who fits: with
+    ``fitted_by("workers", methods)`` the caller's draw waits until workers
+    have taken every method, and with ``fitted_by("both", methods)`` the
+    caller and a worker each fit at least one (more workers than methods
+    would leave none for the caller).  Call it before the workers are
+    forked, so that they run the stamps too."""
+    caller = os.getpid()
 
-    def counted(self):
-        started.append(self)
-        start(self)
+    def wait_for(*markers):
+        deadline = time.monotonic() + 60
+        while not all((tmp_path / marker).exists() for marker in markers):
+            if time.monotonic() > deadline:
+                raise AssertionError(f"no {markers} within 60 s")
+            time.sleep(0.001)
 
-    monkeypatch.setattr(threading.Thread, "start", counted)
-    return started
+    def install(mode, methods):
+        fit_one = sim_mod._fit_one
+        generate = sim_mod.generate_population
+
+        def stamped(method, src):
+            in_caller = os.getpid() == caller
+            if not in_caller:
+                (tmp_path / f"a worker took {method}").touch()
+            if mode == "both":
+                if in_caller:
+                    (tmp_path / "the caller took one").touch()
+                    wait_for("a worker fitted one")
+                else:
+                    wait_for("the caller took one")
+            result = fit_one(method, src)
+            result.pid, result.errstate = os.getpid(), np.geterr()
+            if not in_caller:
+                (tmp_path / "a worker fitted one").touch()
+            return result
+
+        def held(cfg, replication_index):
+            population = generate(cfg, replication_index)
+            if mode == "workers" and os.getpid() == caller:
+                wait_for(*(f"a worker took {method}" for method in methods))
+            return population
+
+        monkeypatch.setattr(sim_mod, "_fit_one", stamped)
+        monkeypatch.setattr(sim_mod, "generate_population", held)
+
+    return install
+
+
+def worker_pids():
+    return [worker.pid for worker in sim_mod._POOL.workers]
 
 
 def test_run_replication_returns_all_requested_methods():
@@ -434,16 +476,22 @@ def test_an_empty_internal_sample_fails_every_method_typed():
     assert all(res.failed for res in results.values())
 
 
-def test_run_replication_captures_method_failures(monkeypatch, cpus):
+@pytest.mark.parametrize("where", ["caller", "workers"])
+def test_run_replication_captures_method_failures(monkeypatch, cpus, fitted_by,
+                                                  where):
     cfg = sw.SimulationConfig(dag=1, setup=1, seed=2, n_population=5000)
 
     def boom(*args, **kwargs):
         raise sw.NonConvergenceError("forced failure")
 
     monkeypatch.setattr(sim_mod, "estimate_weights_pl", boom)
-    # One thread per method: the failure stays in pl's result.
-    cpus(len(sw.METHODS))
+    # In the caller alone, or every method in a worker: the failure stays in
+    # pl's result either way.
+    cpus(1 if where == "caller" else len(sw.METHODS))
+    fitted_by(where, sw.METHODS)
     results = sw.run_replication(cfg, 0, methods=sw.METHODS)
+    in_caller = {results[m].pid == os.getpid() for m in sw.METHODS}
+    assert in_caller == {where == "caller"}
     assert not any(results[m].failed for m in sw.METHODS if m != "pl")
     assert results["pl"].failed
     assert "forced failure" in results["pl"].error
@@ -511,8 +559,7 @@ def test_run_study_unweighted_rmse_is_exactly_one():
 
 
 # ---------------------------------------------------------------------------
-# concurrent replication: the calling thread and helper threads share the
-# methods
+# shared replication: the caller and worker processes share the methods
 
 
 def replication_bits(results):
@@ -533,66 +580,44 @@ def replication_bits(results):
 
 @pytest.mark.parametrize("dag", [1, 2, 3, 4])
 @pytest.mark.parametrize("setup", [1, 2, 3])
-def test_threaded_replication_matches_the_serial_one_bit_for_bit(
-        dag, setup, monkeypatch, cpus, thread_starts):
+def test_shared_replication_matches_the_serial_one_bit_for_bit(
+        dag, setup, fitted_by):
     cfg = sw.SimulationConfig(dag=dag, setup=setup, seed=5, n_population=5000)
-    cpus(1)
-    serial = sw.run_replication(cfg, 1, methods=sw.METHODS)
-    assert not thread_starts
-
-    fitted = []
-    fit_one = sim_mod._fit_one
-
-    def counted(method, src):
-        fitted.append(method)
-        return fit_one(method, src)
-
-    monkeypatch.setattr(sim_mod, "_fit_one", counted)
-    # Six threads on fewer cores, switching often: a method taken twice or
-    # not at all, or a lost result, would show.
-    cpus(len(sw.METHODS))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threaded = sw.run_replication(cfg, 1, methods=sw.METHODS)
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(thread_starts) == len(sw.METHODS) - 1
-    assert sorted(fitted) == sorted(sw.METHODS)
-    assert list(threaded) == list(sw.METHODS)
-    assert replication_bits(threaded) == replication_bits(serial)
+    serial = sim_mod._replicate(cfg, 1, sw.METHODS, 0)
+    assert not worker_pids()
+    # Five workers on fewer cores beside the caller: a method taken twice or
+    # not at all, or a result lost or misplaced, would show.
+    fitted_by("both", sw.METHODS)
+    shared = sim_mod._replicate(cfg, 1, sw.METHODS, len(sw.METHODS) - 1)
+    assert len(worker_pids()) == len(sw.METHODS) - 1
+    assert {res.pid for res in shared.values()} - {os.getpid()}
+    assert os.getpid() in {res.pid for res in shared.values()}
+    assert list(shared) == list(sw.METHODS)
+    assert replication_bits(shared) == replication_bits(serial)
 
 
-def test_helper_threads_run_beside_the_caller_with_its_error_state(
-        monkeypatch, cpus):
-    # Each method waits until both have started, so the test passes only if
-    # two threads fit them at once; each records numpy's error state.
-    both_started = threading.Barrier(2, timeout=30)
-    seen = {}
-    fit_method = sim_mod.fit_method
-
-    def recorded(src, weight_set):
-        both_started.wait()
-        seen[threading.get_ident()] = np.geterr()
-        return fit_method(src, weight_set)
-
-    monkeypatch.setattr(sim_mod, "fit_method", recorded)
-    cpus(2)
+def test_workers_fit_under_the_callers_numpy_error_state(fitted_by):
+    methods = ("unweighted", "cl")
+    fitted_by("both", methods)
     cfg = sw.SimulationConfig(dag=1, setup=1, seed=2, n_population=5000)
+    # The workers are forked under the default state, then take the
+    # caller's state at each replication.
+    sim_mod._replicate(cfg, 0, methods, 1)
     with np.errstate(divide="ignore", over="raise", invalid="print"):
         caller = np.geterr()
-        results = sw.run_replication(cfg, 0, methods=("unweighted", "cl"))
-    assert threading.get_ident() in seen and len(seen) == 2
-    assert all(state == caller for state in seen.values())
+        results = sim_mod._replicate(cfg, 0, methods, 1)
+    assert {res.pid for res in results.values()} == {os.getpid(),
+                                                    *worker_pids()}
+    assert all(res.errstate == caller for res in results.values())
     assert not any(res.failed for res in results.values())
 
 
-@pytest.mark.parametrize("usable", [1, 3])
+@pytest.mark.parametrize("helpers", [0, 2])
 @pytest.mark.parametrize("order", [("pl", "unweighted", "cl"),
                                    ("cl", "unweighted", "pl")])
-def test_the_first_listed_method_error_propagates(monkeypatch, cpus, usable,
-                                                  order):
-    # pl raises late, so with threads cl's error is raised first in time.
+def test_the_first_listed_method_error_propagates(monkeypatch, fitted_by,
+                                                  helpers, order):
+    # pl raises late, so with workers cl's error reaches the caller first.
     def late_pl(*args, **kwargs):
         time.sleep(0.2)
         raise RuntimeError("pl defect")
@@ -602,26 +627,116 @@ def test_the_first_listed_method_error_propagates(monkeypatch, cpus, usable,
 
     monkeypatch.setattr(sim_mod, "estimate_weights_pl", late_pl)
     monkeypatch.setattr(sim_mod, "estimate_weights_cl", cl_defect)
-    cpus(usable)
+    if helpers:
+        fitted_by("workers", order)
     cfg = sw.SimulationConfig(dag=1, setup=1, seed=2, n_population=5000)
     expected = RuntimeError if order[0] == "pl" else KeyError
-    with pytest.raises(expected, match=f"{order[0]} defect"):
-        sw.run_replication(cfg, 0, methods=order)
+    with pytest.raises(expected, match=f"{order[0]} defect") as raised:
+        sim_mod._replicate(cfg, 0, order, helpers)
+    # A worker's exception carries the worker's traceback.
+    notes = "".join(getattr(raised.value, "__notes__", []))
+    assert ("Raised in worker process" in notes) == bool(helpers)
+    assert (f"in {'late_pl' if order[0] == 'pl' else 'cl_defect'}" in notes
+            ) == bool(helpers)
 
 
-@pytest.mark.parametrize("usable, methods", [(1, sw.METHODS), (8, ("cl",))])
-def test_no_thread_without_a_second_cpu_or_method(cpus, thread_starts, usable,
-                                                  methods):
-    cpus(usable)
+def test_an_exception_that_cannot_be_pickled_crosses_as_a_runtime_error(
+        monkeypatch, fitted_by):
+    class LocalDefect(Exception):
+        """Defined in a function, so pickle cannot find it."""
+
+    def defect(*args, **kwargs):
+        raise LocalDefect("no way back")
+
+    monkeypatch.setattr(sim_mod, "estimate_weights_cl", defect)
+    methods = ("cl", "unweighted", "pl")
+    fitted_by("workers", methods)
     cfg = sw.SimulationConfig(dag=1, setup=1, seed=2, n_population=5000)
-    results = sw.run_replication(cfg, 0, methods=methods)
-    assert not thread_starts
+    with pytest.raises(RuntimeError) as raised:
+        sim_mod._replicate(cfg, 0, methods, 1)
+    assert str(raised.value) == f"{LocalDefect.__qualname__}: no way back"
+    assert "in defect" in "".join(raised.value.__notes__)
+
+
+@pytest.mark.parametrize("rebind", ["module binding", "METHOD_TABLE entry"])
+def test_a_rebinding_after_the_fork_reaches_every_method(monkeypatch, rebind):
+    cfg = sw.SimulationConfig(dag=1, setup=1, seed=2, n_population=5000)
+    methods = ("unweighted", "pl", "cl")
+    before = sim_mod._replicate(cfg, 0, methods, 1)
+    workers = worker_pids()
+    assert workers
+    calls = []
+
+    def rebound(*args, **kwargs):
+        calls.append(args)
+        raise sw.NonConvergenceError("rebound")
+
+    with monkeypatch.context() as patch:
+        if rebind == "module binding":
+            patch.setattr(sim_mod, "estimate_weights_cl", rebound)
+        else:
+            patch.setitem(sim_mod.METHOD_TABLE, "cl", rebound)
+        assert sim_mod._serving_workers(1) == []
+        after = sim_mod._replicate(cfg, 0, methods, 1)
+    # The rebound estimator ran in this process, and only it changed.
+    assert len(calls) == 1 and after["cl"].error == "NonConvergenceError: rebound"
+    after.pop("cl"), before.pop("cl")
+    assert replication_bits(after) == replication_bits(before)
+    # With the binding restored, the same workers serve again.
+    assert [w.pid for w in sim_mod._serving_workers(1)] == workers
+
+
+def test_a_module_imported_after_the_fork_does_not_stop_the_workers():
+    cfg = sw.SimulationConfig(dag=1, setup=1, seed=2, n_population=5000)
+    sim_mod._replicate(cfg, 0, ("unweighted", "cl"), 1)
+    package = vars(sys.modules["selweight"])
+    name = "late_module"
+    assert name not in package
+    package[name] = object()  # as an import binds a submodule
+    try:
+        assert sim_mod._serving_workers(1)
+    finally:
+        del package[name]
+
+
+@pytest.mark.parametrize("case", ["one usable CPU", "one method",
+                                  "another thread alive", "no os.fork",
+                                  "not Linux"])
+def test_no_worker_where_none_can_serve(monkeypatch, cpus, case):
+    cpus(1 if case == "one usable CPU" else 8)
+    methods = ("cl",) if case == "one method" else sw.METHODS
+    if case == "no os.fork":
+        monkeypatch.delattr(os, "fork")
+    if case == "not Linux":
+        monkeypatch.setattr(sys, "platform", "darwin")
+    cfg = sw.SimulationConfig(dag=1, setup=1, seed=2, n_population=5000)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(30,))
+    if case == "another thread alive":
+        thread.start()
+    try:
+        results = sw.run_replication(cfg, 0, methods=methods)
+    finally:
+        release.set()
+        if thread.is_alive():
+            thread.join(30)
+    assert not thread.is_alive()
+    assert not worker_pids()
     assert list(results) == list(methods)
+
+
+def test_the_worker_count_is_one_per_further_cpu_and_method(cpus):
+    cpus(3)
+    assert sim_mod._helper_count(sw.METHODS) == 2
+    assert sim_mod._helper_count(("pl", "cl")) == 1
+    cfg = sw.SimulationConfig(dag=1, setup=1, seed=2, n_population=5000)
+    sw.run_replication(cfg, 0, methods=sw.METHODS)
+    assert len(worker_pids()) == 2
 
 
 @pytest.fixture
 def drawn(monkeypatch):
-    """The populations run_replication draws, in draw order."""
+    """The populations this process draws, in draw order."""
     populations = []
     generate = sim_mod.generate_population
 
@@ -634,102 +749,20 @@ def drawn(monkeypatch):
 
 
 @pytest.mark.parametrize("dag, setup", [(1, 3), (3, 2), (4, 1)])
-def test_threaded_draw_in_small_blocks_matches_the_serial_one_bit_for_bit(
-        monkeypatch, cpus, thread_starts, drawn, dag, setup):
+def test_shared_draw_in_small_blocks_matches_the_serial_one_bit_for_bit(
+        monkeypatch, fitted_by, drawn, dag, setup):
     cfg = sw.SimulationConfig(dag=dag, setup=setup, seed=2**63 - 3,
                               n_population=5000)
-    cpus(1)
-    serial = sw.run_replication(cfg, 4, methods=sw.METHODS)
-    assert not thread_starts
-    # Per stage: the most helpers alive at once, and the threads that ran a
-    # task.  Each stage starts its own helpers and joins them.
-    peaks, runners = {}, {}
-
-    def watched(stage, task):
-        def run(*args):
-            alive = sum(thread.is_alive() for thread in thread_starts)
-            peaks[stage] = max(peaks.get(stage, 0), alive)
-            runners.setdefault(stage, set()).add(threading.get_ident())
-            return task(*args)
-        return run
-
-    monkeypatch.setattr(sim_mod, "_draw_block",
-                        watched("draw", sim_mod._draw_block))
-    monkeypatch.setattr(sim_mod, "_fit_one", watched("fit", sim_mod._fit_one))
-    # 5000 rows in 20 blocks of 250, on six threads switching often.
+    serial = sim_mod._replicate(cfg, 4, sw.METHODS, 0)
+    # 5000 rows in 20 blocks of 250, in the caller and in each worker.
     monkeypatch.setattr(sim_mod, "POPULATION_BLOCK_ROWS", 257)
-    cpus(len(sw.METHODS))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threaded = sw.run_replication(cfg, 4, methods=sw.METHODS)
-    finally:
-        sys.setswitchinterval(interval)
-    helpers = len(sw.METHODS) - 1
-    for stage in ("draw", "fit"):
-        assert peaks[stage] <= helpers, stage
-        assert runners[stage] - {threading.get_ident()}, stage
-    assert not any(thread.is_alive() for thread in thread_starts)
+    fitted_by("both", sw.METHODS)
+    shared = sim_mod._replicate(cfg, 4, sw.METHODS, 2)
     assert population_bits(drawn[1]) == population_bits(drawn[0])
     assert (population_bits(drawn[0])
             == population_bits(reference_population(cfg, 4)))
-    assert replication_bits(threaded) == replication_bits(serial)
-
-
-def test_a_failed_helper_start_joins_the_started_helpers(monkeypatch):
-    started = []
-    start = threading.Thread.start
-
-    def second_fails(self):
-        if started:
-            raise RuntimeError("no second helper")
-        start(self)
-        started.append(self)
-
-    monkeypatch.setattr(threading.Thread, "start", second_fails)
-    before = set(threading.enumerate())
-    done = []
-
-    def slow(i):
-        time.sleep(0.05)
-        done.append(i)
-
-    with pytest.raises(RuntimeError, match="no second helper"):
-        sim_mod._run_tasks([partial(slow, i) for i in range(4)], helpers=3)
-    # The first helper took every task and was joined before the error
-    # reached the caller.
-    assert len(started) == 1 and not started[0].is_alive()
-    assert sorted(done) == [0, 1, 2, 3]
-    assert set(threading.enumerate()) == before
-
-
-def test_the_caller_and_a_helper_both_draw_with_the_callers_error_state(
-        monkeypatch, cpus, drawn):
-    # Each thread's first block waits until a second thread has taken one,
-    # so the test passes only if two threads draw; each records numpy's
-    # error state.
-    both_started = threading.Barrier(2, timeout=30)
-    seen = {}
-    draw_block = sim_mod._draw_block
-
-    def recorded(*args):
-        if threading.get_ident() not in seen:
-            seen[threading.get_ident()] = np.geterr()
-            both_started.wait()
-        draw_block(*args)
-
-    monkeypatch.setattr(sim_mod, "_draw_block", recorded)
-    monkeypatch.setattr(sim_mod, "POPULATION_BLOCK_ROWS", 1000)
-    cpus(2)
-    cfg = sw.SimulationConfig(dag=2, setup=1, seed=2, n_population=5000)
-    with np.errstate(divide="ignore", over="raise", invalid="print"):
-        caller = np.geterr()
-        results = sw.run_replication(cfg, 0, methods=("unweighted", "cl"))
-    assert threading.get_ident() in seen and len(seen) == 2
-    assert all(state == caller for state in seen.values())
-    assert (population_bits(drawn[0])
-            == population_bits(reference_population(cfg, 0)))
-    assert not any(res.failed for res in results.values())
+    assert len({res.pid for res in shared.values()}) > 1
+    assert replication_bits(shared) == replication_bits(serial)
 
 
 def test_population_source_gathers_the_masked_rows():
@@ -762,34 +795,217 @@ def test_population_source_gathers_the_masked_rows():
     assert internal_pi_ext.tobytes() == pop.pi_ext[internal].tobytes()
 
 
-class InProcessPool:
-    """A stand-in process pool that runs every task in this process."""
+# ---------------------------------------------------------------------------
+# worker lifecycle: a worker lives until its interpreter exits, dies loudly,
+# and belongs to the process that forked it
 
-    def __init__(self, max_workers):
+
+def _gone(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+LINUX_ONLY = pytest.mark.skipif(
+    not (sys.platform.startswith("linux") and hasattr(os, "fork")),
+    reason="workers are forked on Linux only")
+
+
+@LINUX_ONLY
+def test_a_child_interpreter_leaves_no_worker_behind():
+    # The script's own exit handler, registered before selweight's, runs
+    # after it and finds the worker already reaped.
+    script = (
+        "import atexit, os\n"
+        "def reaped():\n"
+        "    try:\n"
+        "        os.waitpid(pid, os.WNOHANG)\n"
+        "    except ChildProcessError:\n"
+        "        print('reaped')\n"
+        "atexit.register(reaped)\n"
+        "import selweight as sw\n"
+        "from selweight import simulation as sim\n"
+        "cfg = sw.SimulationConfig(dag=1, setup=1, seed=2, n_population=5000)\n"
+        "sim._replicate(cfg, 0, ('unweighted', 'cl'), 1)\n"
+        "(pid,) = [w.pid for w in sim._POOL.workers]\n"
+        "print(pid)\n")
+    start = time.monotonic()
+    # The worker holds the child's stdout, so the run ends only when both
+    # the child and its worker have exited.
+    done = subprocess.run([sys.executable, "-c", script], env=cli_env(),
+                          capture_output=True, text=True, timeout=120)
+    elapsed = time.monotonic() - start
+    assert done.returncode == 0, done.stderr
+    pid, reaped = done.stdout.split()
+    assert reaped == "reaped" and _gone(int(pid))
+    assert elapsed < 60
+
+
+@LINUX_ONLY
+def test_an_interrupted_replication_stops_its_workers(monkeypatch, fitted_by):
+    class Interrupted(Exception):
         pass
 
-    def __enter__(self):
-        return self
+    def stuck(*args, **kwargs):
+        time.sleep(120)
 
-    def __exit__(self, *exc_info):
-        return False
+    monkeypatch.setattr(sim_mod, "estimate_weights_cl", stuck)
+    methods = ("unweighted", "cl")
+    fitted_by("workers", methods)
+    cfg = sw.SimulationConfig(dag=1, setup=1, seed=2, n_population=5000)
 
-    def map(self, fn, tasks, chunksize=1):
-        return [fn(task) for task in tasks]
+    def interrupt(signum, frame):
+        raise Interrupted
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    start = time.monotonic()
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        with pytest.raises(Interrupted):
+            sim_mod._replicate(cfg, 0, methods, 1)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    # The stuck worker was killed and reaped, not waited for.
+    assert time.monotonic() - start < 60
+    assert not worker_pids()
 
 
-def test_study_worker_processes_start_no_threads(monkeypatch, cpus,
-                                                 thread_starts):
-    monkeypatch.setattr(sim_mod, "ProcessPoolExecutor", InProcessPool)
-    cpus(8)
+@LINUX_ONLY
+@pytest.mark.parametrize("death", ["killed while idle", "exits mid-method"])
+def test_a_dead_worker_raises_and_the_next_replication_forks_a_new_one(
+        monkeypatch, fitted_by, death):
+    cfg = sw.SimulationConfig(dag=1, setup=1, seed=2, n_population=5000)
+    methods = ("unweighted", "cl")
+    serial = sim_mod._replicate(cfg, 0, methods, 0)
+    caller = os.getpid()
+    estimate_cl = sim_mod.estimate_weights_cl
+
+    def exits(*args, **kwargs):
+        if os.getpid() != caller:
+            os._exit(7)
+        return estimate_cl(*args, **kwargs)
+
+    if death == "exits mid-method":
+        monkeypatch.setattr(sim_mod, "estimate_weights_cl", exits)
+        fitted_by("workers", methods)
+        message = "ended with exit code 7"
+    else:
+        sim_mod._replicate(cfg, 0, methods, 1)
+        os.kill(worker_pids()[0], signal.SIGKILL)
+        # Wait for its death without reaping it.
+        os.waitid(os.P_PID, worker_pids()[0], os.WEXITED | os.WNOWAIT)
+        message = f"ended with exit code -{signal.SIGKILL.value}"
+    dead = None if death == "exits mid-method" else worker_pids()[0]
+    with pytest.raises(ChildProcessError,
+                       match=f"^worker process \\d+ {message}; "
+                             "replication 0 did not finish$"):
+        sim_mod._replicate(cfg, 0, methods, 1)
+    assert not worker_pids()
+    monkeypatch.undo()
+    again = sim_mod._replicate(cfg, 0, methods, 1)
+    assert worker_pids() and worker_pids()[0] != dead
+    assert replication_bits(again) == replication_bits(serial)
+
+
+@LINUX_ONLY
+def test_a_worker_ignores_the_interrupt_its_caller_handles():
+    # A terminal's Ctrl-C reaches the whole process group.
+    cfg = sw.SimulationConfig(dag=1, setup=1, seed=2, n_population=5000)
+    methods = ("unweighted", "cl")
+    first = sim_mod._replicate(cfg, 0, methods, 1)
+    (pid,) = worker_pids()
+    os.kill(pid, signal.SIGINT)
+    time.sleep(0.2)
+    again = sim_mod._replicate(cfg, 0, methods, 1)
+    assert worker_pids() == [pid]
+    assert replication_bits(again) == replication_bits(first)
+
+
+def _caller_pipe_ends():
+    """(descriptor, inode) of each of this process's ends of the workers'
+    pipes."""
+    fds = [*sim_mod._POOL.tasks]
+    for worker in sim_mod._POOL.workers:
+        fds += [worker.commands.fileno(), worker.results.fileno()]
+    return [(fd, os.fstat(fd).st_ino) for fd in fds]
+
+
+def _holds_none_of(ends):
+    """Whether this process holds none of the pipes in ``ends`` at those
+    descriptors, and has no workers of its own."""
+    for fd, inode in ends:
+        try:
+            if os.fstat(fd).st_ino == inode:
+                return False
+        except OSError:
+            pass
+    return not sim_mod._POOL.workers and sim_mod._POOL.tasks is None
+
+
+@LINUX_ONLY
+def test_a_forked_child_forgets_its_parents_workers():
+    cfg = sw.SimulationConfig(dag=1, setup=1, seed=2, n_population=5000)
+    sim_mod._replicate(cfg, 0, ("unweighted", "cl"), 1)
+    ends = _caller_pipe_ends()
+    pid = os.fork()
+    if pid == 0:
+        os._exit(0 if _holds_none_of(ends) else 1)
+    assert os.waitpid(pid, 0)[1] == 0
+    # The parent's workers still serve it.
+    assert _caller_pipe_ends() == ends
+    assert sim_mod._replicate(cfg, 0, ("unweighted", "cl"), 1)
+
+
+def _checked_in_pool(task, ends, index):
+    """Run a study's replication ``task`` in a pool worker, which must hold
+    none of the caller's worker pipes and fork no worker of its own."""
+    if not _holds_none_of(ends):
+        raise AssertionError("a pool worker holds its parent's worker pipes")
+    result = task(index)
+    if sim_mod._POOL.workers:
+        raise AssertionError("a pool worker forked a worker")
+    return result
+
+
+@LINUX_ONLY
+def test_study_pool_workers_forget_the_callers_workers_and_fork_none(
+        monkeypatch):
     cfg = sw.SimulationConfig(dag=2, setup=1, seed=9, n_population=4000,
                               replications=3)
     methods = ("unweighted", "pl", "cl")
+    sim_mod._replicate(cfg, 0, methods, 1)
+    ends = _caller_pipe_ends()
+
+    class CheckedPool(ProcessPoolExecutor):
+        def map(self, fn, tasks, chunksize=1):
+            return super().map(partial(_checked_in_pool, fn, ends), tasks,
+                               chunksize=chunksize)
+
+    monkeypatch.setattr(sim_mod, "ProcessPoolExecutor", CheckedPool)
     pooled = sw.run_study(cfg, methods=methods, parallelism=2)
-    assert not thread_starts
-    threaded = sw.run_study(cfg, methods=methods, parallelism=1)
-    assert len(thread_starts) == 3 * (len(methods) - 1)
-    assert pooled.rows == threaded.rows
+    monkeypatch.undo()
+    assert _caller_pipe_ends() == ends
+    assert pooled.rows == sw.run_study(cfg, methods=methods,
+                                       parallelism=1).rows
+
+
+@LINUX_ONLY
+def test_a_worker_keeps_only_its_pipes_and_descriptors_0_to_2(tmp_path):
+    with open(tmp_path / "open during the fork", "w"):
+        cfg = sw.SimulationConfig(dag=1, setup=1, seed=2, n_population=5000)
+        sim_mod._replicate(cfg, 0, ("unweighted", "cl"), 1)
+    worker = sim_mod._POOL.workers[0]
+    fd_dir = Path(f"/proc/{worker.pid}/fd")
+    kept = {int(fd): os.readlink(fd_dir / fd) for fd in os.listdir(fd_dir)}
+    pipes = {f"pipe:[{os.fstat(fd).st_ino}]"
+             for fd in (sim_mod._POOL.tasks[0], worker.commands.fileno(),
+                        worker.results.fileno())}
+    assert {0, 1, 2} <= set(kept)
+    assert {target for fd, target in kept.items() if fd > 2} == pipes
+    assert len(kept) == 6
 
 
 # ---------------------------------------------------------------------------
