@@ -12,9 +12,9 @@ positions in the replication's stream, so a block's rows do not depend on
 the block count.  A replication's methods are shared between the calling
 process and persistent worker processes, one per further usable CPU and
 method, forked on first use: each process draws its own copy of the
-population and takes methods from one pipe, and the results come back in
-``methods`` order.  Every array and result is the same bits in any
-process, at any worker or block count.
+population and takes methods from one task pipe, and each worker's results
+return on its own connection, merged in ``methods`` order.  Every array
+and result is the same bits in any process, at any worker or block count.
 """
 
 import atexit
@@ -567,19 +567,17 @@ def _fit_share(cfg, replication_index, methods, indices):
 
 # Worker processes.  Per replication the caller sends each worker it uses
 # (cfg, replication index, methods, numpy error state) on the worker's
-# command pipe, and writes every method index, then one stop byte per taker,
+# connection, and writes every method index, then one stop byte per taker,
 # to the task pipe.  The caller and the workers each draw the population
 # and take indices from the task pipe one byte per read, so each index goes
-# to exactly one of them; a worker sends its outcomes back on its result
-# pipe.
+# to exactly one of them; a worker returns its outcomes on its connection.
 _STOP = 255
 
 
 @dataclass
 class _Worker:
     pid: int
-    commands: Connection  # the caller's ends of the worker's two pipes
-    results: Connection
+    connection: Connection  # the caller's end of the worker's duplex pipe
 
 
 class _WorkerPool:
@@ -604,12 +602,11 @@ def _package_bindings():
 
 def _serving_workers(helpers):
     """The first ``helpers`` workers, forked as needed, or none where none
-    can serve: without ``os.fork`` or off Linux, while other Python threads
-    are alive, or while a module-level binding of the package or a
-    METHOD_TABLE entry is not the one the workers were forked with (as
-    under a test's monkeypatch or a tracer's wrappers)."""
-    if (helpers < 1 or not hasattr(os, "fork")
-            or not sys.platform.startswith("linux")
+    can serve: off Linux, while other Python threads are alive, or while a
+    module-level binding of the package or a METHOD_TABLE entry is not the
+    one the workers were forked with (as under a test's monkeypatch or a
+    tracer's wrappers)."""
+    if (helpers < 1 or not sys.platform.startswith("linux")
             or threading.active_count() > 1):
         return []
     pool, missing = _POOL, object()
@@ -627,28 +624,25 @@ def _serving_workers(helpers):
 def _fork_worker(tasks):
     """Fork a worker that takes method indices from the task pipe's read
     end ``tasks``."""
-    command_reader, command_writer = Pipe(duplex=False)
-    result_reader, result_writer = Pipe(duplex=False)
+    connection, worker_end = Pipe()
     # The child's after-fork hook closes the pool's descriptors, but not
     # this copy of the task pipe's read end.
     task_reader = os.dup(tasks)
     try:
         pid = os.fork()
         if pid == 0:
-            _serve(command_reader, result_writer, task_reader)  # never returns
+            _serve(worker_end, task_reader)  # never returns
     except OSError:
-        command_writer.close()
-        result_reader.close()
+        connection.close()
         raise
-    finally:  # the caller keeps only its own ends
-        command_reader.close()
-        result_writer.close()
+    finally:  # the caller keeps only its own end
+        worker_end.close()
         os.close(task_reader)
-    return _Worker(pid, command_writer, result_reader)
+    return _Worker(pid, connection)
 
 
-def _serve(commands, results, tasks):
-    """A worker's life: serve the replications sent on ``commands`` until
+def _serve(connection, tasks):
+    """A worker's life: serve the replications sent on ``connection`` until
     the caller closes it, then exit."""
     status = 1
     try:
@@ -656,25 +650,23 @@ def _serve(commands, results, tasks):
         # workers; a worker that took it too would die between replications.
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         # Never collect the caller's objects, which would copy their pages,
-        # and keep only the worker's pipes and descriptors 0-2 open.
-        # os.closerange(0, 0) closes every descriptor, so no empty range is
-        # passed.
+        # and keep only the worker's connection, the task pipe and
+        # descriptors 0-2 open.  os.closerange(0, 0) closes every
+        # descriptor, so no empty range is passed.
         gc.freeze()
-        kept = sorted({0, 1, 2, commands.fileno(), results.fileno(), tasks})
+        kept = sorted({0, 1, 2, connection.fileno(), tasks})
         for low, high in zip(kept, kept[1:] + [os.sysconf("SC_OPEN_MAX")]):
             if high > low + 1:
                 os.closerange(low + 1, high)
         while True:
-            try:
-                cfg, replication_index, methods, errstate = commands.recv()
-            except EOFError:
-                break
+            cfg, replication_index, methods, errstate = connection.recv()
             with np.errstate(**errstate):
                 outcomes = _fit_share(cfg, replication_index, methods,
                                       _taken(tasks))
-            results.send(_sendable(outcomes))
+            connection.send(_sendable(outcomes))
+    except EOFError:  # the caller closed the connection
         status = 0
-    except BrokenPipeError:  # the caller is gone
+    except (BrokenPipeError, ConnectionResetError):  # the caller is gone
         pass
     except Exception:
         traceback.print_exc()  # the caller reports only the exit status
@@ -691,7 +683,7 @@ def _taken(tasks):
 
 def _sendable(outcomes):
     """``outcomes`` ready to pickle to the caller: each exception carries
-    this worker's traceback as a note, and one that does not survive
+    this process's traceback as a note, and one that does not survive
     pickling becomes a RuntimeError that names it."""
     substitutes = {}
     for exc in {id(o): o for o in outcomes.values()
@@ -715,38 +707,34 @@ def _share(workers, cfg, replication_index, methods):
     worker = None
     try:
         for worker in workers:
-            worker.commands.send((cfg, replication_index, methods,
-                                  np.geterr()))
+            worker.connection.send((cfg, replication_index, methods,
+                                    np.geterr()))
         worker = None
         os.write(write, bytes(range(len(methods)))
                  + bytes([_STOP]) * (len(workers) + 1))
         outcomes = _fit_share(cfg, replication_index, methods, _taken(read))
         for worker in workers:
-            outcomes.update(worker.results.recv())
-    except (OSError, EOFError) as exc:
+            outcomes.update(worker.connection.recv())
+    except BaseException as exc:
         statuses = _close_workers()
-        if worker is None:
+        if worker is None or not isinstance(exc, (OSError, EOFError)):
             raise
         status = statuses[worker.pid]
         code = "unknown" if status is None else os.waitstatus_to_exitcode(status)
         raise ChildProcessError(
             f"worker process {worker.pid} ended with exit code {code}; "
             f"replication {replication_index} did not finish") from exc
-    except BaseException:
-        _close_workers()
-        raise
     return outcomes
 
 
 def _forget_workers():
-    """Close this process's ends of the workers' pipes and forget the
-    workers; return them.  A forked child runs this first, so that it
-    holds none of its parent's workers' pipes."""
+    """Close this process's ends of the workers' connections and the task
+    pipe and forget the workers; return them.  A forked child runs this
+    first, so that it holds none of its parent's workers' descriptors."""
     pool = _POOL
     workers, pool.workers = pool.workers, []
     for worker in workers:
-        worker.commands.close()
-        worker.results.close()
+        worker.connection.close()
     for fd in pool.tasks or ():
         os.close(fd)
     pool.tasks = pool.bindings = None
@@ -825,6 +813,15 @@ def _run_replication_task(cfg, methods, helpers, index):
     return compact
 
 
+def _pooled_replication_task(cfg, methods, index):
+    """A replication in a study's pool process, which forks no workers; an
+    exception leaves the process as a worker's does (see _sendable)."""
+    try:
+        return _run_replication_task(cfg, methods, 0, index)
+    except Exception as exc:
+        raise _sendable({index: exc})[index] from None
+
+
 def run_study(cfg, methods=DATA_METHODS, parallelism=1):
     """Run the configured number of replications and aggregate the metrics.
 
@@ -832,12 +829,14 @@ def run_study(cfg, methods=DATA_METHODS, parallelism=1):
     must be an integer (not a bool) of at least 1; both are checked before
     any replication runs.  With ``parallelism`` 1 each replication runs as
     :func:`run_replication` does, its methods shared with the calling
-    process's workers; with more, replications run in that many pool
-    processes, which fork no workers of their own, as the pool already
-    fills the CPUs.  Outcomes are reduced in replication order, so the
-    result is identical for every ``parallelism`` value.  A method that
-    fails in every replication, or in more than 10% of them, raises a
-    :class:`StudyError`.
+    process's workers; with more, replications run in min(``parallelism``,
+    replications) pool processes, which fork no workers of their own, as
+    the pool already fills the CPUs.  An exception from a pool process
+    carries its traceback as a note, or becomes a RuntimeError that names
+    it if it does not survive pickling, as a worker's does.  Outcomes are
+    reduced in replication order, so the result is identical for every
+    ``parallelism`` value.  A method that fails in every replication, or in
+    more than 10% of them, raises a :class:`StudyError`.
     """
     methods = _distinct_methods(methods)
     if not _is_integer(parallelism):
@@ -846,15 +845,16 @@ def run_study(cfg, methods=DATA_METHODS, parallelism=1):
     if parallelism < 1:
         raise ValidationError(f"parallelism must be at least 1, got {parallelism}")
     r_total = cfg.replications
-    processes = parallelism > 1
-    task = partial(_run_replication_task, cfg, methods,
-                   0 if processes else _helper_count(methods))
-    if processes:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            outcomes = list(pool.map(task, range(r_total),
-                                     chunksize=max(1, r_total // (8 * parallelism))))
+    processes = min(parallelism, r_total)
+    if processes > 1:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
+            outcomes = list(pool.map(
+                partial(_pooled_replication_task, cfg, methods),
+                range(r_total), chunksize=max(1, r_total // (8 * processes))))
     else:
-        outcomes = [task(r) for r in range(r_total)]
+        helpers = _helper_count(methods)
+        outcomes = [_run_replication_task(cfg, methods, helpers, r)
+                    for r in range(r_total)]
 
     # Per method, its (theta, diag(vcov), alpha, clamps) in each replication
     # it did not fail, in replication order.

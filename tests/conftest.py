@@ -10,6 +10,7 @@ import hashlib
 import math
 import os
 import pickle
+import signal
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -92,12 +93,32 @@ def studies():
     return StudyCache()
 
 
+def _child_pids():
+    """The ids of this process's child processes, reaped or not, as Linux
+    lists them per thread; elsewhere none."""
+    tasks = Path("/proc/self/task")
+    return sorted(int(pid) for path in tasks.glob("*/children")
+                  for pid in path.read_text().split())
+
+
 @pytest.fixture(autouse=True)
 def no_worker_outlives_its_test():
     """Stop the replication workers a test forked, so that no later test
-    (and none of its monkeypatches) meets a worker forked before it."""
+    (and none of its monkeypatches) meets a worker forked before it.  Then
+    fail the test if any other child process of it is left, such as a
+    study's pool process, after killing and reaping it so that the next
+    test starts clean."""
     yield
     simulation._close_workers()
+    left = _child_pids()
+    for pid in left:
+        try:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        except (ProcessLookupError, ChildProcessError):
+            pass
+    if left:
+        pytest.fail(f"child processes {left} outlived the test")
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -700,13 +700,10 @@ def test_a_module_imported_after_the_fork_does_not_stop_the_workers():
 
 
 @pytest.mark.parametrize("case", ["one usable CPU", "one method",
-                                  "another thread alive", "no os.fork",
-                                  "not Linux"])
+                                  "another thread alive", "not Linux"])
 def test_no_worker_where_none_can_serve(monkeypatch, cpus, case):
     cpus(1 if case == "one usable CPU" else 8)
     methods = ("cl",) if case == "one method" else sw.METHODS
-    if case == "no os.fork":
-        monkeypatch.delattr(os, "fork")
     if case == "not Linux":
         monkeypatch.setattr(sys, "platform", "darwin")
     cfg = sw.SimulationConfig(dag=1, setup=1, seed=2, n_population=5000)
@@ -925,11 +922,10 @@ def test_a_worker_ignores_the_interrupt_its_caller_handles():
 
 
 def _caller_pipe_ends():
-    """(descriptor, inode) of each of this process's ends of the workers'
-    pipes."""
+    """(descriptor, inode) of each of this process's ends of the task pipe
+    and of the workers' connections."""
     fds = [*sim_mod._POOL.tasks]
-    for worker in sim_mod._POOL.workers:
-        fds += [worker.commands.fileno(), worker.results.fileno()]
+    fds += [worker.connection.fileno() for worker in sim_mod._POOL.workers]
     return [(fd, os.fstat(fd).st_ino) for fd in fds]
 
 
@@ -992,6 +988,54 @@ def test_study_pool_workers_forget_the_callers_workers_and_fork_none(
                                        parallelism=1).rows
 
 
+class TwoArgumentDefect(Exception):
+    """Pickles, but unpickling calls ``__init__`` with one argument."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} in {where}")
+
+
+@LINUX_ONLY
+@pytest.mark.parametrize("defect, expected, text", [
+    (partial(TwoArgumentDefect, "defect", "cl"), RuntimeError,
+     "TwoArgumentDefect: defect in cl"),
+    (partial(KeyError, "cl defect"), KeyError, "'cl defect'")])
+def test_a_study_pool_exception_reaches_the_caller_as_a_workers_does(
+        monkeypatch, defect, expected, text):
+    def raising(src):
+        raise defect()
+
+    monkeypatch.setitem(sim_mod.METHOD_TABLE, "cl", raising)
+    cfg = sw.SimulationConfig(dag=1, setup=1, seed=2, n_population=3000,
+                              replications=2)
+    # BrokenProcessPool is a RuntimeError too, so the type is compared.
+    with pytest.raises(Exception) as raised:
+        sw.run_study(cfg, methods=("unweighted", "cl"), parallelism=2)
+    assert type(raised.value) is expected and str(raised.value) == text
+    notes = "".join(getattr(raised.value, "__notes__", []))
+    assert "Raised in worker process" in notes and "in raising" in notes
+
+
+@LINUX_ONLY
+def test_a_study_starts_no_more_pool_processes_than_replications(monkeypatch):
+    sizes = []
+
+    class CountedPool(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(sim_mod, "ProcessPoolExecutor", CountedPool)
+    cfg = sw.SimulationConfig(dag=1, setup=1, seed=2, n_population=3000,
+                              replications=2)
+    methods = ("unweighted", "cl")
+    pooled = sw.run_study(cfg, methods=methods, parallelism=4)
+    monkeypatch.undo()
+    assert sizes == [2]
+    assert pooled.rows == sw.run_study(cfg, methods=methods,
+                                       parallelism=1).rows
+
+
 @LINUX_ONLY
 def test_a_worker_keeps_only_its_pipes_and_descriptors_0_to_2(tmp_path):
     with open(tmp_path / "open during the fork", "w"):
@@ -1000,12 +1044,15 @@ def test_a_worker_keeps_only_its_pipes_and_descriptors_0_to_2(tmp_path):
     worker = sim_mod._POOL.workers[0]
     fd_dir = Path(f"/proc/{worker.pid}/fd")
     kept = {int(fd): os.readlink(fd_dir / fd) for fd in os.listdir(fd_dir)}
-    pipes = {f"pipe:[{os.fstat(fd).st_ino}]"
-             for fd in (sim_mod._POOL.tasks[0], worker.commands.fileno(),
-                        worker.results.fileno())}
-    assert {0, 1, 2} <= set(kept)
-    assert {target for fd, target in kept.items() if fd > 2} == pipes
-    assert len(kept) == 6
+    # The task pipe's ends share one inode; the worker's end of its
+    # connection is a socket of its own, not the caller's end.
+    task_pipe = f"pipe:[{os.fstat(sim_mod._POOL.tasks[0]).st_ino}]"
+    caller_end = f"socket:[{os.fstat(worker.connection.fileno()).st_ino}]"
+    others = [t for fd, t in kept.items() if fd > 2 and t != task_pipe]
+    assert {0, 1, 2} <= set(kept) and task_pipe in kept.values()
+    assert len(others) == 1 and others[0].startswith("socket:[")
+    assert others[0] != caller_end
+    assert len(kept) == 5
 
 
 # ---------------------------------------------------------------------------
