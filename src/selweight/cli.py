@@ -18,6 +18,7 @@ from .dataio import (
     integer_cells,
     load_dataset,
     load_population_summary,
+    naming,
     parse_role_map,
     read_key_values,
 )
@@ -240,7 +241,8 @@ class FileSource:
             summary, population_size=self.args.population_size)
         levels = np.column_stack([self.sample.column(name)
                                   for name in summary.names])
-        return integer_cells(levels, summary.names, self.args.data), summary
+        with naming(self.args.data):
+            return integer_cells(levels, summary.names), summary
 
     def calibration_summary(self):
         return self._summary("marginal_means")

@@ -3,8 +3,11 @@
 Datasets are comma-delimited text with a header row.  A role map names the
 columns playing each part: the binary outcome, the disease-model covariates,
 the selection-model covariates, and optional selection/external indicators
-with known external design probabilities.  Numbers are written back with 17
-significant digits so round-trips preserve every double exactly.
+with known external design probabilities.  Every error met while reading a
+file, the checks of the records built from it included, names the file
+(:func:`naming`), and a cell read as a number must hold a finite one.
+Numbers are written back with 17 significant digits so round-trips preserve
+every double exactly.
 """
 
 import csv
@@ -12,6 +15,7 @@ import dataclasses
 import json
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from types import SimpleNamespace
@@ -85,25 +89,26 @@ def read_key_values(path, parsers):
     and values the parser rejects are errors naming the line.
     """
     values = {}
-    with _open_text(path) as handle:
-        for lineno, raw in enumerate(_checked(handle, path), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValidationError(f"{path}:{lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in parsers:
-                raise ValidationError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in values:
-                raise ValidationError(f"{path}:{lineno}: duplicate key {key!r}")
-            try:
-                values[key] = parsers[key](value.strip())
-            except ValueError:
-                raise ValidationError(
-                    f"{path}:{lineno}: cannot parse value for {key!r}"
-                ) from None
+    with naming(path), _open_text(path) as handle:
+        lines = handle.readlines()
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValidationError(f"{path}:{lineno}: expected key=value")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in parsers:
+            raise ValidationError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise ValidationError(f"{path}:{lineno}: duplicate key {key!r}")
+        try:
+            values[key] = parsers[key](value.strip())
+        except ValueError:
+            raise ValidationError(
+                f"{path}:{lineno}: cannot parse value for {key!r}"
+            ) from None
     return values
 
 
@@ -119,7 +124,8 @@ def parse_role_map(path):
                for f in dataclasses.fields(ColumnRoleMap)}
     values = {key: parse("") for key, parse in parsers.items()}
     values.update(read_key_values(path, parsers))
-    return _read_record(path, ColumnRoleMap, **values)
+    with naming(path):
+        return ColumnRoleMap(**values)
 
 
 @dataclass
@@ -156,31 +162,39 @@ class AnalysisSample:
         return self.columns[self.roles.external_prob]
 
 
-def _parse_cell(text, path, row_number, column):
+def _parse_cell(text, row_number, column):
+    """The number in a cell; a missing, non-numeric or non-finite one raises
+    :class:`NonNumericCellError` naming the row and the column."""
     token = text.strip()
     if token.lower() in MISSING_TOKENS:
         raise NonNumericCellError(
-            f"{path}: missing value at row {row_number}, column {column!r}"
+            f"missing value at row {row_number}, column {column!r}"
         )
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise NonNumericCellError(
-            f"{path}: non-numeric value {token!r} at row {row_number}, "
+            f"non-numeric value {token!r} at row {row_number}, "
             f"column {column!r}"
         ) from None
+    if not math.isfinite(value):
+        raise NonNumericCellError(
+            f"non-finite value {token!r} at row {row_number}, "
+            f"column {column!r}"
+        )
+    return value
 
 
 # Integer cells are stored as int64, which holds magnitudes below 2**63.
 INT64_LIMIT = 2.0**63
 
 
-def integer_cells(values, columns, path, rows=None):
+def integer_cells(values, columns, rows=None):
     """The int64 form of a matrix of parsed numbers, one column per name.
 
     A NaN, an infinity, a fractional value or one outside the int64 range
-    raises :class:`NonIntegerCellError` naming ``path``, the row (``rows[i]``
-    for matrix row i, or its 1-based position) and the column.
+    raises :class:`NonIntegerCellError` naming the row (``rows[i]`` for
+    matrix row i, or its 1-based position) and the column.
     """
     values = np.asarray(values, dtype=float).reshape(-1, len(columns))
     bad = ~(np.abs(values) < INT64_LIMIT) | (values != np.floor(values))
@@ -188,25 +202,27 @@ def integer_cells(values, columns, path, rows=None):
         i, j = np.argwhere(bad)[0]
         row = i + 1 if rows is None else rows[i]
         raise NonIntegerCellError(
-            f"{path}: value {float(values[i, j])!r} at row {row}, column "
+            f"value {float(values[i, j])!r} at row {row}, column "
             f"{columns[j]!r} is not an integer"
         )
     return values.astype(np.int64)
 
 
-def _checked(items, path):
-    """Yield from ``items``, the lines or CSV rows of the file ``path``; a
-    malformed CSV row (say, a field over ``csv.field_size_limit()``) or a
-    byte that is not UTF-8 raises :class:`ValidationError` naming ``path``."""
+@contextmanager
+def naming(path):
+    """Name the file ``path`` in the errors met while reading it: a
+    :class:`ValidationError` raised inside gets the prefix ``"{path}: "``
+    and keeps its type, and a malformed CSV row (say, a field over
+    ``csv.field_size_limit()``) or a byte that is not UTF-8 becomes one."""
     try:
-        yield from items
-    except csv.Error as exc:
-        raise ValidationError(f"{path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        byte = exc.object[exc.start]
-        raise ValidationError(
-            f"{path}: not UTF-8 text (byte 0x{byte:02x}: {exc.reason})"
-        ) from None
+        yield
+    except (ValidationError, csv.Error, UnicodeDecodeError) as exc:
+        if isinstance(exc, UnicodeDecodeError):
+            byte = exc.object[exc.start]
+            exc = ValidationError(
+                f"not UTF-8 text (byte 0x{byte:02x}: {exc.reason})")
+        kind = type(exc) if isinstance(exc, ValidationError) else ValidationError
+        raise kind(f"{path}: {exc}") from None
 
 
 def _open_text(path):
@@ -215,13 +231,7 @@ def _open_text(path):
     return open(path, encoding="utf-8-sig", newline="")
 
 
-def _csv_rows(handle, path):
-    """The rows of a CSV file, as ``csv.reader`` yields them (see
-    :func:`_checked` for the errors)."""
-    return _checked(csv.reader(handle), path)
-
-
-def _data_rows(reader, path, width):
+def _data_rows(reader, width):
     """Yield (1-based row number, fields) for each non-blank data row;
     blank lines are not counted, so row i is entry i of the loaded arrays."""
     row_number = 0
@@ -231,25 +241,24 @@ def _data_rows(reader, path, width):
         row_number += 1
         if len(row) != width:
             raise ValidationError(
-                f"{path}: row {row_number} has {len(row)} fields, "
-                f"expected {width}"
+                f"row {row_number} has {len(row)} fields, expected {width}"
             )
         yield row_number, row
 
 
-def _read_header(reader, path):
+def _read_header(reader):
     """The stripped header fields of a CSV reader's first row."""
     try:
         return [h.strip() for h in next(reader)]
     except StopIteration:
-        raise ValidationError(f"{path}: empty file") from None
+        raise ValidationError("empty file") from None
 
 
-def _check_unique(header, names, path):
+def _check_unique(header, names):
     """Raise :class:`ValidationError` if a name in ``names`` heads two columns."""
     for name in names:
         if header.count(name) > 1:
-            raise ValidationError(f"{path}: header repeats column {name!r}")
+            raise ValidationError(f"header repeats column {name!r}")
 
 
 def load_dataset(path, roles, columns=None):
@@ -261,46 +270,49 @@ def load_dataset(path, roles, columns=None):
     summary's level columns).  The header must hold every mapped and every
     named column, else :class:`MissingColumnError` lists the missing ones;
     it must not name a read column twice.  Only the read columns are parsed
-    and checked: any missing or non-numeric cell in one is an error naming
-    the 1-based data row and the column, and a read binary role (outcome,
-    indicators) must be coded 0/1.  The sample holds the read columns alone.
+    and checked: any missing, non-numeric or non-finite cell in one is an
+    error naming the file, the 1-based data row and the column, and a read
+    binary role (outcome, indicators) must be coded 0/1.  The sample holds
+    the read columns alone.
 
     The data rows are parsed in one typed numpy pass that converts only the
     read columns (:func:`_numeric_table`).  Whenever the file has a line
     longer than ``csv.field_size_limit()``, or that pass rejects the text,
-    meets a field that starts with a quote or yields a NaN in a read
-    column, the row loop (:func:`_columns_by_row`) parses the file instead;
-    it gives the same numbers, so it alone decides every error and its row
-    number.
+    meets a field that starts with a quote or yields a NaN or an infinity
+    in a read column, the row loop (:func:`_columns_by_row`) parses the
+    file instead; it gives the same numbers, so it alone decides every error
+    and its row number.
     """
     mapped = roles.mapped_columns()
     named = list(dict.fromkeys([*mapped, *(columns or ())]))
     wanted = named if columns is None else [c for c in named if c in columns]
-    with _open_text(path) as handle:
-        header = _read_header(_csv_rows(handle, path), path)
-        missing = [c for c in named if c not in header]
-        if missing:
-            raise MissingColumnError(f"{path}: missing columns {missing}")
-        _check_unique(header, wanted, path)
-        fields = [f"f{header.index(c)}" for c in wanted]
-        table = (None if _has_long_line(path, csv.field_size_limit())
-                 else _numeric_table(handle, len(header), fields))
-    if table is None or any(np.isnan(table[f]).any() for f in fields):
-        data, n_rows = _columns_by_row(path, wanted)
-    else:
-        data = {c: table[f].copy() for c, f in zip(wanted, fields)}
-        n_rows = len(table)
+    with naming(path):
+        with _open_text(path) as handle:
+            header = _read_header(csv.reader(handle))
+            missing = [c for c in named if c not in header]
+            if missing:
+                raise MissingColumnError(f"missing columns {missing}")
+            _check_unique(header, wanted)
+            fields = [f"f{header.index(c)}" for c in wanted]
+            table = (None if _has_long_line(path, csv.field_size_limit())
+                     else _numeric_table(handle, len(header), fields))
+        if table is None or not all(np.isfinite(table[f]).all()
+                                    for f in fields):
+            data, n_rows = _columns_by_row(path, wanted)
+        else:
+            data = {c: table[f].copy() for c, f in zip(wanted, fields)}
+            n_rows = len(table)
 
-    binary_roles = [roles.outcome, roles.selection_indicator,
-                    roles.external_indicator]
-    for name in binary_roles:
-        if name in data and not np.all(np.isin(data[name], (0.0, 1.0))):
-            bad = int(np.flatnonzero(~np.isin(data[name], (0.0, 1.0)))[0]) + 1
-            raise NonBinaryIndicatorError(
-                f"{path}: column {name!r} must be coded 0/1 "
-                f"(first offending data row {bad})"
-            )
-    return AnalysisSample(columns=data, roles=roles, n_rows=n_rows)
+        binary_roles = [roles.outcome, roles.selection_indicator,
+                        roles.external_indicator]
+        for name in binary_roles:
+            if name in data and not np.all(np.isin(data[name], (0.0, 1.0))):
+                bad = int(np.flatnonzero(~np.isin(data[name], (0.0, 1.0)))[0]) + 1
+                raise NonBinaryIndicatorError(
+                    f"column {name!r} must be coded 0/1 "
+                    f"(first offending data row {bad})"
+                )
+        return AnalysisSample(columns=data, roles=roles, n_rows=n_rows)
 
 
 def _has_long_line(path, limit):
@@ -359,22 +371,20 @@ def _columns_by_row(path, wanted):
     """Parse the ``wanted`` columns of a data file one row at a time.
 
     Returns the columns as float arrays and the row count, or raises the
-    error naming the file, the data row and the column of the first bad
-    cell.
+    error naming the data row and the column of the first bad cell.
     """
     with _open_text(path) as handle:
-        reader = _csv_rows(handle, path)
-        header = _read_header(reader, path)
+        reader = csv.reader(handle)
+        header = _read_header(reader)
         index = {c: header.index(c) for c in wanted}
         data = {c: [] for c in index}
         n_rows = 0
-        for row_number, row in _data_rows(reader, path, len(header)):
+        for row_number, row in _data_rows(reader, len(header)):
             n_rows += 1
             for column, pos in index.items():
-                data[column].append(_parse_cell(row[pos], path, row_number,
-                                                column))
+                data[column].append(_parse_cell(row[pos], row_number, column))
     if n_rows == 0:
-        raise ValidationError(f"{path}: no data rows")
+        raise ValidationError("no data rows")
     return {c: np.asarray(v, dtype=float) for c, v in data.items()}, n_rows
 
 
@@ -387,11 +397,12 @@ def load_population_summary(path, kind):
     in a thousand of 1; larger deviations are rejected.  ``marginal_means``
     files are two columns (name, value) and must include an ``N`` row.
     """
-    if kind == "joint_cells":
-        return _load_joint_cells(path)
-    if kind == "marginal_means":
-        return _load_marginal_means(path)
-    raise ValidationError(f"unknown summary kind {kind!r}")
+    loaders = {"joint_cells": _load_joint_cells,
+               "marginal_means": _load_marginal_means}
+    if kind not in loaders:
+        raise ValidationError(f"unknown summary kind {kind!r}")
+    with naming(path):
+        return loaders[kind](path)
 
 
 def _load_joint_cells(path):
@@ -401,76 +412,65 @@ def _load_joint_cells(path):
     so a bad cell is reported as a data file's is; the probabilities are
     summed in file order."""
     with _open_text(path) as handle:
-        header = _read_header(_csv_rows(handle, path), path)
+        header = _read_header(csv.reader(handle))
     if len(header) < 2 or header[-1] != "probability":
         raise ValidationError(
-            f"{path}: joint summary needs level columns plus a final "
-            "'probability' column"
+            "joint summary needs level columns plus a final 'probability' "
+            "column"
         )
     level_names = header[:-1]
-    _check_unique(header, level_names, path)
+    _check_unique(header, level_names)
     cells, _ = _columns_by_row(path, header)
     probabilities = cells.pop("probability")
-    levels = integer_cells(np.column_stack(list(cells.values())), level_names,
-                           path)
+    levels = integer_cells(np.column_stack(list(cells.values())), level_names)
     total = sum(probabilities.tolist())
     warnings = []
     if abs(total - 1.0) > 1e-9:
         if not (0.999 <= total <= 1.001):
             raise ProbabilitySumOutOfRangeError(
-                f"{path}: cell probabilities sum to {total:.6f}, outside [0.999, 1.001]"
+                f"cell probabilities sum to {total:.6f}, outside [0.999, 1.001]"
             )
         probabilities = probabilities / total
         warnings.append(
             f"cell probabilities summed to {total:.6f}; renormalized to 1"
         )
-    return _read_record(path, PopulationSummary, "joint_cells", levels=levels,
-                        probabilities=probabilities, names=level_names,
-                        warnings=warnings)
+    return PopulationSummary("joint_cells", levels=levels,
+                             probabilities=probabilities, names=level_names,
+                             warnings=warnings)
 
 
 def _load_marginal_means(path):
     names, means = [], []
     population_size = None
     with _open_text(path) as handle:
-        reader = _csv_rows(handle, path)
-        header = _read_header(reader, path)
+        reader = csv.reader(handle)
+        header = _read_header(reader)
         if [h.lower() for h in header] != ["name", "value"]:
             raise ValidationError(
-                f"{path}: marginal summary must have header 'name,value'"
+                "marginal summary must have header 'name,value'"
             )
         seen = {}
-        for row_number, row in _data_rows(reader, path, 2):
+        for row_number, row in _data_rows(reader, 2):
             name = row[0].strip()
             if name in seen:
                 raise ValidationError(
-                    f"{path}: name {name!r} at row {row_number} repeats "
+                    f"name {name!r} at row {row_number} repeats "
                     f"row {seen[name]}"
                 )
             seen[name] = row_number
-            value = _parse_cell(row[1], path, row_number, "value")
+            value = _parse_cell(row[1], row_number, "value")
             if name == "N":
                 population_size = int(integer_cells(
-                    [value], ["value"], path, [row_number])[0, 0])
+                    [value], ["value"], [row_number])[0, 0])
             else:
                 names.append(name)
                 means.append(value)
     if population_size is None:
-        raise MissingNError(f"{path}: no 'N' row with the population size")
+        raise MissingNError("no 'N' row with the population size")
     if not names:
-        raise ValidationError(f"{path}: no marginal means found")
-    return _read_record(path, PopulationSummary, "marginal_means",
-                        means=np.asarray(means), names=names,
-                        population_size=population_size)
-
-
-def _read_record(path, record, *args, **values):
-    """``record(*args, **values)``, a record read from the file ``path``; a
-    :class:`ValidationError` it raises names the file, and keeps its type."""
-    try:
-        return record(*args, **values)
-    except ValidationError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+        raise ValidationError("no marginal means found")
+    return PopulationSummary("marginal_means", means=np.asarray(means),
+                             names=names, population_size=population_size)
 
 
 def format_number(value):

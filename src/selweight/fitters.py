@@ -98,12 +98,32 @@ def weighted_cross(a, v, b):
     return weighted.T @ b
 
 
+def is_integer(value):
+    """Whether ``value`` is an integer (a Python or numpy one) but no bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value):
+    """Whether ``value`` is a real number (a Python or numpy one) but no bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def is_finite(value):
+    """Whether ``value`` is a real number (see :func:`is_real`) that a
+    float holds and that is neither infinite nor NaN."""
+    try:
+        return is_real(value) and math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def numeric_array(values, what, dtype=float):
-    """``values`` as an array of ``dtype``; text or any other entry that
-    does not convert raises ``ValidationError("<what> must be numbers")``."""
+    """``values`` as an array of ``dtype``; text, an int too large for it or
+    any other entry that does not convert raises
+    ``ValidationError("<what> must be numbers")``."""
     try:
         return np.asarray(values, dtype=dtype)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{what} must be numbers") from None
 
 
@@ -166,10 +186,9 @@ def coefficients_for(x, coef, what, ndim=1):
 
 
 def population_size(value, what):
-    """``value`` as a float; it must be a positive finite real number, and
-    no bool."""
-    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and 0 < value < math.inf):
+    """``value`` as a float; it must be a positive real number that a float
+    holds (see :func:`is_finite`)."""
+    if not (is_finite(value) and value > 0):
         raise ValidationError(f"{what} must be a positive finite number, "
                               f"got {value!r}")
     return float(value)

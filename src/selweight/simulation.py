@@ -20,7 +20,6 @@ and result is the same bits in any process, at any worker or block count.
 import atexit
 import gc
 import math
-import numbers
 import os
 import pickle
 import signal
@@ -42,7 +41,15 @@ from .errors import (
     StudyError,
     ValidationError,
 )
-from .fitters import FittedModel, build_design, expit, fit_weighted_logistic
+from .fitters import (
+    FittedModel,
+    build_design,
+    expit,
+    fit_weighted_logistic,
+    is_finite,
+    is_integer,
+    is_real,
+)
 from .variance import (
     CI_LEVEL,
     normal_quantile,
@@ -72,25 +79,6 @@ DAG_SETUP3_INTERACTIONS = {1: (0.0, 0.4), 2: (0.0, 0.4),
 DEFAULT_POPULATION_SIZE = {1: 50_000, 2: 125_000, 3: 50_000}
 
 
-def _is_integer(value):
-    """Whether ``value`` is an integer (a Python or numpy one) but no bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value):
-    """Whether ``value`` is a real number (a Python or numpy one) but no bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _is_finite(value):
-    """Whether ``value`` is a real number (see :func:`_is_real`) that a
-    float holds and that is neither infinite nor NaN."""
-    try:
-        return _is_real(value) and math.isfinite(value)
-    except OverflowError:  # an int too large for a float
-        return False
-
-
 @dataclass(frozen=True)
 class SimulationConfig:
     """Generative constants for one scenario; defaults follow the study design."""
@@ -112,7 +100,7 @@ class SimulationConfig:
     def __post_init__(self):
         for name in ("dag", "setup", "n_population", "replications", "seed"):
             value = getattr(self, name)
-            if not (_is_integer(value)
+            if not (is_integer(value)
                     or (name == "n_population" and value is None)):
                 raise ValidationError(f"{name} must be an integer")
         if self.dag not in (1, 2, 3, 4):
@@ -126,24 +114,26 @@ class SimulationConfig:
             raise ValidationError("seed must be a nonnegative 63-bit integer")
         if self.n_population is not None and self.n_population < 1:
             raise ValidationError("n_population must be positive")
+        if self.n_population is not None and self.n_population >= 2**63:
+            raise ValidationError("n_population must be less than 2**63")
         z = self.z_correlation
-        if not (_is_real(z) and abs(z) < 1.0):
+        if not (is_real(z) and abs(z) < 1.0):
             raise ValidationError("z_correlation must lie in (-1, 1)")
         for name in ("external_scale", "setup2_scale"):
             value = getattr(self, name)
-            if not (_is_real(value) and 0.0 < value <= 1.0):
+            if not (is_real(value) and 0.0 < value <= 1.0):
                 raise ValidationError(f"{name} must lie in (0, 1]")
         for name, size in (("theta", 3), ("nu", 4)):
             values = getattr(self, name)
             if not (isinstance(values, (Sequence, np.ndarray))
                     and len(values) == size
-                    and all(map(_is_finite, values))):
+                    and all(map(is_finite, values))):
                 raise ValidationError(f"{name} must be {size} finite numbers")
             # Stored as a tuple of floats, so every config hashes and equal
             # configs compare equal, whatever sequence they were given.
             object.__setattr__(self, name, tuple(map(float, values)))
         for name in ("alpha0", "alpha2", "alpha3"):
-            if not _is_finite(getattr(self, name)):
+            if not is_finite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite")
 
     @property
@@ -290,7 +280,7 @@ def _replication_key(cfg, replication_index):
     """The Philox key of replication ``replication_index``; the index, the
     key's second word, must be an integer (not a bool) in [0, 2**64), or
     :class:`ValidationError` is raised."""
-    if not (_is_integer(replication_index) and 0 <= replication_index < 2**64):
+    if not (is_integer(replication_index) and 0 <= replication_index < 2**64):
         raise ValidationError("replication_index must be an integer in "
                               f"[0, 2**64), got {replication_index!r}")
     return np.array([cfg.seed, int(replication_index)], dtype=np.uint64)
@@ -839,7 +829,7 @@ def run_study(cfg, methods=DATA_METHODS, parallelism=1):
     more than 10% of them, raises a :class:`StudyError`.
     """
     methods = _distinct_methods(methods)
-    if not _is_integer(parallelism):
+    if not is_integer(parallelism):
         raise ValidationError(
             f"parallelism must be an integer, got {parallelism!r}")
     if parallelism < 1:

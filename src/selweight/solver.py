@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularJacobianError
+from .errors import SingularJacobianError, ValidationError
 
 # Pivot |u_kk| below PIVOT_RTOL * max |u| marks the factorization singular.
 PIVOT_RTOL = 1e-12
@@ -142,12 +142,15 @@ def solve_estimating_equation(score, init):
         ``converged`` is False when the iteration budget or the halving
         budget ran out; the report then carries the last iterate, whose
         residual norm is the least seen: no accepted step raises it.
+
+    A residual at ``init`` of other than ``init``'s size, or a Jacobian of
+    other than its square shape, raises :class:`ValidationError`.
     """
     x = np.array(init, dtype=float, copy=True).ravel()
     f, jacobian = score(x)
     f = np.asarray(f, dtype=float).ravel()
     if f.shape != x.shape:
-        raise ValueError(f"residual has length {f.size}, expected {x.size}")
+        raise ValidationError(f"residual has length {f.size}, expected {x.size}")
     norm = float(np.max(np.abs(f))) if f.size else 0.0
     total_halvings = 0
 
@@ -157,7 +160,8 @@ def solve_estimating_equation(score, init):
                                total_halvings, "score tolerance met")
         jac = np.asarray(jacobian(), dtype=float)
         if jac.shape != (x.size, x.size):
-            raise ValueError(f"jacobian has shape {jac.shape}, expected square of {x.size}")
+            raise ValidationError(
+                f"jacobian has shape {jac.shape}, expected square of {x.size}")
         step = -solve_linear(jac, f)
 
         # Halve the step until the residual norm stops increasing.

@@ -10,7 +10,6 @@ support the weight-stabilization workflow.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -33,6 +32,7 @@ from .fitters import (
     expit,
     fit_multinomial,
     fit_simplex_regression,
+    is_real,
     numeric_array,
     population_size,
     probability_vector,
@@ -254,8 +254,7 @@ def winsorize_weights(w, lower_q=0.025, upper_q=0.975):
         raise ValidationError("weights to winsorize must not be empty")
     if not np.all((w > 0.0) & (w < np.inf)):  # NaN fails too
         raise ValidationError("weights must be positive and finite")
-    if not all(isinstance(q, numbers.Real) and not isinstance(q, bool)
-               for q in (lower_q, upper_q)):
+    if not (is_real(lower_q) and is_real(upper_q)):
         raise ValidationError("quantile levels must be real numbers")
     if not (0.0 <= lower_q < upper_q <= 1.0):
         raise ValidationError("need 0 <= lower_q < upper_q <= 1")

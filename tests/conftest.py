@@ -53,7 +53,9 @@ def cli_env():
 
 
 def _n_workers():
-    return max(1, min(4, os.cpu_count() or 1))
+    """Pool processes for a cached study: at most 4, and no more than the
+    CPUs this process may run on.  A study is the same at any count."""
+    return min(4, simulation._usable_cpus())
 
 
 class StudyCache:

@@ -363,13 +363,13 @@ def test_load_dataset_equals_the_row_loop(text):
 
 def test_load_dataset_parses_clean_files_in_one_numpy_pass(tmp_path):
     path = tmp_path / "data.csv"
-    path.write_bytes(b"D,Z1,W1,note\r\n1, 0.5 ,2e0,-1\r\n\r\n0,-0,inf,nan\r\n")
+    path.write_bytes(b"D,Z1,W1,note\r\n1, 0.5 ,2e0,-1\r\n\r\n0,-0,1e300,nan\r\n")
     with mock.patch.object(dataio, "_columns_by_row",
                            side_effect=AssertionError("row loop ran")):
         sample = sw.load_dataset(path, simple_roles())
     assert sample.n_rows == 2
     assert sample.columns["Z1"].tobytes() == np.array([0.5, -0.0]).tobytes()
-    assert sample.columns["W1"].tolist() == [2.0, np.inf]
+    assert sample.columns["W1"].tolist() == [2.0, 1e300]
 
 
 def test_load_dataset_reads_text_columns_in_the_numpy_pass(tmp_path):
@@ -401,6 +401,27 @@ def test_load_dataset_reads_in_the_numpy_pass(tmp_path, content):
     with mock.patch.object(dataio, "_columns_by_row",
                            side_effect=AssertionError("row loop ran")):
         assert load_outcome(path, simple_roles()) == expected
+
+
+# An unread cell that the numpy pass reads, and one that sends the file to
+# the row loop.
+@pytest.mark.parametrize("note", ["text", '"q"'])
+@pytest.mark.parametrize("token", ["inf", " -Infinity", "1e999"])
+def test_load_dataset_rejects_a_non_finite_cell_on_both_parse_paths(
+        tmp_path, note, token):
+    path = tmp_path / "data.csv"
+    write_lines(path, ["D,Z1,W1,note", "1,0.5,2,a", f"0,{token},3,{note}"])
+    message = (f"{path}: non-finite value {token.strip()!r} at row 2, "
+               "column 'Z1'")
+    with mock.patch.object(dataio, "_columns_by_row",
+                           wraps=dataio._columns_by_row) as row_loop:
+        with pytest.raises(sw.NonNumericCellError,
+                           match=f"^{re.escape(message)}$"):
+            sw.load_dataset(path, simple_roles())
+    assert row_loop.call_count == 1
+    # In an unread column the same token is not an error.
+    write_lines(path, ["D,Z1,W1,note", "1,0.5,2,a", f"0,1,3,{token}"])
+    assert sw.load_dataset(path, simple_roles()).n_rows == 2
 
 
 @pytest.mark.parametrize("header", ["D,Z1,W1,Z1", "Z1,D,Z1,W1,note"])
@@ -535,7 +556,7 @@ def test_marginal_means_repeated_name_is_rejected(tmp_path, lines, repeat):
         sw.load_population_summary(path, "marginal_means")
 
 
-@pytest.mark.parametrize("level", ["1e400", "-inf", "0.5", "-2.5", "1e19"])
+@pytest.mark.parametrize("level", ["0.5", "-2.5", "1e19"])
 def test_joint_cell_levels_must_be_integers(tmp_path, level):
     path = tmp_path / "cells.csv"
     write_lines(path, ["d,w_bin,probability", "0,0,0.5", f"1,{level},0.5"])
@@ -553,7 +574,7 @@ def test_joint_cell_levels_accept_integral_numbers(tmp_path):
     assert summary.levels.tolist() == [[0, 0], [1, 2], [1, -300]]
 
 
-@pytest.mark.parametrize("size", ["inf", "1e400", "2.5", "-0.5"])
+@pytest.mark.parametrize("size", ["2.5", "-0.5"])
 def test_marginal_population_size_must_be_an_integer(tmp_path, size):
     path = tmp_path / "marg.csv"
     write_lines(path, ["name,value", "z2,0.1", f"N,{size}", "w,0.0"])
@@ -569,8 +590,6 @@ def test_marginal_population_size_must_be_an_integer(tmp_path, size):
 @pytest.mark.parametrize("kind, lines, error, message", [
     ("marginal_means", ["name,value", "z2,0.1", "N,0"], sw.ValidationError,
      "population_size must be a positive finite number, got 0"),
-    ("marginal_means", ["name,value", "N,10", "z2,inf"], sw.ValidationError,
-     "marginal means must be finite"),
     ("joint_cells", ["d,probability", "0,1.5", "1,-0.5"], sw.ValidationError,
      "cell probabilities must be nonnegative"),
     ("joint_cells", ["d,probability", "0,0.5", "0,0.5"], sw.DuplicateCellError,
@@ -581,6 +600,28 @@ def test_summary_field_errors_name_the_file(tmp_path, kind, lines, error,
     path = tmp_path / "summary.csv"
     write_lines(path, lines)
     with pytest.raises(error, match=f"^{re.escape(f'{path}: {message}')}$"):
+        sw.load_population_summary(path, kind)
+
+
+@pytest.mark.parametrize("kind, lines, message", [
+    ("joint_cells", ["d,w_bin,probability", "0,0,0.5", "1,1e400,0.5"],
+     "non-finite value '1e400' at row 2, column 'w_bin'"),
+    ("joint_cells", ["d,w_bin,probability", "0,-inf,0.5", "1,1,0.5"],
+     "non-finite value '-inf' at row 1, column 'w_bin'"),
+    ("joint_cells", ["d,probability", "0,inf", "1,0.5"],
+     "non-finite value 'inf' at row 1, column 'probability'"),
+    ("marginal_means", ["name,value", "z2,0.1", "N,inf", "w,0.0"],
+     "non-finite value 'inf' at row 2, column 'value'"),
+    ("marginal_means", ["name,value", "z2,0.1", "N,1e400", "w,0.0"],
+     "non-finite value '1e400' at row 2, column 'value'"),
+    ("marginal_means", ["name,value", "N,10", "z2,inf"],
+     "non-finite value 'inf' at row 2, column 'value'"),
+])
+def test_summary_non_finite_cell_is_rejected(tmp_path, kind, lines, message):
+    path = tmp_path / "summary.csv"
+    write_lines(path, lines)
+    with pytest.raises(sw.NonNumericCellError,
+                       match=f"^{re.escape(f'{path}: {message}')}$"):
         sw.load_population_summary(path, kind)
 
 
@@ -1162,6 +1203,7 @@ def test_joint_cell_rows_skip_blank_lines(tmp_path, row, error, message):
 @pytest.mark.parametrize("value, message", [
     ("x", "non-numeric value 'x' at row 1, column 'z2'"),
     ("NA", "missing value at row 1, column 'z2'"),
+    ("1e999", "non-finite value '1e999' at row 1, column 'z2'"),
 ])
 def test_cli_non_numeric_cell_names_its_file(replication_files, tmp_path,
                                              value, message):
@@ -1333,6 +1375,20 @@ def test_cli_population_size_below_one_is_rejected(replication_files, tmp_path,
     assert result.returncode == 2
     assert result.stderr.splitlines() == [
         f"error: validation: --population-size must be at least 1, got {size}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["unweighted", "pl"])
+def test_cli_population_size_too_large_for_a_float_is_rejected(
+        replication_files, tmp_path, method):
+    size = "9" * 400
+    out = tmp_path / "out.csv"
+    code, stderr = run_main(["fit", "--method", method,
+                             *method_args(method, replication_files),
+                             "--population-size", size, "--out", out])
+    assert (code, stderr) == (2, [
+        "error: validation: n_population must be a positive finite number, "
+        f"got {size}"])
     assert not out.exists()
 
 

@@ -485,6 +485,27 @@ MALFORMED = {
     "estimate_weights_cl[empty internal sample]": (
         lambda: sw.estimate_weights_cl(INPUTS["xi"][:0], _cl_summary()),
         "the internal sample has no rows$"),
+    "fit_weighted_logistic[int past float range in outcome]": (
+        lambda: sw.fit_weighted_logistic(INPUTS["z"][:4], [0, 1, 0, 10**400]),
+        "outcomes must be numbers$"),
+    "coarsen[int past float range in values]": (
+        lambda: sw.coarsen([1.0, 10**400]), "values to coarsen must be numbers$"),
+    "coarsen[int past float range in cutoffs]": (
+        lambda: sw.coarsen([1.0, 2.0], [10**400]), "cutoffs must be numbers$"),
+    "population_size[int past float range]": (
+        lambda: fitters.population_size(10**400, "population size"),
+        "population size must be a positive finite number, got 1000"),
+    "PopulationSummary[population_size past float range]": (
+        lambda: sw.PopulationSummary("marginal_means", means=[0.1],
+                                     names=["x1"], population_size=10**400),
+        "population_size must be a positive finite number, got 1000"),
+    "PopulationSummary[infinite mean]": (
+        lambda: sw.PopulationSummary("marginal_means", means=[np.inf],
+                                     names=["x1"], population_size=N_POP),
+        "marginal means must be finite$"),
+    "SimulationConfig[n_population past int64]": (
+        lambda: sw.SimulationConfig(dag=1, setup=1, n_population=10**30),
+        r"n_population must be less than 2\*\*63$"),
 }
 
 

@@ -152,6 +152,19 @@ def test_jacobian_is_formed_only_at_accepted_points():
         assert np.array_equal(point, t)
 
 
+@pytest.mark.parametrize("residual, jacobian, message", [
+    (lambda x: np.zeros(3), lambda x: np.eye(2),
+     "residual has length 3, expected 2"),
+    (lambda x: x - 1.0, lambda x: np.eye(3),
+     r"jacobian has shape \(3, 3\), expected square of 2"),
+])
+def test_a_score_of_the_wrong_shape_is_a_validation_error(residual, jacobian,
+                                                          message):
+    with pytest.raises(sw.ValidationError, match=f"^{message}$"):
+        sw.solve_estimating_equation(score_of(residual, jacobian),
+                                     np.zeros(2))
+
+
 def test_singular_jacobian_raises():
     with pytest.raises(sw.SingularJacobianError):
         sw.solve_estimating_equation(
