@@ -11,25 +11,30 @@ A population is drawn in row blocks, each reading its uniforms from fixed
 positions in the replication's stream, so a block's rows do not depend on
 the block count.  A replication's methods are shared between the calling
 process and persistent worker processes, one per further usable CPU and
-method, forked on first use: each process draws its own copy of the
-population and takes methods from one task pipe, and each worker's results
-return on its own connection, merged in ``methods`` order.  Every array
-and result is the same bits in any process, at any worker or block count.
+method, forked on first use.  The processes split the population's row
+blocks between them, each drawing its share into one shared population
+file, and meet at a barrier; then each takes methods from one task pipe,
+and each worker's results return on its own connection, merged in
+``methods`` order.  Every array and result is the same bits in any
+process, at any worker or block count.
 """
 
 import atexit
+import ctypes
 import gc
 import math
+import mmap
 import os
 import pickle
 import signal
 import sys
 import threading
 import traceback
+import weakref
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from multiprocessing.connection import Connection, Pipe
 from typing import Optional
 
@@ -286,25 +291,31 @@ def _replication_key(cfg, replication_index):
     return np.array([cfg.seed, int(replication_index)], dtype=np.uint64)
 
 
+def _draw_blocks(cfg, key, pop, rank=0, ranks=1):
+    """Draw row blocks ``rank``, ``rank + ranks``, ... of ``pop`` in place,
+    of the fewest near-equal blocks of at most ``POPULATION_BLOCK_ROWS``
+    rows; a block's rows are the same bits whoever draws it."""
+    n = pop.n
+    blocks = -(-n // POPULATION_BLOCK_ROWS)
+    for i in range(rank, blocks, ranks):
+        _draw_block(cfg, key, pop, i * n // blocks, (i + 1) * n // blocks)
+
+
 def generate_population(cfg, replication_index=0):
     """Simulate one population under the configured scenario.
 
     Draw order is fixed (z1, z2 innovation, disease, w innovation, internal
     selection, external selection) so a (seed, replication) pair always
-    yields the same arrays.  The rows are drawn on the calling thread in
-    blocks of at most ``POPULATION_BLOCK_ROWS``, each from its own positions
-    in the replication's stream; the arrays are the same bits for any block
-    count.  ``replication_index``, the stream key's second word, must be an
-    integer (not a bool) in [0, 2**64), or :class:`ValidationError` is
-    raised.
+    yields the same arrays.  Every row block is drawn on the calling thread
+    into fresh arrays; the blocks hold at most ``POPULATION_BLOCK_ROWS``
+    rows, each drawn from its own positions in the replication's stream, so
+    the arrays are the same bits for any block count.
+    ``replication_index``, the stream key's second word, must be an integer
+    (not a bool) in [0, 2**64), or :class:`ValidationError` is raised.
     """
     key = _replication_key(cfg, replication_index)
-    n = cfg.population_size
-    pop = Population(*(np.empty(n) for _ in range(8)))
-    blocks = -(-n // POPULATION_BLOCK_ROWS)
-    bounds = [i * n // blocks for i in range(blocks + 1)]
-    for lo, hi in zip(bounds, bounds[1:]):
-        _draw_block(cfg, key, pop, lo, hi)
+    pop = Population(*(np.empty(cfg.population_size) for _ in range(8)))
+    _draw_blocks(cfg, key, pop)
     return pop
 
 
@@ -493,9 +504,13 @@ def run_replication(cfg, replication_index, methods=METHODS):
     first in ``methods`` does, from whichever process fitted it.  The
     methods are shared between the calling process and
     :func:`_helper_count` worker processes (see :func:`_serving_workers`),
-    with results bit-identical to one process's.  A worker that dies
-    raises :class:`ChildProcessError`, and the next replication forks a
-    new one.
+    with results bit-identical to one process's.  The processes draw the
+    population's row blocks in turn into one shared file, and no method
+    starts before every block is drawn; an exception in any process's
+    share of the draw is raised for the whole replication.  No returned
+    array views the shared file, which the next replication overwrites.
+    A worker that dies raises :class:`ChildProcessError`, and the next
+    replication forks a new one.
     """
     methods = _distinct_methods(methods)
     return _replicate(cfg, replication_index, methods, _helper_count(methods))
@@ -529,8 +544,8 @@ def _replicate(cfg, replication_index, methods, helpers):
     if workers:
         outcomes = _share(workers, cfg, replication_index, methods)
     else:
-        outcomes = _fit_share(cfg, replication_index, methods,
-                              range(len(methods)))
+        outcomes = _fit_share(generate_population(cfg, replication_index),
+                              methods, range(len(methods)))
     results = [outcomes[i] for i in range(len(methods))]
     for outcome in results:
         if isinstance(outcome, Exception):
@@ -538,12 +553,13 @@ def _replicate(cfg, replication_index, methods, helpers):
     return dict(zip(methods, results))
 
 
-def _fit_share(cfg, replication_index, methods, indices):
-    """{index: outcome} for each method index in ``indices``, fitted on this
-    process's own draw of the population.  An outcome is the method's
-    :class:`MethodResult` or the exception it (or the draw) raised."""
+def _fit_share(population, methods, indices):
+    """{index: outcome} for each method index in ``indices``, fitted on
+    ``population``, the whole population however its blocks were drawn.
+    An outcome is the method's :class:`MethodResult` or the exception it
+    (or building its inputs) raised."""
     try:
-        src = PopulationSource(generate_population(cfg, replication_index))
+        src = PopulationSource(population)
     except Exception as exc:
         return {i: exc for i in indices}
     outcomes = {}
@@ -555,12 +571,17 @@ def _fit_share(cfg, replication_index, methods, indices):
     return outcomes
 
 
-# Worker processes.  Per replication the caller sends each worker it uses
-# (cfg, replication index, methods, numpy error state) on the worker's
-# connection, and writes every method index, then one stop byte per taker,
-# to the task pipe.  The caller and the workers each draw the population
-# and take indices from the task pipe one byte per read, so each index goes
-# to exactly one of them; a worker returns its outcomes on its connection.
+# Worker processes.  Per replication the caller grows the shared population
+# file to the population's size and sends each worker it uses (cfg,
+# replication index, methods, numpy error state, rank, ranks) on the
+# worker's connection.  Process ``rank`` of ``ranks``, the caller being rank
+# 0, draws row blocks rank, rank + ranks, ... into the file.  Then comes the
+# barrier: each worker sends {rank: its share's exception or None}, and the
+# caller answers each whether every share was drawn.  If so, the caller has
+# written every method index, then one stop byte per taker, to the task
+# pipe; the caller and the workers take indices from it one byte per read,
+# so each index goes to exactly one of them, and a worker returns its
+# outcomes on its connection.
 _STOP = 255
 
 
@@ -570,12 +591,72 @@ class _Worker:
     connection: Connection  # the caller's end of the worker's duplex pipe
 
 
+@cache
+def _libc():
+    """The C library, with ``mmap`` and ``munmap`` declared for ctypes."""
+    libc = ctypes.CDLL(None, use_errno=True)
+    libc.mmap.restype = ctypes.c_void_p
+    libc.mmap.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int,
+                          ctypes.c_int, ctypes.c_int, ctypes.c_long)
+    libc.munmap.restype = ctypes.c_int
+    libc.munmap.argtypes = (ctypes.c_void_p, ctypes.c_size_t)
+    return libc
+
+
+def _mapping(fd, size):
+    """The first ``size`` bytes of file ``fd``, mapped shared and writable,
+    as a ctypes array that is unmapped once no array views it.  Unlike an
+    ``mmap.mmap`` before Python 3.13, it keeps no copy of the descriptor,
+    so a process forked while arrays view it still holds none."""
+    libc = _libc()
+    address = libc.mmap(None, size, mmap.PROT_READ | mmap.PROT_WRITE,
+                        mmap.MAP_SHARED, fd, 0)
+    if address in (None, ctypes.c_void_p(-1).value):  # MAP_FAILED
+        code = ctypes.get_errno()
+        raise OSError(code, os.strerror(code))
+    mapping = (ctypes.c_char * size).from_address(address)
+    # Not at exit: an exit handler may still read a population.
+    weakref.finalize(mapping, libc.munmap, address, size).atexit = False
+    return mapping
+
+
+class _PopulationFile:
+    """The population file that a caller shares with its workers, and this
+    process's one mapping of it.  Only the caller grows the file, which
+    never shrinks; a process maps it again only when a population outgrows
+    its mapping.  A population takes 64 bytes a row: eight float64
+    columns, one after another."""
+
+    def __init__(self, fd):
+        self.fd, self.mapping = fd, None
+
+    def grow(self, n):
+        """Make the file hold an ``n``-row population, if it is smaller."""
+        if os.fstat(self.fd).st_size < 64 * n:
+            os.ftruncate(self.fd, 64 * n)
+
+    def population(self, n):
+        """An ``n``-row population whose columns are views of the file."""
+        if self.mapping is None or len(self.mapping) < 64 * n:
+            self.mapping = _mapping(self.fd, 64 * n)
+        return Population(*(np.frombuffer(self.mapping, count=n,
+                                          offset=8 * n * j)
+                            for j in range(8)))
+
+    def close(self):
+        """Close the file; the mapping is unmapped once no array views it."""
+        os.close(self.fd)
+        self.mapping = None
+
+
 class _WorkerPool:
-    """This process's workers, the task pipe they share with it (read and
-    write descriptors) and the package bindings they were forked with."""
+    """This process's workers, the task pipe (read and write descriptors)
+    and the population file that they share with it, and the package
+    bindings they were forked with."""
 
     def __init__(self):
-        self.workers, self.tasks, self.bindings = [], None, None
+        self.workers, self.bindings = [], None
+        self.tasks = self.population = None
 
 
 _POOL = _WorkerPool()
@@ -603,35 +684,38 @@ def _serving_workers(helpers):
     if not pool.workers:
         pool.bindings = _package_bindings()
         pool.tasks = pool.tasks or os.pipe()
+        pool.population = pool.population or _PopulationFile(
+            os.memfd_create("selweight-population"))
     elif not all(ns.get(name, missing) is value for ns, saved in pool.bindings
                  for name, value in saved.items()):
         return []
     while len(pool.workers) < helpers:
-        pool.workers.append(_fork_worker(pool.tasks[0]))
+        pool.workers.append(_fork_worker(pool.tasks[0], pool.population.fd))
     return pool.workers[:helpers]
 
 
-def _fork_worker(tasks):
+def _fork_worker(tasks, population):
     """Fork a worker that takes method indices from the task pipe's read
-    end ``tasks``."""
+    end ``tasks`` and draws into the population file ``population``."""
     connection, worker_end = Pipe()
     # The child's after-fork hook closes the pool's descriptors, but not
-    # this copy of the task pipe's read end.
-    task_reader = os.dup(tasks)
+    # these copies of the task pipe's read end and the population file.
+    kept = os.dup(tasks), os.dup(population)
     try:
         pid = os.fork()
         if pid == 0:
-            _serve(worker_end, task_reader)  # never returns
+            _serve(worker_end, *kept)  # never returns
     except OSError:
         connection.close()
         raise
     finally:  # the caller keeps only its own end
         worker_end.close()
-        os.close(task_reader)
+        for fd in kept:
+            os.close(fd)
     return _Worker(pid, connection)
 
 
-def _serve(connection, tasks):
+def _serve(connection, tasks, population):
     """A worker's life: serve the replications sent on ``connection`` until
     the caller closes it, then exit."""
     status = 1
@@ -640,20 +724,25 @@ def _serve(connection, tasks):
         # workers; a worker that took it too would die between replications.
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         # Never collect the caller's objects, which would copy their pages,
-        # and keep only the worker's connection, the task pipe and
-        # descriptors 0-2 open.  os.closerange(0, 0) closes every
-        # descriptor, so no empty range is passed.
+        # and keep only the worker's connection, the task pipe, the
+        # population file and descriptors 0-2 open.  os.closerange(0, 0)
+        # closes every descriptor, so no empty range is passed.
         gc.freeze()
-        kept = sorted({0, 1, 2, connection.fileno(), tasks})
+        kept = sorted({0, 1, 2, connection.fileno(), tasks, population})
         for low, high in zip(kept, kept[1:] + [os.sysconf("SC_OPEN_MAX")]):
             if high > low + 1:
                 os.closerange(low + 1, high)
+        shared = _PopulationFile(population)
         while True:
-            cfg, replication_index, methods, errstate = connection.recv()
+            cfg, replication_index, methods, errstate, rank, ranks = (
+                connection.recv())
             with np.errstate(**errstate):
-                outcomes = _fit_share(cfg, replication_index, methods,
-                                      _taken(tasks))
-            connection.send(_sendable(outcomes))
+                pop, failure = _draw_share(shared, cfg, replication_index,
+                                           rank, ranks)
+                connection.send(_sendable({rank: failure}))
+                if connection.recv():  # every share was drawn
+                    connection.send(_sendable(_fit_share(pop, methods,
+                                                         _taken(tasks))))
     except EOFError:  # the caller closed the connection
         status = 0
     except (BrokenPipeError, ConnectionResetError):  # the caller is gone
@@ -662,6 +751,20 @@ def _serve(connection, tasks):
         traceback.print_exc()  # the caller reports only the exit status
     finally:
         os._exit(status)
+
+
+def _draw_share(shared, cfg, replication_index, rank, ranks):
+    """Process ``rank`` of ``ranks``' share of a shared replication's draw:
+    row blocks ``rank``, ``rank + ranks``, ... of the population, whose
+    columns are views of the population file ``shared``.  Return
+    (population, None), or (None, the exception) when the share raised."""
+    try:
+        pop = shared.population(cfg.population_size)
+        _draw_blocks(cfg, _replication_key(cfg, replication_index), pop,
+                     rank, ranks)
+    except Exception as exc:
+        return None, exc
+    return pop, None
 
 
 def _taken(tasks):
@@ -691,20 +794,39 @@ def _sendable(outcomes):
 
 def _share(workers, cfg, replication_index, methods):
     """The caller's side of a replication shared with ``workers``: {index:
-    outcome} for every method.  Any failure here stops every worker, and a
-    worker that died raises ChildProcessError."""
-    read, write = _POOL.tasks
+    outcome} for every method.  Where a share of the draw raised, every
+    outcome is the exception of the first such share by rank, and no
+    method runs.  Any failure here stops every worker, and a worker that
+    died raises ChildProcessError."""
+    pool = _POOL
+    read, write = pool.tasks
+    ranks = len(workers) + 1
     worker = None
     try:
-        for worker in workers:
+        pool.population.grow(cfg.population_size)
+        for rank, worker in enumerate(workers, 1):
             worker.connection.send((cfg, replication_index, methods,
-                                    np.geterr()))
+                                    np.geterr(), rank, ranks))
         worker = None
-        os.write(write, bytes(range(len(methods)))
-                 + bytes([_STOP]) * (len(workers) + 1))
-        outcomes = _fit_share(cfg, replication_index, methods, _taken(read))
+        pop, failure = _draw_share(pool.population, cfg, replication_index,
+                                   0, ranks)
+        failures = {0: failure}
+        for worker in workers:  # the barrier
+            failures.update(worker.connection.recv())
+        worker = None
+        failure = next((f for f in failures.values() if f is not None), None)
+        if failure is None:
+            os.write(write, bytes(range(len(methods)))
+                     + bytes([_STOP]) * ranks)
         for worker in workers:
-            outcomes.update(worker.connection.recv())
+            worker.connection.send(failure is None)
+        worker = None
+        if failure is not None:
+            outcomes = dict.fromkeys(range(len(methods)), failure)
+        else:
+            outcomes = _fit_share(pop, methods, _taken(read))
+            for worker in workers:
+                outcomes.update(worker.connection.recv())
     except BaseException as exc:
         statuses = _close_workers()
         if worker is None or not isinstance(exc, (OSError, EOFError)):
@@ -719,15 +841,18 @@ def _share(workers, cfg, replication_index, methods):
 
 def _forget_workers():
     """Close this process's ends of the workers' connections and the task
-    pipe and forget the workers; return them.  A forked child runs this
-    first, so that it holds none of its parent's workers' descriptors."""
+    pipe, and the population file and its mapping, and forget the workers;
+    return them.  A forked child runs this first, so that it holds none of
+    its parent's workers' descriptors."""
     pool = _POOL
     workers, pool.workers = pool.workers, []
     for worker in workers:
         worker.connection.close()
     for fd in pool.tasks or ():
         os.close(fd)
-    pool.tasks = pool.bindings = None
+    if pool.population is not None:
+        pool.population.close()
+    pool.tasks = pool.population = pool.bindings = None
     return workers
 
 

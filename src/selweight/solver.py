@@ -120,6 +120,14 @@ def invert_matrix(a):
     return lu_solve(lu, perm, np.eye(a.shape[0]))
 
 
+def _residual(f, size):
+    """``f`` as a flat float vector, which must have ``size`` entries."""
+    f = np.asarray(f, dtype=float).ravel()
+    if f.size != size:
+        raise ValidationError(f"residual has length {f.size}, expected {size}")
+    return f
+
+
 def solve_estimating_equation(score, init):
     """Solve ``residual(x) = 0`` by damped Newton-Raphson.
 
@@ -143,14 +151,13 @@ def solve_estimating_equation(score, init):
         budget ran out; the report then carries the last iterate, whose
         residual norm is the least seen: no accepted step raises it.
 
-    A residual at ``init`` of other than ``init``'s size, or a Jacobian of
-    other than its square shape, raises :class:`ValidationError`.
+    A residual of other than ``init``'s size, at ``init`` or at any trial
+    point, or a Jacobian of other than its square shape, raises
+    :class:`ValidationError`.
     """
     x = np.array(init, dtype=float, copy=True).ravel()
     f, jacobian = score(x)
-    f = np.asarray(f, dtype=float).ravel()
-    if f.shape != x.shape:
-        raise ValidationError(f"residual has length {f.size}, expected {x.size}")
+    f = _residual(f, x.size)
     norm = float(np.max(np.abs(f))) if f.size else 0.0
     total_halvings = 0
 
@@ -169,7 +176,7 @@ def solve_estimating_equation(score, init):
         for halving in range(MAX_HALVINGS + 1):
             x_new = x + scale * step
             f_new, jacobian_new = score(x_new)
-            f_new = np.asarray(f_new, dtype=float).ravel()
+            f_new = _residual(f_new, x.size)
             norm_new = float(np.max(np.abs(f_new)))
             if np.isfinite(norm_new) and norm_new <= norm:
                 break

@@ -1,3 +1,5 @@
+import ctypes
+import dataclasses
 import json
 import os
 import re
@@ -338,48 +340,64 @@ def cpus(monkeypatch):
 def fitted_by(monkeypatch, tmp_path):
     """Stamp each result with the process id and numpy error state it was
     fitted under (``pid``, ``errstate``), and pick who fits: with
-    ``fitted_by("workers", methods)`` the caller's draw waits until workers
-    have taken every method, and with ``fitted_by("both", methods)`` the
-    caller and a worker each fit at least one (more workers than methods
-    would leave none for the caller).  Call it before the workers are
-    forked, so that they run the stamps too."""
+    ``fitted_by("workers", methods)`` the caller, once past the draw's
+    barrier, waits until workers have taken every method; with
+    ``fitted_by("caller", methods)`` each worker waits there until the
+    caller has; and with ``fitted_by("both", methods)`` the caller and a
+    worker each fit at least one (more workers than methods would leave
+    none for the caller).  Call it before the workers are forked, so that
+    they run the stamps too."""
     caller = os.getpid()
+    markers = tmp_path / "markers"
+    markers.mkdir()
 
-    def wait_for(*markers):
+    def wait_for(*names):
         deadline = time.monotonic() + 60
-        while not all((tmp_path / marker).exists() for marker in markers):
+        while not all((markers / name).exists() for name in names):
             if time.monotonic() > deadline:
-                raise AssertionError(f"no {markers} within 60 s")
+                raise AssertionError(f"no {names} within 60 s")
             time.sleep(0.001)
 
     def install(mode, methods):
         fit_one = sim_mod._fit_one
-        generate = sim_mod.generate_population
+        draw_blocks = sim_mod._draw_blocks
+        source = sim_mod.PopulationSource
 
         def stamped(method, src):
             in_caller = os.getpid() == caller
-            if not in_caller:
-                (tmp_path / f"a worker took {method}").touch()
+            taker = "the caller" if in_caller else "a worker"
+            (markers / f"{taker} took {method}").touch()
             if mode == "both":
                 if in_caller:
-                    (tmp_path / "the caller took one").touch()
+                    (markers / "the caller took one").touch()
                     wait_for("a worker fitted one")
                 else:
                     wait_for("the caller took one")
             result = fit_one(method, src)
             result.pid, result.errstate = os.getpid(), np.geterr()
             if not in_caller:
-                (tmp_path / "a worker fitted one").touch()
+                (markers / "a worker fitted one").touch()
             return result
 
-        def held(cfg, replication_index):
-            population = generate(cfg, replication_index)
-            if mode == "workers" and os.getpid() == caller:
-                wait_for(*(f"a worker took {method}" for method in methods))
-            return population
+        def drawing(*args, **kwargs):
+            # Every worker has sent its results of the last replication
+            # before the caller draws the next one, and no method starts
+            # before the caller's share is drawn: the last markers go.
+            if os.getpid() == caller:
+                for marker in markers.iterdir():
+                    marker.unlink()
+            return draw_blocks(*args, **kwargs)
+
+        def held(population):
+            in_caller = os.getpid() == caller
+            if (mode, in_caller) in (("workers", True), ("caller", False)):
+                other = "a worker" if in_caller else "the caller"
+                wait_for(*(f"{other} took {method}" for method in methods))
+            return source(population)
 
         monkeypatch.setattr(sim_mod, "_fit_one", stamped)
-        monkeypatch.setattr(sim_mod, "generate_population", held)
+        monkeypatch.setattr(sim_mod, "_draw_blocks", drawing)
+        monkeypatch.setattr(sim_mod, "PopulationSource", held)
 
     return install
 
@@ -733,15 +751,16 @@ def test_the_worker_count_is_one_per_further_cpu_and_method(cpus):
 
 @pytest.fixture
 def drawn(monkeypatch):
-    """The populations this process draws, in draw order."""
+    """The populations this process draws its share of, in draw order; a
+    shared replication's is whole once past the barrier."""
     populations = []
-    generate = sim_mod.generate_population
+    draw_blocks = sim_mod._draw_blocks
 
-    def recorded(*args, **kwargs):
-        populations.append(generate(*args, **kwargs))
-        return populations[-1]
+    def recorded(cfg, key, pop, *share):
+        populations.append(pop)
+        return draw_blocks(cfg, key, pop, *share)
 
-    monkeypatch.setattr(sim_mod, "generate_population", recorded)
+    monkeypatch.setattr(sim_mod, "_draw_blocks", recorded)
     return populations
 
 
@@ -760,6 +779,100 @@ def test_shared_draw_in_small_blocks_matches_the_serial_one_bit_for_bit(
             == population_bits(reference_population(cfg, 4)))
     assert len({res.pid for res in shared.values()}) > 1
     assert replication_bits(shared) == replication_bits(serial)
+
+
+@pytest.mark.parametrize("where", ["caller", "worker"])
+def test_a_failed_share_of_the_draw_fails_every_method_and_frees_the_barrier(
+        monkeypatch, where):
+    cfg = sw.SimulationConfig(dag=2, setup=1, seed=3, n_population=5000)
+    methods = ("unweighted", "pl", "cl")
+    # Five blocks, so that each of the three processes draws some.
+    monkeypatch.setattr(sim_mod, "POPULATION_BLOCK_ROWS", 1000)
+    draw_blocks = sim_mod._draw_blocks
+    failing_rank = 0 if where == "caller" else 2
+
+    def faulty(cfg, key, pop, rank=0, ranks=1):
+        if key[1] == 13 and rank == failing_rank:
+            raise RuntimeError("draw defect")
+        return draw_blocks(cfg, key, pop, rank, ranks)
+
+    monkeypatch.setattr(sim_mod, "_draw_blocks", faulty)
+    serial = sim_mod._replicate(cfg, 14, methods, 0)
+    outcomes = sim_mod._share(sim_mod._serving_workers(2), cfg, 13, methods)
+    workers = worker_pids()
+    assert len(workers) == 2 and list(outcomes) == [0, 1, 2]
+    (failure,) = {id(o): o for o in outcomes.values()}.values()
+    assert type(failure) is RuntimeError and str(failure) == "draw defect"
+    notes = "".join(getattr(failure, "__notes__", []))
+    assert ("Raised in worker process" in notes) == (where == "worker")
+    with pytest.raises(RuntimeError) as raised:
+        sim_mod._replicate(cfg, 13, methods, 2)
+    assert str(raised.value) == "draw defect"
+    # Every process passed the barrier and left no task behind: the same
+    # workers serve the next replication, with the serial bits.
+    again = sim_mod._replicate(cfg, 14, methods, 2)
+    assert worker_pids() == workers
+    assert replication_bits(again) == replication_bits(serial)
+
+
+def arrays_in(value):
+    """Every numpy array reachable from ``value`` through dataclass fields,
+    dicts, lists and tuples."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            yield from arrays_in(getattr(value, field.name))
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from arrays_in(item)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from arrays_in(item)
+
+
+def test_kept_results_keep_their_bytes_and_view_no_shared_file(fitted_by):
+    # The caller fits every method, on its views of the shared file.
+    fitted_by("caller", sw.METHODS)
+    cfg = sw.SimulationConfig(dag=3, setup=1, seed=4, n_population=5000)
+    kept = sim_mod._replicate(cfg, 0, sw.METHODS, 1)
+    assert worker_pids()
+    assert {res.pid for res in kept.values()} == {os.getpid()}
+    before = replication_bits(kept)
+    for index in (1, 2):
+        sim_mod._replicate(cfg, index, sw.METHODS, 1)
+    assert replication_bits(kept) == before
+    shared = np.frombuffer(sim_mod._POOL.population.mapping, dtype=np.uint8)
+    arrays = list(arrays_in(kept))
+    assert len(arrays) > 3 * len(sw.METHODS)
+    assert not any(np.shares_memory(array, shared) for array in arrays)
+
+
+def test_the_population_file_grows_and_a_smaller_population_reuses_it(
+        monkeypatch):
+    # Blocks of 1000 rows, so that the caller and both workers draw some.
+    monkeypatch.setattr(sim_mod, "POPULATION_BLOCK_ROWS", 1000)
+    methods = ("unweighted", "pl", "cl")
+    sizes, mappings = [], []
+    for n in (5000, 20_000, 5000):
+        cfg = sw.SimulationConfig(dag=2, setup=3, seed=6, n_population=n)
+        serial = sim_mod._replicate(cfg, 3, methods, 0)
+        shared = sim_mod._replicate(cfg, 3, methods, 2)
+        assert len(worker_pids()) == 2
+        assert replication_bits(shared) == replication_bits(serial)
+        population = sim_mod._POOL.population
+        sizes.append(os.fstat(population.fd).st_size)
+        mappings.append(population.mapping)
+    # Eight float64 columns of n rows.
+    assert sizes == [64 * 5000, 64 * 20_000, 64 * 20_000]
+    assert mappings[1] is not mappings[0] and mappings[2] is mappings[1]
+    # Once the workers are closed and nothing views them, both are unmapped.
+    starts = {ctypes.addressof(mapping) for mapping in mappings}
+    del mappings, population
+    sim_mod._close_workers()
+    with open("/proc/self/maps") as maps:
+        mapped = {int(line.split("-")[0], 16) for line in maps}
+    assert not starts & mapped
 
 
 def test_population_source_gathers_the_masked_rows():
@@ -871,7 +984,9 @@ def test_an_interrupted_replication_stops_its_workers(monkeypatch, fitted_by):
 
 
 @LINUX_ONLY
-@pytest.mark.parametrize("death", ["killed while idle", "exits mid-method"])
+@pytest.mark.parametrize("death", ["killed while idle", "exits in its draw",
+                                   "killed at the barrier",
+                                   "exits mid-method"])
 def test_a_dead_worker_raises_and_the_next_replication_forks_a_new_one(
         monkeypatch, fitted_by, death):
     cfg = sw.SimulationConfig(dag=1, setup=1, seed=2, n_population=5000)
@@ -879,28 +994,58 @@ def test_a_dead_worker_raises_and_the_next_replication_forks_a_new_one(
     serial = sim_mod._replicate(cfg, 0, methods, 0)
     caller = os.getpid()
     estimate_cl = sim_mod.estimate_weights_cl
+    draw_blocks = sim_mod._draw_blocks
 
     def exits(*args, **kwargs):
         if os.getpid() != caller:
             os._exit(7)
         return estimate_cl(*args, **kwargs)
 
+    def exits_in_draw(*args):
+        if os.getpid() != caller:
+            os._exit(7)
+        return draw_blocks(*args)
+
+    def stuck_in_draw(*args):
+        if os.getpid() != caller:
+            time.sleep(120)
+        return draw_blocks(*args)
+
+    def kill_the_worker(signum, frame):
+        os.kill(worker_pids()[0], signal.SIGKILL)
+
+    message = "ended with exit code 7"
     if death == "exits mid-method":
         monkeypatch.setattr(sim_mod, "estimate_weights_cl", exits)
         fitted_by("workers", methods)
-        message = "ended with exit code 7"
+    elif death == "exits in its draw":
+        monkeypatch.setattr(sim_mod, "_draw_blocks", exits_in_draw)
     else:
+        message = f"ended with exit code -{signal.SIGKILL.value}"
+    if death == "killed while idle":
         sim_mod._replicate(cfg, 0, methods, 1)
         os.kill(worker_pids()[0], signal.SIGKILL)
         # Wait for its death without reaping it.
         os.waitid(os.P_PID, worker_pids()[0], os.WEXITED | os.WNOWAIT)
-        message = f"ended with exit code -{signal.SIGKILL.value}"
-    dead = None if death == "exits mid-method" else worker_pids()[0]
-    with pytest.raises(ChildProcessError,
-                       match=f"^worker process \\d+ {message}; "
-                             "replication 0 did not finish$"):
-        sim_mod._replicate(cfg, 0, methods, 1)
+    elif death == "killed at the barrier":
+        # The worker never finishes its share; the caller, which drew its
+        # own in a few ms, waits at the barrier when the alarm kills it.
+        monkeypatch.setattr(sim_mod, "_draw_blocks", stuck_in_draw)
+        previous = signal.signal(signal.SIGALRM, kill_the_worker)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+    start = time.monotonic()
+    try:
+        with pytest.raises(ChildProcessError,
+                           match=f"^worker process \\d+ {message}; "
+                                 "replication 0 did not finish$") as raised:
+            sim_mod._replicate(cfg, 0, methods, 1)
+    finally:
+        if death == "killed at the barrier":
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - start < 60
     assert not worker_pids()
+    dead = int(re.search(r"process (\d+)", str(raised.value))[1])
     monkeypatch.undo()
     again = sim_mod._replicate(cfg, 0, methods, 1)
     assert worker_pids() and worker_pids()[0] != dead
@@ -922,34 +1067,43 @@ def test_a_worker_ignores_the_interrupt_its_caller_handles():
 
 
 def _caller_pipe_ends():
-    """(descriptor, inode) of each of this process's ends of the task pipe
-    and of the workers' connections."""
-    fds = [*sim_mod._POOL.tasks]
-    fds += [worker.connection.fileno() for worker in sim_mod._POOL.workers]
-    return [(fd, os.fstat(fd).st_ino) for fd in fds]
+    """(descriptor, device, inode) of each of this process's ends of the
+    task pipe and of the workers' connections, and of its population
+    file."""
+    pool = sim_mod._POOL
+    fds = [*pool.tasks, pool.population.fd]
+    fds += [worker.connection.fileno() for worker in pool.workers]
+    return [(fd, os.fstat(fd).st_dev, os.fstat(fd).st_ino) for fd in fds]
 
 
 def _holds_none_of(ends):
-    """Whether this process holds none of the pipes in ``ends`` at those
-    descriptors, and has no workers of its own."""
-    for fd, inode in ends:
+    """Whether this process holds none of the files in ``ends`` at any
+    descriptor, a mapping's own included, and has no workers of its own."""
+    files = {(device, inode) for _, device, inode in ends}
+    for fd in os.listdir("/proc/self/fd"):
         try:
-            if os.fstat(fd).st_ino == inode:
-                return False
-        except OSError:
-            pass
-    return not sim_mod._POOL.workers and sim_mod._POOL.tasks is None
+            held = os.stat(f"/proc/self/fd/{fd}")
+        except OSError:  # the listing's own descriptor, closed by now
+            continue
+        if (held.st_dev, held.st_ino) in files:
+            return False
+    pool = sim_mod._POOL
+    return not pool.workers and pool.tasks is None and pool.population is None
 
 
 @LINUX_ONLY
 def test_a_forked_child_forgets_its_parents_workers():
     cfg = sw.SimulationConfig(dag=1, setup=1, seed=2, n_population=5000)
     sim_mod._replicate(cfg, 0, ("unweighted", "cl"), 1)
+    # Arrays that view the mapping across the fork, as a traceback kept
+    # from a replication holds them, must not keep the file open either.
+    views = sim_mod._POOL.population.population(cfg.population_size)
     ends = _caller_pipe_ends()
     pid = os.fork()
     if pid == 0:
         os._exit(0 if _holds_none_of(ends) else 1)
     assert os.waitpid(pid, 0)[1] == 0
+    del views
     # The parent's workers still serve it.
     assert _caller_pipe_ends() == ends
     assert sim_mod._replicate(cfg, 0, ("unweighted", "cl"), 1)
@@ -957,9 +1111,11 @@ def test_a_forked_child_forgets_its_parents_workers():
 
 def _checked_in_pool(task, ends, index):
     """Run a study's replication ``task`` in a pool worker, which must hold
-    none of the caller's worker pipes and fork no worker of its own."""
+    none of the caller's worker pipes or its population file and fork no
+    worker of its own."""
     if not _holds_none_of(ends):
-        raise AssertionError("a pool worker holds its parent's worker pipes")
+        raise AssertionError("a pool worker holds its parent's worker pipes "
+                             "or population file")
     result = task(index)
     if sim_mod._POOL.workers:
         raise AssertionError("a pool worker forked a worker")
@@ -1048,11 +1204,16 @@ def test_a_worker_keeps_only_its_pipes_and_descriptors_0_to_2(tmp_path):
     # connection is a socket of its own, not the caller's end.
     task_pipe = f"pipe:[{os.fstat(sim_mod._POOL.tasks[0]).st_ino}]"
     caller_end = f"socket:[{os.fstat(worker.connection.fileno()).st_ino}]"
-    others = [t for fd, t in kept.items() if fd > 2 and t != task_pipe]
+    population = os.readlink(f"/proc/self/fd/{sim_mod._POOL.population.fd}")
+    assert population.startswith("/memfd:selweight-population")
+    others = [t for fd, t in kept.items()
+              if fd > 2 and t not in (task_pipe, population)]
     assert {0, 1, 2} <= set(kept) and task_pipe in kept.values()
     assert len(others) == 1 and others[0].startswith("socket:[")
     assert others[0] != caller_end
-    assert len(kept) == 5
+    # One descriptor of the population file, which the worker has mapped.
+    assert list(kept.values()).count(population) == 1
+    assert len(kept) == 6
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,9 @@ def test_jacobian_is_formed_only_at_accepted_points():
 @pytest.mark.parametrize("residual, jacobian, message", [
     (lambda x: np.zeros(3), lambda x: np.eye(2),
      "residual has length 3, expected 2"),
+    # The right length at init, 3 entries at every trial point after it.
+    (lambda x: x - 1.0 if not x.any() else np.zeros(3), lambda x: np.eye(2),
+     "residual has length 3, expected 2"),
     (lambda x: x - 1.0, lambda x: np.eye(3),
      r"jacobian has shape \(3, 3\), expected square of 2"),
 ])
